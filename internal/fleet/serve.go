@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -73,26 +75,65 @@ type Server struct {
 	seq   uint16
 }
 
+// readBufSize is each node connection's read buffer. One socket read
+// takes in a whole burst of frames (a gateway's write batch) instead of
+// one read per frame part; a burst larger than this just takes another
+// read.
+const readBufSize = 4096
+
 // fleetConn is one node connection and the household it greeted as.
 type fleetConn struct {
 	c       net.Conn
 	timeout time.Duration
-	wm      sync.Mutex // serializes frame writes (acks vs LED commands)
+	wm      sync.Mutex // serializes frame queueing and flushes (acks vs LED commands)
 	w       *wire.Writer
+	closed  bool // set by release under wm: later writes fail instead of drawing a fresh buffer
 	// ackPkt is reusable ack scratch, owned by the connection's reader
 	// goroutine (the only sender of acks).
 	ackPkt wire.Ack
+	// regs lists the Server.conns entries this connection registered,
+	// so unregister can drop them; guarded by Server.mu.
+	regs []connKey
 
 	mu        sync.Mutex
 	household string
 	warned    bool // "no hello, no default" logged once
 }
 
-func (nc *fleetConn) write(p wire.Packet) error {
+// connKey names one LED route in Server.conns.
+type connKey struct {
+	household string
+	uid       uint16
+}
+
+// queue appends one frame to the connection's pending output without
+// writing it; the next flush carries it.
+func (nc *fleetConn) queue(p wire.Packet) error {
 	nc.wm.Lock()
 	defer nc.wm.Unlock()
-	if err := nc.w.QueuePacket(p); err != nil {
+	if nc.closed {
+		return net.ErrClosed
+	}
+	return nc.w.QueuePacket(p)
+}
+
+// write sends one frame now, together with any acks queued before it,
+// so an LED command or redirect never waits on the reader and never
+// overtakes the ack of the report that caused it.
+func (nc *fleetConn) write(p wire.Packet) error {
+	if err := nc.queue(p); err != nil {
 		return err
+	}
+	return nc.flush()
+}
+
+// flush writes every queued frame in one syscall. It is the
+// connection's only write site.
+func (nc *fleetConn) flush() error {
+	nc.wm.Lock()
+	defer nc.wm.Unlock()
+	if nc.w.Buffered() == 0 {
+		return nil
 	}
 	if nc.timeout > 0 {
 		nc.c.SetWriteDeadline(time.Now().Add(nc.timeout)) //coreda:vet-ignore nondeterminism serving-layer socket deadline is wall-clock by nature
@@ -105,8 +146,26 @@ func (nc *fleetConn) write(p wire.Packet) error {
 // is done.
 func (nc *fleetConn) release() {
 	nc.wm.Lock()
+	nc.closed = true
 	nc.w.Release()
 	nc.wm.Unlock()
+}
+
+// flushingReader is the socket side of a connection's read buffer. The
+// bufio.Reader calls it only when it needs bytes it does not hold, that
+// is when the connection's reader is about to block: that is the moment
+// to flush the acks queued for the frames already read. Acks therefore
+// leave in one write per burst and never wait on the peer sending more.
+type flushingReader struct {
+	srv *Server
+	nc  *fleetConn
+}
+
+func (r flushingReader) Read(p []byte) (int, error) {
+	if err := r.nc.flush(); err != nil {
+		r.srv.log("acks to %s: %v", r.nc.c.RemoteAddr(), err)
+	}
+	return r.nc.c.Read(p)
 }
 
 // NewServer wraps a fleet that has not been started yet: it installs the
@@ -211,18 +270,30 @@ func (srv *Server) Serve(l net.Listener) error {
 // single-household rtbridge there is no central packet loop: the fleet's
 // shard queues are the serialization point, so each connection goroutine
 // delivers directly.
+//
+// Frames come through a fixed readBufSize buffer, so a burst of reports
+// costs one socket read. Acks are queued, and flushed in one write just
+// before the reader blocks on the socket again; LED commands and
+// redirects are written at once, carrying any acks queued ahead of them.
+// On exit the connection's LED routes are dropped, unless a reconnect
+// has already replaced them.
 func (srv *Server) HandleConn(conn net.Conn) {
 	nc := &fleetConn{c: conn, timeout: srv.cfg.WriteTimeout, w: wire.NewWriter(conn)}
 	srv.mu.Lock()
+	select {
+	case <-srv.done: // Stop already closed every conn it knew of
+		srv.mu.Unlock()
+		conn.Close()
+		return
+	default:
+	}
 	srv.all[nc] = struct{}{}
 	srv.mu.Unlock()
 	defer func() {
-		srv.mu.Lock()
-		delete(srv.all, nc)
-		srv.mu.Unlock()
+		srv.unregister(nc)
 		nc.release()
 	}()
-	r := wire.NewReader(conn)
+	r := wire.NewReader(bufio.NewReaderSize(flushingReader{srv: srv, nc: nc}, readBufSize))
 	var f wire.Frame // reused across reads: no per-packet alloc
 	for {
 		if srv.cfg.ReadTimeout > 0 {
@@ -356,14 +427,43 @@ func (srv *Server) register(household string, uid uint16, nc *fleetConn) {
 		m = make(map[uint16]*fleetConn)
 		srv.conns[household] = m
 	}
+	if m[uid] == nc {
+		return
+	}
 	m[uid] = nc
+	if k := (connKey{household, uid}); !slices.Contains(nc.regs, k) {
+		nc.regs = append(nc.regs, k)
+	}
+}
+
+// unregister forgets a closed connection: it drops the LED routes that
+// still point at nc (a reconnect may already have replaced some) so a
+// later LED for those tools reports "no node connected" instead of
+// writing into a dead socket.
+func (srv *Server) unregister(nc *fleetConn) {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	delete(srv.all, nc)
+	for _, k := range nc.regs {
+		m := srv.conns[k.household]
+		if m[k.uid] != nc {
+			continue
+		}
+		delete(m, k.uid)
+		if len(m) == 0 {
+			delete(srv.conns, k.household)
+		}
+	}
+	nc.regs = nil
 }
 
 func (srv *Server) ack(nc *fleetConn, uid, seq uint16) {
-	// ackPkt is owned by the reader goroutine calling this, and write
+	// ackPkt is owned by the reader goroutine calling this, and queue
 	// copies the encoded bytes out before returning, so reuse is safe.
+	// The ack leaves with the next flush: before the reader blocks, or
+	// ahead of an LED command written in the meantime.
 	nc.ackPkt = wire.Ack{UID: uid, Seq: seq}
-	if err := nc.write(&nc.ackPkt); err != nil {
+	if err := nc.queue(&nc.ackPkt); err != nil {
 		srv.log("ack to %d: %v", uid, err)
 	}
 }

@@ -1,6 +1,7 @@
 package rtbridge
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"net"
@@ -16,6 +17,10 @@ type LEDEvent struct {
 	Blinks int
 	Period time.Duration
 }
+
+// readBufSize is the reader loop's read-ahead buffer: room for a whole
+// burst of server frames.
+const readBufSize = 4096
 
 // NodeClient simulates one PAVENET node over a TCP connection: it reports
 // tool usage and surfaces LED commands.
@@ -246,7 +251,9 @@ func (n *NodeClient) readLoop() {
 	defer close(n.doneCh)
 	// Close on exit so writers fail fast instead of feeding a dead peer.
 	defer n.Close()
-	r := wire.NewReader(n.conn)
+	// The loop is the conn's only reader, so it may read ahead: a burst
+	// of acks and LED commands costs one socket read, not three per frame.
+	r := wire.NewReader(bufio.NewReaderSize(n.conn, readBufSize))
 	var f wire.Frame
 	for {
 		n.wm.Lock()

@@ -367,6 +367,13 @@ func (s *Server) Serve(l net.Listener) error {
 func (s *Server) HandleConn(conn net.Conn) {
 	nc := &nodeConn{c: conn, timeout: s.cfg.WriteTimeout, w: wire.NewWriter(conn)}
 	s.mu.Lock()
+	select {
+	case <-s.done: // Stop already closed every conn it knew of
+		s.mu.Unlock()
+		conn.Close()
+		return
+	default:
+	}
 	s.all[nc] = struct{}{}
 	s.mu.Unlock()
 	defer func() {

@@ -853,9 +853,9 @@ var bufPool = sync.Pool{
 //
 // Frames can either be written one at a time (WritePacket) or queued with
 // QueuePacket and flushed in one underlying Write (Flush) — the batched
-// path the rtbridge server uses to amortize syscalls across a burst of
-// acks and LED commands. The frame buffer is pooled: call Release when
-// the Writer is done to recycle it.
+// path the fleet server uses to send a burst's acks in one syscall. The
+// frame buffer is pooled: call Release when the Writer is done to
+// recycle it.
 type Writer struct {
 	w   io.Writer
 	buf *[]byte // pooled; nil until first use and after Release

@@ -10,6 +10,25 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# bench_rows turns `go test -bench -benchmem` output on stdin into the
+# JSON rows of a BENCH_*.json "benchmarks" array, one object per
+# Benchmark line, comma-separated.
+bench_rows() {
+    awk '
+        /^Benchmark/ {
+            name = $1; sub(/-[0-9]+$/, "", name)
+            nsop = ""; bop = ""; allocs = ""
+            for (i = 2; i < NF; i++) {
+                if ($(i+1) == "ns/op") nsop = $i
+                if ($(i+1) == "B/op") bop = $i
+                if ($(i+1) == "allocs/op") allocs = $i
+            }
+            lines[n++] = sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, nsop, bop, allocs)
+        }
+        END { for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "") }
+    '
+}
+
 out=BENCH_experiments.json
 pattern='BenchmarkAblationsParallel|BenchmarkQLambdaObserve|BenchmarkPlannerTrainEpisode|BenchmarkPlannerPredict'
 
@@ -31,19 +50,7 @@ $simraw"
     echo "  \"cpus\": $(getconf _NPROCESSORS_ONLN),"
     echo '  "note": "Parallel speedup is bounded by the cpus figure above: on a single-CPU host workers=4 measures pool overhead rather than speedup. Experiment output is byte-identical at every worker count.",'
     echo '  "benchmarks": ['
-    echo "$raw" | awk '
-        /^Benchmark/ {
-            name = $1; sub(/-[0-9]+$/, "", name)
-            nsop = ""; bop = ""; allocs = ""
-            for (i = 2; i < NF; i++) {
-                if ($(i+1) == "ns/op") nsop = $i
-                if ($(i+1) == "B/op") bop = $i
-                if ($(i+1) == "allocs/op") allocs = $i
-            }
-            lines[n++] = sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, nsop, bop, allocs)
-        }
-        END { for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "") }
-    '
+    echo "$raw" | bench_rows
     echo '  ]'
     echo '}'
 } > "$out"
@@ -63,19 +70,7 @@ echo "$wraw"
     echo "  \"cpus\": $(getconf _NPROCESSORS_ONLN),"
     echo '  "note": "Serving-path codec fast paths. allocs_per_op must stay 0 (enforced by TestServingFastPathsZeroAlloc in the no-race pass of scripts/check.sh).",'
     echo '  "benchmarks": ['
-    echo "$wraw" | awk '
-        /^Benchmark/ {
-            name = $1; sub(/-[0-9]+$/, "", name)
-            nsop = ""; bop = ""; allocs = ""
-            for (i = 2; i < NF; i++) {
-                if ($(i+1) == "ns/op") nsop = $i
-                if ($(i+1) == "B/op") bop = $i
-                if ($(i+1) == "allocs/op") allocs = $i
-            }
-            lines[n++] = sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, nsop, bop, allocs)
-        }
-        END { for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "") }
-    '
+    echo "$wraw" | bench_rows
     echo '  ]'
     echo '}'
 } > "$wout"
@@ -97,19 +92,7 @@ echo "$sraw"
     echo "  \"cpus\": $(getconf _NPROCESSORS_ONLN),"
     echo '  "note": "CKPT checkpoint codec vs the legacy JSON encoding, one fleet-scale tenant blob per op. The binary rows are the serving default; allocs_per_op must stay 0 on them (TestCheckpointCodecAllocBudget, TestMultiSaverAllocBudget).",'
     echo '  "benchmarks": ['
-    echo "$sraw" | awk '
-        /^Benchmark/ {
-            name = $1; sub(/-[0-9]+$/, "", name)
-            nsop = ""; bop = ""; allocs = ""
-            for (i = 2; i < NF; i++) {
-                if ($(i+1) == "ns/op") nsop = $i
-                if ($(i+1) == "B/op") bop = $i
-                if ($(i+1) == "allocs/op") allocs = $i
-            }
-            lines[n++] = sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, nsop, bop, allocs)
-        }
-        END { for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "") }
-    '
+    echo "$sraw" | bench_rows
     echo '  ]'
     echo '}'
 } > "$sout"
@@ -132,19 +115,7 @@ echo "$qraw"
     echo "  \"cpus\": $(getconf _NPROCESSORS_ONLN),"
     echo '  "note": "Control-plane fabric: one trivial job enqueued+drained per op at the fleet worker count (queue), and one event published per op with a single drained listener (bus). Dispatch order and digests are identical at every worker count; only wall-clock throughput moves.",'
     echo '  "benchmarks": ['
-    echo "$qraw" | awk '
-        /^Benchmark/ {
-            name = $1; sub(/-[0-9]+$/, "", name)
-            nsop = ""; bop = ""; allocs = ""
-            for (i = 2; i < NF; i++) {
-                if ($(i+1) == "ns/op") nsop = $i
-                if ($(i+1) == "B/op") bop = $i
-                if ($(i+1) == "allocs/op") allocs = $i
-            }
-            lines[n++] = sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, nsop, bop, allocs)
-        }
-        END { for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "") }
-    '
+    echo "$qraw" | bench_rows
     echo '  ]'
     echo '}'
 } > "$qout"
@@ -208,19 +179,7 @@ echo "$araw"
     done
     echo '  ],'
     echo '  "idle_benchmarks": ['
-    echo "$araw" | awk '
-        /^Benchmark/ {
-            name = $1; sub(/-[0-9]+$/, "", name)
-            nsop = ""; bop = ""; allocs = ""
-            for (i = 2; i < NF; i++) {
-                if ($(i+1) == "ns/op") nsop = $i
-                if ($(i+1) == "B/op") bop = $i
-                if ($(i+1) == "allocs/op") allocs = $i
-            }
-            lines[n++] = sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, nsop, bop, allocs)
-        }
-        END { for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "") }
-    '
+    echo "$araw" | bench_rows
     echo '  ]'
     echo '}'
 } > "$fout"
