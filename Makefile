@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet vet-json lint check bench experiments examples fuzz clean
+.PHONY: all build test race vet vet-json lint check bench experiments golden examples fuzz clean
 
 all: check
 
@@ -41,6 +41,15 @@ bench:
 # Regenerate every table and figure of the paper (EXPERIMENTS.md).
 experiments:
 	$(GO) run ./cmd/coreda-bench
+
+# Regenerate the soak goldens scripts/check.sh diffs against: the
+# 1000-household fleet soak, the cluster soak and the idle-advance probe.
+# Only for a change meant to alter what households learn; the diff of
+# scripts/golden/ is then part of the change.
+golden:
+	$(GO) run ./cmd/coreda-bench -households 1000 fleet > scripts/golden/fleet.txt
+	$(GO) run ./cmd/coreda-bench -cluster-households 24 -cluster-sessions 4 cluster > scripts/golden/cluster.txt
+	$(GO) run ./cmd/coreda-bench -households 10000 -idle-active 100 -idle-ticks 2000 -fleet-shards 1 fleetidle > scripts/golden/fleetidle.txt
 
 examples:
 	$(GO) run ./examples/quickstart

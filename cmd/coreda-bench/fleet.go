@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"coreda/internal/fleet"
-	"coreda/internal/store"
 )
 
 // fleetBenchResult is the machine-readable record written by -fleet-json:
@@ -25,15 +24,11 @@ type fleetBenchResult struct {
 	// ran with (the bench matrix sets it via the environment, so it may
 	// exceed HostCPUs on small hosts). HostCPUs is the machine's logical
 	// CPU count, recorded so a row can't overstate its hardware.
-	Cpus        int    `json:"cpus"`
-	HostCPUs    int    `json:"host_cpus"`
-	StoreFormat string `json:"store_format"`
-	// Control is the control-plane mode the soak ran under ("queue" or
-	// "inline"); JobFail is the chaos job-failure probability and
-	// JobRetries the control-queue retries it forced. None of the three
-	// may move any other field except ElapsedSec/EventsPerSec — that is
-	// the queue-parity gate.
-	Control         string  `json:"control"`
+	Cpus     int `json:"cpus"`
+	HostCPUs int `json:"host_cpus"`
+	// JobFail is the chaos job-failure probability and JobRetries the
+	// control-queue retries it forced. Neither may move any other field
+	// except ElapsedSec/EventsPerSec.
 	JobFail         float64 `json:"job_fail,omitempty"`
 	JobRetries      int     `json:"job_retries,omitempty"`
 	Events          int     `json:"events"`
@@ -47,33 +42,13 @@ type fleetBenchResult struct {
 	HouseholdsShard float64 `json:"households_per_shard"`
 }
 
-// parseControl maps the -fleet-control flag to a fleet.ControlMode.
-func parseControl(s string) (fleet.ControlMode, error) {
-	switch s {
-	case "queue", "":
-		return fleet.ControlQueue, nil
-	case "inline":
-		return fleet.ControlInline, nil
-	}
-	return 0, fmt.Errorf("unknown -fleet-control %q (want queue or inline)", s)
-}
-
 // runFleetBench soaks a multi-tenant fleet and prints the deterministic
 // outcome. Everything on stdout is a pure function of (seed, households,
-// sessions) — the shard count, control-plane mode and job-failure
-// injection rate are deliberately omitted, so scripts/check.sh can diff
-// runs at different -fleet-shards (shard-count parity) and different
-// -fleet-control values (queue parity). Wall-clock throughput goes only
-// to -fleet-json.
-func runFleetBench(seed int64, households, shards, sessions, workers int, storeFormat, control string, jobFail float64, jsonPath string) error {
-	format, err := store.ParseFormat(storeFormat)
-	if err != nil {
-		return err
-	}
-	mode, err := parseControl(control)
-	if err != nil {
-		return err
-	}
+// sessions) — the shard count and job-failure injection rate are
+// deliberately omitted, so scripts/check.sh can diff runs at any
+// -fleet-shards and -fleet-jobfail against one committed golden.
+// Wall-clock throughput goes only to -fleet-json.
+func runFleetBench(seed int64, households, shards, sessions, workers int, jobFail float64, jsonPath string) error {
 	dir, err := os.MkdirTemp("", "coreda-fleet-bench-")
 	if err != nil {
 		return err
@@ -87,9 +62,7 @@ func runFleetBench(seed int64, households, shards, sessions, workers int, storeF
 		Sessions:   sessions,
 		Shards:     shards,
 		Dir:        dir,
-		Format:     format,
 		Workers:    workers,
-		Control:    mode,
 		JobFail:    jobFail,
 	})
 	if err != nil {
@@ -109,10 +82,6 @@ func runFleetBench(seed int64, households, shards, sessions, workers int, storeF
 	if jsonPath == "" {
 		return nil
 	}
-	controlName := "queue"
-	if mode == fleet.ControlInline {
-		controlName = "inline"
-	}
 	out := fleetBenchResult{
 		Seed:         seed,
 		Households:   res.Households,
@@ -121,8 +90,6 @@ func runFleetBench(seed int64, households, shards, sessions, workers int, storeF
 		Workers:      workers,
 		Cpus:         runtime.GOMAXPROCS(0),
 		HostCPUs:     runtime.NumCPU(),
-		StoreFormat:  format.String(),
-		Control:      controlName,
 		JobFail:      jobFail,
 		JobRetries:   st.JobRetries,
 		Events:       res.Events,

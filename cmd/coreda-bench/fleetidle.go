@@ -18,11 +18,10 @@ import (
 // Like the soak rows, everything printed to stdout is deterministic;
 // only the elapsed/throughput figures here may vary between runs.
 type fleetIdleResult struct {
-	Households int    `json:"households"`
-	Active     int    `json:"active"`
-	Ticks      int    `json:"ticks"`
-	Shards     int    `json:"shards"`
-	Advance    string `json:"advance"`
+	Households int `json:"households"`
+	Active     int `json:"active"`
+	Ticks      int `json:"ticks"`
+	Shards     int `json:"shards"`
 	// Cpus is GOMAXPROCS at run time; HostCPUs the machine's logical CPU
 	// count — recorded so a row can't overstate its hardware.
 	Cpus        int     `json:"cpus"`
@@ -33,39 +32,21 @@ type fleetIdleResult struct {
 	TicksPerSec float64 `json:"ticks_per_sec"`
 }
 
-// parseAdvance maps the -fleet-advance flag to a fleet.AdvanceMode.
-func parseAdvance(s string) (fleet.AdvanceMode, error) {
-	switch s {
-	case "indexed", "":
-		return fleet.AdvanceIndexed, nil
-	case "sweep":
-		return fleet.AdvanceSweep, nil
-	}
-	return 0, fmt.Errorf("unknown -fleet-advance %q (want indexed or sweep)", s)
-}
-
 // runFleetIdleBench measures the fleet's clock-pump cost over a
 // mostly-idle population: `households` resident tenants, `active` of
 // them mid-session, pumped through `ticks` Advance calls stepping 1µs —
 // short of any session timer, so every tick is the steady-state "is
-// anything due?" question. Under the due-time index the answer is one
-// heap peek per shard; under the sweep it is a walk of every resident.
-// Checkpoints go to an in-memory backend: the run measures the pump,
-// not the filesystem. Stdout is a pure function of the configuration;
-// wall-clock throughput goes only to -fleet-json.
-func runFleetIdleBench(seed int64, households, active, ticks, shards int, advance, jsonPath string) error {
-	mode, err := parseAdvance(advance)
-	if err != nil {
-		return err
-	}
+// anything due?" question, which the due-time index answers with one
+// heap peek per shard. Checkpoints go to an in-memory backend: the run
+// measures the pump, not the filesystem. Stdout is a pure function of
+// the configuration; wall-clock throughput goes only to -fleet-json.
+func runFleetIdleBench(seed int64, households, active, ticks, shards int, jsonPath string) error {
 	if active > households {
 		active = households
 	}
 	f, err := fleet.New(fleet.Config{
 		Shards:  shards,
 		Backend: store.NewMemBackend(),
-		Control: fleet.ControlInline,
-		Advance: mode,
 		NewSystem: func(household string) (coreda.SystemConfig, error) {
 			return coreda.SystemConfig{
 				Activity: adl.TeaMaking(),
@@ -110,11 +91,7 @@ func runFleetIdleBench(seed int64, households, active, ticks, shards int, advanc
 	st := f.Stats() // barrier: every tick dispatched
 	elapsed := time.Since(start)
 
-	name := "indexed"
-	if mode == fleet.AdvanceSweep {
-		name = "sweep"
-	}
-	fmt.Printf("Fleet idle advance: %d households, %d active, %d ticks (%s)\n", households, active, ticks, name)
+	fmt.Printf("Fleet idle advance: %d households, %d active, %d ticks (indexed)\n", households, active, ticks)
 	fmt.Printf("  admissions     %d\n", st.Admissions)
 	fmt.Printf("  usage events   %d\n", st.Events)
 	fmt.Printf("  evictions      %d\n", st.Evictions)
@@ -128,7 +105,6 @@ func runFleetIdleBench(seed int64, households, active, ticks, shards int, advanc
 		Active:      active,
 		Ticks:       ticks,
 		Shards:      f.Shards(),
-		Advance:     name,
 		Cpus:        runtime.GOMAXPROCS(0),
 		HostCPUs:    runtime.NumCPU(),
 		Evictions:   st.Evictions,

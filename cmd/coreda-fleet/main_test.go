@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -206,21 +207,19 @@ func TestFleetMigratesLegacyJSONCheckpoint(t *testing.T) {
 		t.Fatalf("fleet exited uncleanly: %v\n%s", err, out.String())
 	}
 
-	// ...which we rewrite as the legacy layout: JSON bytes in a bare
-	// .json file, no current-era blobs at all.
+	// ...which we rewrite as the legacy layout: the MultiPolicyFile
+	// schema as JSON in a bare .json file, no current-era blobs at all.
 	ckpt := filepath.Join(dir, "ito-3.ckpt")
-	f, routines, tables, err := store.LoadMultiPolicy(ckpt)
+	f, _, _, err := store.LoadMultiPolicy(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	episodes := f.Policies[0].Episodes
-	states := make([]store.TrainState, len(f.Policies))
-	for i, p := range f.Policies {
-		states[i] = store.TrainState{Episodes: p.Episodes, Epsilon: p.Epsilon}
+	js, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sv := store.MultiSaver{Format: store.FormatJSON}
-	if err := sv.SavePath(filepath.Join(dir, "ito-3.json"), f.User, f.Activity,
-		store.EncodeRoutines(routines), tables, states, true); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "ito-3.json"), js, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []string{ckpt, ckpt + store.BackupSuffix} {

@@ -97,7 +97,7 @@ func startServerProc(t *testing.T, bin string, args ...string) (*exec.Cmd, *proc
 // recovered state it then saves is byte-for-byte that checkpoint.
 func TestKillAndRestartRecoversCheckpoint(t *testing.T) {
 	bin := buildServer(t)
-	ckpt := filepath.Join(t.TempDir(), "policy.json")
+	ckpt := filepath.Join(t.TempDir(), "policy.ckpt")
 	args := []string{
 		"-addr", "127.0.0.1:0", "-speed", "200", "-mode", "learn",
 		"-save", ckpt, "-checkpoint", "50ms",

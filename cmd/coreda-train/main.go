@@ -5,7 +5,7 @@
 // Usage:
 //
 //	coreda-train [-activity tea-making] [-user "Mr. Tanaka"] [-episodes 120]
-//	             [-routine 2,1,3,4] [-seed 1] [-o policy.json] [-eval policy.json]
+//	             [-routine 2,1,3,4] [-seed 1] [-o policy.ckpt] [-eval policy.ckpt]
 //
 // -routine gives the user's personal step order as 1-based canonical step
 // positions; omitted, the canonical order is used. With -eval, an
@@ -31,7 +31,7 @@ func main() {
 	episodes := flag.Int("episodes", 120, "training samples (paper: 120)")
 	routineSpec := flag.String("routine", "", "personal step order, comma-separated 1-based canonical positions")
 	seed := flag.Int64("seed", 1, "random seed")
-	out := flag.String("o", "policy.json", "output policy file")
+	out := flag.String("o", "policy.ckpt", "output policy file (CKPT checkpoint)")
 	eval := flag.String("eval", "", "evaluate an existing policy file instead of training")
 	from := flag.String("from", "", "train from a recorded JSON-lines trace (coreda-sim -record) instead of generated samples")
 	flag.Parse()

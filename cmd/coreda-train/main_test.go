@@ -48,7 +48,7 @@ func TestFindActivity(t *testing.T) {
 
 func TestTrainAndEvalEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	policy := filepath.Join(dir, "policy.json")
+	policy := filepath.Join(dir, "policy.ckpt")
 	if err := run("tea-making", "", "test-user", 120, "2,1,3,4", 1, policy, "", ""); err != nil {
 		t.Fatalf("train: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestTrainFromTraceEndToEnd(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	policy := filepath.Join(dir, "policy.json")
+	policy := filepath.Join(dir, "policy.ckpt")
 	if err := run("tea-making", "", "u", 120, "2,1,3,4", 1, policy, "", path); err != nil {
 		t.Fatalf("train from trace: %v", err)
 	}

@@ -2,9 +2,51 @@ package fleet
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 )
+
+// sweepAdvance is the reference the due-time index is tested against:
+// the exhaustive advance that pumps every resident tenant, in lexical
+// household order, on every tick, whether or not it has due work. It is
+// the shard's advanceAll with the index lookup replaced by a full walk,
+// so the tick floor bookkeeping (tickSeq/tickAt) is kept identical. ids
+// is reusable scratch (nil is fine); the grown slice is returned.
+func sweepAdvance(s *shard, to time.Duration, ids []string) []string {
+	s.tickSeq++
+	if to > s.tickAt {
+		s.tickAt = to
+	}
+	ids = ids[:0]
+	for id := range s.tenants {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		t := s.tenants[id]
+		if to > t.Sched.Now() {
+			t.Sched.RunUntil(to)
+		}
+		if !s.maybeEvict(t) {
+			s.refreshDue(t)
+		}
+	}
+	return ids
+}
+
+// tick is one shard-wide clock pump to `to`: the production indexed
+// advance, or — sweep set — the sweep reference, run on every shard loop
+// as a control closure. Neither waits for the ticks to be dispatched.
+func tick(f *Fleet, to time.Duration, sweep bool) {
+	if !sweep {
+		f.advanceAll(to)
+		return
+	}
+	for _, s := range f.shards {
+		s.in <- msg{fn: func(s *shard) { sweepAdvance(s, to, nil) }}
+	}
+}
 
 // runAdvanceWorkload drives a fleet whose clock is pumped exclusively
 // through Fleet.advanceAll ticks — the serving-layer pattern — over the
@@ -13,12 +55,11 @@ import (
 // with a shard-wide tick after each round, and a final tick past the
 // idle deadline so every tenant is evicted through the advance path
 // rather than through Stop.
-func runAdvanceWorkload(t *testing.T, shards int, mode AdvanceMode) (string, Stats) {
+func runAdvanceWorkload(t *testing.T, shards int, sweep bool) (string, Stats) {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := testConfig(dir)
 	cfg.Shards = shards
-	cfg.Advance = mode
 	cfg.IdleEvict = 10 * time.Minute
 
 	const households = 12
@@ -54,17 +95,17 @@ func runAdvanceWorkload(t *testing.T, shards int, mode AdvanceMode) (string, Sta
 		}
 		// Tick to the high-water mark of everything delivered so far:
 		// non-decreasing, exactly like a serving pump on a monotone clock.
-		f.advanceAll(tmax)
+		tick(f, tmax, sweep)
 		f.Stats() // barrier: the ticks have been dispatched
 	}
 	// Final ticks march every tenant past the idle deadline, so eviction
 	// (and its queued writeback) happens through the advance path. Two
-	// half-steps make the second tick a no-op under AdvanceIndexed — the
-	// due index must be empty once everyone is evicted.
+	// half-steps make the second tick a no-op for the indexed advance —
+	// the due index must be empty once everyone is evicted.
 	tmax += cfg.IdleEvict/2 + time.Second
-	f.advanceAll(tmax)
+	tick(f, tmax, sweep)
 	tmax += cfg.IdleEvict/2 + time.Second
-	f.advanceAll(tmax)
+	tick(f, tmax, sweep)
 	st := f.Stats()
 	f.Stop()
 
@@ -77,15 +118,15 @@ func runAdvanceWorkload(t *testing.T, shards int, mode AdvanceMode) (string, Sta
 
 // TestAdvanceParity is the indexed-vs-sweep determinism gate: the
 // due-time index must produce byte-identical checkpoint digests to the
-// exhaustive per-tick sweep, at 1, 4 and 8 shards. It also checks the
+// exhaustive per-tick sweep reference, at 1, 4 and 8 shards. It also checks the
 // workload actually exercised the advance path: every household was
 // evicted by the final ticks, not by Stop's flush.
 func TestAdvanceParity(t *testing.T) {
 	var want string
 	for _, shards := range []int{1, 4, 8} {
-		for _, mode := range []AdvanceMode{AdvanceIndexed, AdvanceSweep} {
-			name := fmt.Sprintf("shards=%d/mode=%d", shards, mode)
-			digest, st := runAdvanceWorkload(t, shards, mode)
+		for _, sweep := range []bool{false, true} {
+			name := fmt.Sprintf("shards=%d/sweep=%v", shards, sweep)
+			digest, st := runAdvanceWorkload(t, shards, sweep)
 			if st.Evictions < 12 {
 				t.Errorf("%s: %d evictions, want >= 12 (ticks did not drive eviction)", name, st.Evictions)
 			}
@@ -105,17 +146,16 @@ func TestAdvanceParity(t *testing.T) {
 
 // TestLateEventAfterTickParity pins the tick-floor semantics: an event
 // stamped earlier than a tick that preceded it on the shard queue is
-// processed at the tick time under both advance modes. Without the lazy
+// processed at the tick time by both the indexed advance and the sweep. Without the lazy
 // floor the indexed path — which never touches a no-due-work tenant —
 // would process the event at its stale stamp, date lastEvent a tick
 // earlier than the sweep does, and evict the tenant on a tick where the
 // sweep keeps it resident.
 func TestLateEventAfterTickParity(t *testing.T) {
-	for _, mode := range []AdvanceMode{AdvanceIndexed, AdvanceSweep} {
+	for _, sweep := range []bool{false, true} {
 		dir := t.TempDir()
 		cfg := testConfig(dir)
 		cfg.Shards = 1
-		cfg.Advance = mode
 		cfg.IdleEvict = 10 * time.Minute
 		f, err := New(cfg)
 		if err != nil {
@@ -127,7 +167,7 @@ func TestLateEventAfterTickParity(t *testing.T) {
 		// before it finds the tenant with no due work, so the indexed
 		// path skips it while the sweep raises its clock.
 		now := deliverSession(t, f, "late", 0)
-		f.advanceAll(now + 10*time.Second)
+		tick(f, now+10*time.Second, sweep)
 		// A late-stamped liveness event (stamped before the tick, legal:
 		// per-household times are still non-decreasing). The sweep
 		// processes — and dates lastEvent — at the tick, now+10s; the
@@ -138,10 +178,10 @@ func TestLateEventAfterTickParity(t *testing.T) {
 		}
 		// IdleEvict+1s past the stale stamp but 5s short of it from the
 		// floored one: the tenant must survive this tick in both modes.
-		f.advanceAll(now + 5*time.Second + cfg.IdleEvict + time.Second)
+		tick(f, now+5*time.Second+cfg.IdleEvict+time.Second, sweep)
 		st := f.Stats()
 		if st.Resident != 1 || st.Evictions != 0 {
-			t.Errorf("mode %d: resident=%d evictions=%d after tick, want 1/0 (late event was not floored to the tick time)", mode, st.Resident, st.Evictions)
+			t.Errorf("sweep=%v: resident=%d evictions=%d after tick, want 1/0 (late event was not floored to the tick time)", sweep, st.Resident, st.Evictions)
 		}
 		f.Stop()
 	}

@@ -92,7 +92,6 @@ func TestAdvanceTickAllocBudget(t *testing.T) {
 	}
 	cfg := testConfig(t.TempDir())
 	cfg.Shards = 1
-	cfg.Control = ControlInline
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

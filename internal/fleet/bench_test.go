@@ -61,12 +61,10 @@ func BenchmarkShardIngest(b *testing.B) {
 // shard is driven directly on the caller's goroutine — which is what
 // makes the advance benchmarks single-threaded and their allocs/op
 // numbers exact.
-func idleFleetShard(b *testing.B, resident, active int, mode AdvanceMode) *shard {
+func idleFleetShard(b *testing.B, resident, active int) *shard {
 	b.Helper()
 	cfg := testConfig(b.TempDir())
 	cfg.Shards = 1
-	cfg.Control = ControlInline
-	cfg.Advance = mode
 	f, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -95,13 +93,19 @@ func idleFleetShard(b *testing.B, resident, active int, mode AdvanceMode) *shard
 // every tick is the pump's steady-state case — nothing is due yet, but
 // the shard must establish that. The indexed path answers with one heap
 // peek; the sweep walks and sorts all 10k tenants.
-func benchAdvance(b *testing.B, mode AdvanceMode) {
+func benchAdvance(b *testing.B, sweep bool) {
 	const resident, active = 10000, 100
-	s := idleFleetShard(b, resident, active, mode)
+	s := idleFleetShard(b, resident, active)
+	var ids []string
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.advanceAll(time.Duration(i) * time.Microsecond)
+		to := time.Duration(i) * time.Microsecond
+		if sweep {
+			ids = sweepAdvance(s, to, ids)
+		} else {
+			s.advanceAll(to)
+		}
 	}
 }
 
@@ -109,8 +113,9 @@ func benchAdvance(b *testing.B, mode AdvanceMode) {
 // per-tick cost of advancing a shard where almost every household is
 // idle. Gated ≥10x below BenchmarkAdvanceIdleSweep (scripts/bench.sh
 // records both in BENCH_fleet.json).
-func BenchmarkAdvanceIdle(b *testing.B) { benchAdvance(b, AdvanceIndexed) }
+func BenchmarkAdvanceIdle(b *testing.B) { benchAdvance(b, false) }
 
-// BenchmarkAdvanceIdleSweep is the pre-index baseline: every tick walks
-// the full resident population in sorted order.
-func BenchmarkAdvanceIdleSweep(b *testing.B) { benchAdvance(b, AdvanceSweep) }
+// BenchmarkAdvanceIdleSweep is the pre-index baseline, run on the sweep
+// reference of advance_test.go: every tick walks the full resident
+// population in sorted order.
+func BenchmarkAdvanceIdleSweep(b *testing.B) { benchAdvance(b, true) }

@@ -37,50 +37,11 @@ import (
 
 	"coreda"
 	"coreda/internal/notify"
-	"coreda/internal/parrun"
 	"coreda/internal/queue"
 	"coreda/internal/reminding"
 	"coreda/internal/retry"
 	"coreda/internal/store"
 	"coreda/internal/wire"
-)
-
-// ControlMode selects how a shard executes its control-plane writes —
-// eviction writebacks and checkpoint waves.
-type ControlMode int
-
-// Control modes.
-const (
-	// ControlQueue (the default) routes control writes through a
-	// per-shard internal/queue: evictions and checkpoints become typed
-	// jobs drained at the same batch boundaries as before, with
-	// retry-with-backoff on failure. Dispatch order is deterministic
-	// (stable priority + FIFO), so policy files — and the parity digest
-	// — are byte-identical to ControlInline (gated in check.sh).
-	ControlQueue ControlMode = iota
-	// ControlInline is the pre-queue path: writes run directly on the
-	// drain loop via the parrun pool, with no retries. Kept as the
-	// parity baseline the queue-backed control plane is diffed against.
-	ControlInline
-)
-
-// AdvanceMode selects how a shard finds the tenants a clock-pump tick
-// must touch.
-type AdvanceMode int
-
-// Advance modes.
-const (
-	// AdvanceIndexed (the default) consults the shard's due-time tenant
-	// index: a tick only touches tenants whose next timer or
-	// idle-eviction deadline is <= the pump time, in (due, household)
-	// order. A tick over a shard of idle tenants is O(1).
-	AdvanceIndexed AdvanceMode = iota
-	// AdvanceSweep is the pre-index path: every resident tenant is swept
-	// in lexical household order on every tick, O(resident) regardless
-	// of due work. Kept as the parity baseline the indexed path is
-	// diffed against (TestAdvanceParity, scripts/check.sh) and as the
-	// bench baseline for BenchmarkAdvanceIdleSweep.
-	AdvanceSweep
 )
 
 // Control-plane job classes and priorities: eviction writebacks drain
@@ -113,10 +74,6 @@ type Config struct {
 	// Backend overrides where checkpoints live. Nil means the local-dir
 	// backend rooted at Dir.
 	Backend store.Backend
-	// Format selects the encoding of written checkpoints; the zero
-	// value is the binary CKPT format. Loads sniff the blob content, so
-	// the flag never affects what can be read.
-	Format store.Format
 	// NewSystem builds the system configuration for a household admitted
 	// for the first time (or re-admitted after eviction). Required. The
 	// returned config's Seed should be derived from the household ID
@@ -134,21 +91,12 @@ type Config struct {
 	// OnLog receives human-readable event lines. Calls are serialized
 	// across shards; may be nil.
 	OnLog func(string)
-	// Control selects the control-plane execution path; the zero value
-	// is the queue-backed one (ControlQueue).
-	Control ControlMode
-	// Advance selects how clock-pump ticks find due tenants; the zero
-	// value is the due-time index (AdvanceIndexed). Both modes produce
-	// byte-identical policy files — the sweep is kept only as the parity
-	// and bench baseline.
-	Advance AdvanceMode
 	// Bus, if non-nil, receives control-plane events (notify.TenantDirty,
 	// EvictionQueued, CheckpointDone, WritebackFailed). Publishing never
 	// blocks a shard loop; correctness never depends on delivery.
 	Bus *notify.Bus
 	// JobInject, if non-nil, supplies each shard's chaos injection hook
-	// for control-queue jobs (see chaos.Plan.JobInjector). Ignored
-	// under ControlInline.
+	// for control-queue jobs (see chaos.Plan.JobInjector).
 	JobInject func(shard int) queue.InjectFunc
 }
 
@@ -208,12 +156,11 @@ type Stats struct {
 	// invalid or admission failed.
 	Dropped int
 	// WritebackFailures counts queued eviction writebacks that failed
-	// (after retries, under ControlQueue); each resurrected its tenant
-	// and published a notify.WritebackFailed event.
+	// after retries; each resurrected its tenant and published a
+	// notify.WritebackFailed event.
 	WritebackFailures int
 	// JobRetries counts extra control-job attempts beyond the first
-	// (real failures plus chaos-injected ones); always zero under
-	// ControlInline, which does not retry.
+	// (real failures plus chaos-injected ones).
 	JobRetries int
 }
 
@@ -291,20 +238,17 @@ type shard struct {
 	// an advance tick never touches them. Maintained on admit, deliver,
 	// Do, eviction and resurrection via refreshDue/dueRemove.
 	due []*Tenant
-	// sweepIDs is the reusable scratch of the sweep-mode advance (the
-	// pre-index baseline), so even the baseline allocates nothing per
-	// tick.
-	sweepIDs []string
 	// tickSeq/tickAt record the shard-wide clock pumps: tickSeq counts
 	// them and tickAt is the latest pump time. Together with
 	// Tenant.tickSeq (the count snapshotted at admission) they give the
-	// indexed advance the sweep's exact clock semantics lazily: a sweep
-	// raises every resident tenant's clock to the tick time, so an event
-	// stamped earlier than a tick that preceded it on the shard queue is
-	// processed at the tick time; the indexed path leaves idle tenants
-	// untouched and instead applies tickAt as a floor in handle — but
-	// only for tenants admitted before the tick, because a sweep never
-	// advanced tenants admitted after it.
+	// indexed advance the exact clock semantics of a full sweep (the
+	// reference it is tested against) lazily: a sweep raises every
+	// resident tenant's clock to the tick time, so an event stamped
+	// earlier than a tick that preceded it on the shard queue is
+	// processed at the tick time; the indexed advance leaves idle
+	// tenants untouched and instead applies tickAt as a floor in handle
+	// — but only for tenants admitted before the tick, because a sweep
+	// never advanced tenants admitted after it.
 	tickSeq uint64
 	tickAt  time.Duration
 	// evictq holds tenants already removed from the resident map whose
@@ -321,19 +265,19 @@ type shard struct {
 	// while running (the same single-writer assumption the crash-safe
 	// rotation already relies on), so the set cannot go stale.
 	known map[string]bool
-	// saver holds the reusable checkpoint encode buffers shared by every
-	// tenant on this shard.
+	// saver holds the reusable checkpoint encode buffers the loop
+	// goroutine's own (unqueued) writes share.
 	saver store.MultiSaver
-	// psavers are the per-worker savers of the parallel write paths,
-	// created lazily and reused across flushes; free is the checkout
-	// channel control-queue jobs borrow them through.
-	psavers []*store.MultiSaver
-	free    chan *store.MultiSaver
-	// ctl is the shard's control-plane queue (ControlQueue mode); nil
-	// under ControlInline. Eviction writebacks and checkpoint waves are
-	// enqueued on it and drained at the same boundaries the inline path
-	// used — the queue changes who runs the writes, never when they are
-	// complete (Drain is a synchronization point).
+	// free holds one saver per control-queue worker; jobs check a saver
+	// out for the duration of a write and return it before Drain
+	// completes, so the pool is full between waves.
+	free chan *store.MultiSaver
+	// ctl is the shard's control-plane queue: eviction writebacks and
+	// checkpoint waves are enqueued on it and drained at batch
+	// boundaries, with retry-with-backoff on failure. Drain is a
+	// synchronization point, and dispatch order is deterministic (stable
+	// priority + FIFO), so the queue decides who runs a write, never
+	// what lands on disk.
 	ctl *queue.Queue
 }
 
@@ -341,10 +285,6 @@ type shard struct {
 // concurrently. The work is blocking file I/O (create, write, fsync,
 // rename), so overlapping it pays even on a single CPU.
 const flushWriters = 8
-
-// minParallelFlush is the dirty-set size below which a flush stays
-// serial: a handful of files is not worth the pool round trip.
-const minParallelFlush = 4
 
 // maxBatch bounds how many work items a shard loop dispatches before it
 // services the eviction write queue. Without the cap a sustained
@@ -372,6 +312,10 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{cfg: cfg, backend: cfg.Backend}
 	for i := 0; i < cfg.Shards; i++ {
+		var inject queue.InjectFunc
+		if cfg.JobInject != nil {
+			inject = cfg.JobInject(i)
+		}
 		s := &shard{
 			f:       f,
 			idx:     i,
@@ -380,14 +324,8 @@ func New(cfg Config) (*Fleet, error) {
 			tenants: make(map[string]*Tenant),
 			dirty:   make(map[string]*Tenant),
 			known:   make(map[string]bool),
-		}
-		s.saver.Format = cfg.Format
-		if cfg.Control == ControlQueue {
-			var inject queue.InjectFunc
-			if cfg.JobInject != nil {
-				inject = cfg.JobInject(i)
-			}
-			s.ctl = queue.New(queue.Config{
+			free:    make(chan *store.MultiSaver, flushWriters),
+			ctl: queue.New(queue.Config{
 				Workers: flushWriters,
 				Permits: map[queue.Class]int{
 					classEviction:   flushWriters,
@@ -397,7 +335,10 @@ func New(cfg Config) (*Fleet, error) {
 				Seed:   int64(i),
 				Stream: "fleet/ctl",
 				Inject: inject,
-			})
+			}),
+		}
+		for w := 0; w < flushWriters; w++ {
+			s.free <- new(store.MultiSaver)
 		}
 		f.shards = append(f.shards, s)
 	}
@@ -616,9 +557,7 @@ func (f *Fleet) Stats() Stats {
 func (s *shard) snapshot() Stats {
 	st := s.stats
 	st.Resident = len(s.tenants)
-	if s.ctl != nil {
-		st.JobRetries = s.ctl.Stats().Retried
-	}
+	st.JobRetries = s.ctl.Stats().Retried
 	return st
 }
 
@@ -715,9 +654,9 @@ func (s *shard) handle(ev Event) {
 	// at the tenant's current time (same policy as a real gateway, which
 	// stamps arrival time). A shard-wide tick that preceded this event on
 	// the queue is a floor too — the tenant may not have been touched by
-	// the tick (the indexed advance skips non-due tenants), but a sweep
-	// would have raised its clock, and the two modes must stay
-	// byte-identical.
+	// the tick (the indexed advance skips non-due tenants), but a full
+	// sweep would have raised its clock, and the indexed advance must
+	// stay byte-identical to one.
 	at := ev.At
 	if now := t.Sched.Now(); at < now {
 		at = now
@@ -839,50 +778,18 @@ func (s *shard) maybeEvict(t *Tenant) bool {
 }
 
 // drainEvictions writes the final checkpoints of tenants evicted since
-// the last drain, in eviction order. Under ControlQueue the writes are
-// control-queue jobs (retried with backoff, consumed by the shared
-// writer pool); under ControlInline they run directly through parrun.
-// Either way the shard loop blocks until every write returned, and a
-// tenant whose write fails is re-admitted instead of losing its
-// learning.
+// the last drain as control-queue jobs (retried with backoff, consumed
+// by the shared writer pool), in eviction order. The shard loop blocks
+// until every write returned, and a tenant whose write fails is
+// re-admitted instead of losing its learning.
 func (s *shard) drainEvictions(fsync bool) {
 	if len(s.evictq) == 0 {
 		return
 	}
-	if s.ctl != nil {
-		pre := s.stats.Checkpoints
-		s.enqueueEvictions(fsync)
-		//coreda:vet-ignore droppederr per-job errors are handled by each job's Done (finishEvict)
-		_ = s.ctl.Drain()
-		s.publishCheckpointDone(s.stats.Checkpoints - pre)
-		return
-	}
-	if len(s.evictq) >= minParallelFlush {
-		s.ensurePsavers()
-		free := make(chan *store.MultiSaver, len(s.psavers))
-		for _, sv := range s.psavers {
-			free <- sv
-		}
-		//coreda:vet-ignore droppederr per-write errors are the results; the worker never returns an outer error
-		errs, _ := parrun.Map(len(s.evictq), len(s.psavers), func(i int) (error, error) {
-			sv := <-free
-			err := s.evictq[i].save(s.f.backend, sv, fsync)
-			free <- sv
-			return err, nil
-		})
-		pre := s.stats.Checkpoints
-		for i, t := range s.evictq {
-			s.finishEvict(t, errs[i])
-		}
-		s.clearEvictq()
-		s.publishCheckpointDone(s.stats.Checkpoints - pre)
-		return
-	}
 	pre := s.stats.Checkpoints
-	for _, t := range s.evictq {
-		s.finishEvict(t, t.save(s.f.backend, &s.saver, fsync))
-	}
-	s.clearEvictq()
+	s.enqueueEvictions(fsync)
+	//coreda:vet-ignore droppederr per-job errors are handled by each job's Done (finishEvict)
+	_ = s.ctl.Drain()
 	s.publishCheckpointDone(s.stats.Checkpoints - pre)
 }
 
@@ -892,7 +799,6 @@ func (s *shard) drainEvictions(fsync bool) {
 // saver, writes one tenant's final checkpoint, and completes back on
 // the loop goroutine via finishEvict.
 func (s *shard) enqueueEvictions(fsync bool) {
-	s.ensurePsavers()
 	for _, t := range s.evictq {
 		t := t
 		s.ctl.Enqueue(queue.Job{
@@ -932,8 +838,7 @@ func (s *shard) publishCheckpointDone(n int) {
 
 // finishEvict completes one queued eviction after its checkpoint write
 // returned. On failure the tenant is resurrected — it never left memory
-// — exactly as an inline eviction would have kept it; the failure is no
-// longer silent: it counts as a writeback failure and is published on
+// — and the failure counts as a writeback failure and is published on
 // the bus, where the cluster layer folds it into degraded-mode
 // accounting (notify.WritebackFailed).
 func (s *shard) finishEvict(t *Tenant, err error) {
@@ -995,36 +900,8 @@ func (s *shard) advanceAll(to time.Duration) {
 	if to > s.tickAt {
 		s.tickAt = to
 	}
-	if s.f.cfg.Advance == AdvanceSweep {
-		s.advanceSweep(to)
-		return
-	}
 	for len(s.due) > 0 && s.due[0].dueAt <= to {
 		t := s.duePop()
-		if to > t.Sched.Now() {
-			t.Sched.RunUntil(to)
-		}
-		if !s.maybeEvict(t) {
-			s.refreshDue(t)
-		}
-	}
-}
-
-// advanceSweep is the pre-index advance: every resident tenant is
-// pumped in lexical household order, whether or not it has due work.
-// Kept as the baseline the indexed path is diffed against
-// (TestAdvanceParity) and benchmarked against; the sweep still
-// maintains the due index so the modes can be switched freely. The
-// sorted scratch is reused across ticks, so even the baseline allocates
-// nothing per tick at steady state.
-func (s *shard) advanceSweep(to time.Duration) {
-	s.sweepIDs = s.sweepIDs[:0]
-	for id := range s.tenants {
-		s.sweepIDs = append(s.sweepIDs, id)
-	}
-	sort.Strings(s.sweepIDs)
-	for _, id := range s.sweepIDs {
-		t := s.tenants[id]
 		if to > t.Sched.Now() {
 			t.Sched.RunUntil(to)
 		}
@@ -1180,46 +1057,13 @@ func (s *shard) dueSwap(i, j int) {
 	s.due[j].dueIdx = int32(j)
 }
 
-// flush checkpoints every dirty tenant (batch per-shard checkpointing).
-// It walks the dirty set, not the full resident map, so the cost of a
-// periodic flush scales with how many households actually changed;
-// iteration is sorted for deterministic write order.
-//
-// Under ControlQueue the wave is one combined drain: pending eviction
-// writebacks are enqueued at eviction priority, the sorted dirty set at
-// checkpoint priority, and a single Drain runs both — the priority
-// ordering reproduces the evictions-first sequencing the inline path
-// gets from calling drainEvictions up front.
+// flush checkpoints every dirty tenant (batch per-shard checkpointing)
+// as one control-queue drain: pending eviction writebacks are enqueued
+// at eviction priority and the dirty set, sorted for a deterministic
+// write order, at checkpoint priority. Walking the dirty set rather than
+// the resident map makes a periodic flush scale with how many
+// households actually changed.
 func (s *shard) flush(fsync bool) {
-	if s.ctl != nil {
-		s.flushQueued(fsync)
-		return
-	}
-	s.drainEvictions(fsync)
-	if len(s.dirty) == 0 {
-		return
-	}
-	s.flushIDs = s.flushIDs[:0]
-	for id := range s.dirty {
-		s.flushIDs = append(s.flushIDs, id)
-	}
-	sort.Strings(s.flushIDs)
-	pre := s.stats.Checkpoints
-	if len(s.flushIDs) >= minParallelFlush {
-		s.flushParallel(fsync)
-	} else {
-		for _, id := range s.flushIDs {
-			if err := s.checkpoint(s.dirty[id], fsync); err != nil {
-				s.f.log("shard %d: checkpoint %s: %v", s.idx, id, err)
-			}
-		}
-	}
-	s.publishCheckpointDone(s.stats.Checkpoints - pre)
-}
-
-// flushQueued is flush under ControlQueue: evictions and dirty-tenant
-// checkpoints become jobs of one drain.
-func (s *shard) flushQueued(fsync bool) {
 	if len(s.evictq) == 0 && len(s.dirty) == 0 {
 		return
 	}
@@ -1227,7 +1071,6 @@ func (s *shard) flushQueued(fsync bool) {
 	if len(s.evictq) > 0 {
 		s.enqueueEvictions(fsync)
 	}
-	s.ensurePsavers()
 	s.flushIDs = s.flushIDs[:0]
 	for id := range s.dirty {
 		s.flushIDs = append(s.flushIDs, id)
@@ -1259,71 +1102,6 @@ func (s *shard) flushQueued(fsync bool) {
 	//coreda:vet-ignore droppederr per-job errors are handled by each job's Done callback
 	_ = s.ctl.Drain()
 	s.publishCheckpointDone(s.stats.Checkpoints - pre)
-}
-
-// flushParallel writes the sorted dirty tenants' checkpoint files
-// through a small parrun pool. This does not violate tenant ownership:
-// the shard loop blocks until every write returns, each worker touches a
-// distinct tenant (households have distinct files), and the dirty set
-// and counters are updated back on the loop goroutine afterwards. File
-// contents are a pure function of each tenant's state, so write order —
-// the only thing the concurrency perturbs — cannot change any policy
-// file or the parity digest.
-func (s *shard) flushParallel(fsync bool) {
-	s.ensurePsavers()
-	free := make(chan *store.MultiSaver, len(s.psavers))
-	for _, sv := range s.psavers {
-		free <- sv
-	}
-	// The inner error is carried as the result so one failed tenant does
-	// not abort the remaining writes.
-	//coreda:vet-ignore droppederr per-write errors are the results; the worker never returns an outer error
-	errs, _ := parrun.Map(len(s.flushIDs), len(s.psavers), func(i int) (error, error) {
-		sv := <-free
-		err := s.dirty[s.flushIDs[i]].save(s.f.backend, sv, fsync)
-		free <- sv
-		return err, nil
-	})
-	for i, id := range s.flushIDs {
-		if errs[i] != nil {
-			s.f.log("shard %d: checkpoint %s: %v", s.idx, id, errs[i])
-			continue
-		}
-		delete(s.dirty, id)
-		s.known[id] = true
-		s.stats.Checkpoints++
-	}
-}
-
-// ensurePsavers lazily builds the per-worker saver pool shared by the
-// parallel write paths, plus the checkout channel control-queue jobs
-// borrow savers through (filled once; every job returns its saver
-// before Drain completes, so the pool stays full between waves).
-func (s *shard) ensurePsavers() {
-	if s.psavers != nil {
-		return
-	}
-	s.psavers = make([]*store.MultiSaver, flushWriters)
-	s.free = make(chan *store.MultiSaver, flushWriters)
-	for i := range s.psavers {
-		s.psavers[i] = &store.MultiSaver{Format: s.f.cfg.Format}
-		s.free <- s.psavers[i]
-	}
-}
-
-// checkpoint persists the tenant if it has unsaved events (it is in the
-// shard's dirty set), clearing its dirty membership on success.
-func (s *shard) checkpoint(t *Tenant, fsync bool) error {
-	if _, ok := s.dirty[t.ID]; !ok {
-		return nil
-	}
-	if err := t.save(s.f.backend, &s.saver, fsync); err != nil {
-		return err
-	}
-	delete(s.dirty, t.ID)
-	s.known[t.ID] = true
-	s.stats.Checkpoints++
-	return nil
 }
 
 // ValidHousehold reports whether id is usable as a household ID: 1 to

@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"coreda/internal/store"
 )
 
 // TestSoakShardParity is the fleet's signature determinism guarantee:
@@ -55,41 +53,6 @@ func TestSoakShardParity(t *testing.T) {
 				t.Errorf("%s differs between 1 and %d shards", name, results[i].Shards)
 			}
 		}
-	}
-}
-
-// TestSoakFormatParity is the storage-format analogue of shard parity:
-// the same soak run with binary and JSON checkpoints must produce the
-// same digest (it decodes and canonicalizes blobs) and the same stats —
-// the on-disk encoding is an operational choice, never a behavioural
-// one.
-func TestSoakFormatParity(t *testing.T) {
-	cfg := SoakConfig{Seed: 42, Households: 12, Sessions: 4, Shards: 2}
-	run := func(format store.Format) (SoakResult, string) {
-		dir := t.TempDir()
-		cfg.Dir, cfg.Format = dir, format
-		res, err := Soak(cfg)
-		if err != nil {
-			t.Fatalf("soak with %v checkpoints: %v", format, err)
-		}
-		return res, dir
-	}
-	bin, _ := run(store.FormatBinary)
-	js, jsDir := run(store.FormatJSON)
-	if bin.Digest != js.Digest {
-		t.Errorf("digest binary %s != json %s", bin.Digest, js.Digest)
-	}
-	if bin.Stats != js.Stats {
-		t.Errorf("stats binary %+v != json %+v", bin.Stats, js.Stats)
-	}
-	// The JSON run must genuinely have written JSON bytes — parity by
-	// canonicalization, not because the flag was ignored.
-	data, err := os.ReadFile(filepath.Join(jsDir, SoakHousehold(0)+".ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f, ok := store.SniffFormat(data); !ok || f != store.FormatJSON {
-		t.Errorf("json-format soak wrote %v blobs", f)
 	}
 }
 

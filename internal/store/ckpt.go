@@ -281,74 +281,43 @@ func decodeCkptBinary(c *Checkpoint, data []byte) error {
 	return nil
 }
 
-// Format selects a checkpoint's on-disk encoding. The zero value is the
-// binary CKPT format — the default everywhere since checkpoints became
-// binary; JSON remains readable forever (loads sniff the content) and
-// writable for debugging via the -store-format flags.
-type Format uint8
-
-// Checkpoint encodings.
-const (
-	FormatBinary Format = iota
-	FormatJSON
-)
-
-func (f Format) String() string {
-	switch f {
-	case FormatBinary:
-		return "binary"
-	case FormatJSON:
-		return "json"
-	}
-	return fmt.Sprintf("Format(%d)", uint8(f))
-}
-
-// ParseFormat parses a -store-format flag value.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "binary":
-		return FormatBinary, nil
-	case "json":
-		return FormatJSON, nil
-	}
-	return 0, fmt.Errorf("store: unknown checkpoint format %q (want binary or json)", s)
-}
-
-// SniffFormat reports the encoding of a checkpoint blob: the CKPT magic
-// means binary, a leading '{' (after optional whitespace) means JSON.
-// ok is false for anything else — including a blob too torn to tell.
-func SniffFormat(data []byte) (f Format, ok bool) {
+// SniffFormat reports the encoding of a checkpoint blob. Every writer
+// emits the binary CKPT format; JSON is only ever read, from checkpoints
+// written before the format existed. The CKPT magic means binary
+// (legacyJSON false), a leading '{' (after optional whitespace) means
+// legacy JSON. ok is false for anything else — including a blob too
+// torn to tell.
+func SniffFormat(data []byte) (legacyJSON, ok bool) {
 	if len(data) >= len(ckptMagic) && string(data[:4]) == ckptMagic {
-		return FormatBinary, true
+		return false, true
 	}
 	for _, b := range data {
 		switch b {
 		case ' ', '\t', '\r', '\n':
 			continue
 		case '{':
-			return FormatJSON, true
+			return true, true
 		default:
-			return 0, false
+			return false, false
 		}
 	}
-	return 0, false
+	return false, false
 }
 
 // DecodeCheckpoint decodes a checkpoint blob of either format into c.
 // Binary blobs reuse c's slices (steady-state re-decode of the same
 // tenant allocates nothing); JSON blobs — legacy multi-policy or
 // single-policy files — take the allocating path, which only runs once
-// per migration since the next save rewrites the blob in the current
-// default format.
+// per migration since the next save rewrites the blob as CKPT.
 func DecodeCheckpoint(c *Checkpoint, data []byte) error {
-	f, ok := SniffFormat(data)
+	legacyJSON, ok := SniffFormat(data)
 	if !ok {
 		return fmt.Errorf("store: unrecognized checkpoint format")
 	}
-	if f == FormatBinary {
-		return decodeCkptBinary(c, data)
+	if legacyJSON {
+		return decodeJSONCheckpoint(c, data)
 	}
-	return decodeJSONCheckpoint(c, data)
+	return decodeCkptBinary(c, data)
 }
 
 // decodeJSONCheckpoint loads a legacy JSON checkpoint — a

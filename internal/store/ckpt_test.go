@@ -88,8 +88,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f, ok := SniffFormat(data); !ok || f != FormatBinary {
-				t.Fatalf("SniffFormat = %v, %v; want binary", f, ok)
+			if legacyJSON, ok := SniffFormat(data); !ok || legacyJSON {
+				t.Fatalf("SniffFormat = %v, %v; want binary", legacyJSON, ok)
 			}
 			var got Checkpoint
 			if err := DecodeCheckpoint(&got, data); err != nil {
@@ -150,8 +150,8 @@ func TestCheckpointJSONInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, ok := SniffFormat(js); !ok || f != FormatJSON {
-		t.Fatalf("SniffFormat = %v, %v; want json", f, ok)
+	if legacyJSON, ok := SniffFormat(js); !ok || !legacyJSON {
+		t.Fatalf("SniffFormat = %v, %v; want json", legacyJSON, ok)
 	}
 	var got Checkpoint
 	if err := DecodeCheckpoint(&got, js); err != nil {
@@ -283,28 +283,18 @@ func TestCheckpointEncodeRejects(t *testing.T) {
 	}
 }
 
-func TestParseAndSniffFormat(t *testing.T) {
+func TestSniffFormat(t *testing.T) {
 	t.Parallel()
-	for _, tc := range []struct {
-		in   string
-		want Format
-	}{{"binary", FormatBinary}, {"json", FormatJSON}} {
-		got, err := ParseFormat(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseFormat(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Fatalf("Format.String() = %q, want %q", got.String(), tc.in)
+	for _, torn := range []string{"  \n\tgarbage", "", "CKP"} {
+		if _, ok := SniffFormat([]byte(torn)); ok {
+			t.Fatalf("SniffFormat accepted %q", torn)
 		}
 	}
-	if _, err := ParseFormat("yaml"); err == nil {
-		t.Fatal("ParseFormat accepted yaml")
-	}
-	if _, ok := SniffFormat([]byte("  \n\tgarbage")); ok {
-		t.Fatal("SniffFormat accepted garbage")
-	}
-	if f, ok := SniffFormat([]byte("  \n\t{\"version\":1}")); !ok || f != FormatJSON {
+	if legacyJSON, ok := SniffFormat([]byte("  \n\t{\"version\":1}")); !ok || !legacyJSON {
 		t.Fatal("SniffFormat missed whitespace-prefixed JSON")
+	}
+	if legacyJSON, ok := SniffFormat([]byte("CKPT\x01")); !ok || legacyJSON {
+		t.Fatal("SniffFormat missed the CKPT magic")
 	}
 }
 

@@ -3,10 +3,9 @@
 # the parallel-runner benchmark (workers=1 vs 4) plus the planner/learner
 # micro-benchmarks and records the numbers in BENCH_experiments.json,
 # together with the host CPU budget that bounds any parallel speedup.
-# Also benchmarks the CKPT checkpoint codec against its JSON baseline
-# (BENCH_store.json) and soaks the multi-tenant fleet runtime across a
-# GOMAXPROCS x shards matrix, recording per-row throughput in
-# BENCH_fleet.json.
+# Also benchmarks the CKPT checkpoint codec (BENCH_store.json) and soaks
+# the multi-tenant fleet runtime across a GOMAXPROCS x shards matrix,
+# recording per-row throughput in BENCH_fleet.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -77,10 +76,10 @@ echo "$wraw"
 
 echo "wrote $wout"
 
-# Checkpoint codec: the binary CKPT encode/decode fast paths next to
-# their JSON baselines. The binary rows must stay well ahead of the JSON
-# ones and at 0 allocs/op (enforced by the store alloc budgets in the
-# no-race pass of scripts/check.sh).
+# Checkpoint codec: the binary CKPT encode/decode fast paths, plus the
+# decode of a legacy JSON checkpoint (the read-only migration path). The
+# binary rows must stay at 0 allocs/op (enforced by the store alloc
+# budgets in the no-race pass of scripts/check.sh).
 sout=BENCH_store.json
 spattern='BenchmarkCheckpointEncode|BenchmarkCheckpointDecode'
 sraw=$(go test -run '^$' -bench "$spattern" -benchmem -count 1 ./internal/store/)
@@ -90,7 +89,7 @@ echo "$sraw"
     echo '{'
     echo "  \"go\": \"$(go env GOVERSION)\","
     echo "  \"cpus\": $(getconf _NPROCESSORS_ONLN),"
-    echo '  "note": "CKPT checkpoint codec vs the legacy JSON encoding, one fleet-scale tenant blob per op. The binary rows are the serving default; allocs_per_op must stay 0 on them (TestCheckpointCodecAllocBudget, TestMultiSaverAllocBudget).",'
+    echo '  "note": "CKPT checkpoint codec, one fleet-scale tenant blob per op: binary encode and decode, plus the decode of a legacy JSON checkpoint (read-only; every writer emits CKPT). allocs_per_op must stay 0 on the binary rows (TestCheckpointCodecAllocBudget, TestMultiSaverAllocBudget).",'
     echo '  "benchmarks": ['
     echo "$sraw" | bench_rows
     echo '  ]'
@@ -127,10 +126,7 @@ echo "wrote $qout"
 # actually ran with (cpus = GOMAXPROCS, which may exceed host_cpus on
 # small hosts — the digest is identical either way, only the wall-clock
 # numbers move). The deterministic soak outcome goes to stdout; the
-# wall-clock numbers land in the JSON rows. A final row re-runs the
-# 8-shard soak with the control queue disabled (inline writes): the
-# queue row's throughput staying at or above it is the no-regression
-# evidence for the control-plane refactor.
+# wall-clock numbers land in the JSON rows.
 fout=BENCH_fleet.json
 rows=()
 for n in 1 2 4 8; do
@@ -138,24 +134,19 @@ for n in 1 2 4 8; do
     GOMAXPROCS=$n go run ./cmd/coreda-bench -households 1000 -fleet-shards "$n" -fleet-json "$row" fleet
     rows+=("$row")
 done
-row="/tmp/coreda-bench-fleet-inline.json"
-GOMAXPROCS=8 go run ./cmd/coreda-bench -households 1000 -fleet-shards 8 -fleet-control inline -fleet-json "$row" fleet
-rows+=("$row")
 
-# Idle-advance rows: the clock-pump cost over a 10k-household population
-# with 1% mid-session, under the due-time index and the pre-index sweep.
-# The indexed row's ticks_per_sec must dwarf the sweep row's — that gap
-# is the tentpole number (BenchmarkAdvanceIdle measures the same path at
-# the shard level with exact allocs/op).
+# Idle-advance row: the clock-pump cost over a 10k-household population
+# with 1% mid-session under the due-time index.
 idle_rows=()
-for mode in indexed sweep; do
-    row="/tmp/coreda-bench-fleetidle-$mode.json"
-    go run ./cmd/coreda-bench -households 10000 -idle-active 100 -idle-ticks 2000 -fleet-shards 1 -fleet-advance "$mode" -fleet-json "$row" fleetidle
-    idle_rows+=("$row")
-done
+row="/tmp/coreda-bench-fleetidle.json"
+go run ./cmd/coreda-bench -households 10000 -idle-active 100 -idle-ticks 2000 -fleet-shards 1 -fleet-json "$row" fleetidle
+idle_rows+=("$row")
 
-# The same comparison at the shard level (no fleet goroutines), where
-# allocs/op is exact: BenchmarkAdvanceIdle must report 0 allocs/op.
+# The same pump at the shard level (no fleet goroutines), where allocs/op
+# is exact, next to the exhaustive sweep reference the index is tested
+# against (internal/fleet/advance_test.go): BenchmarkAdvanceIdle must
+# report 0 allocs/op, and the gap between the two rows is what the index
+# buys.
 araw=$(go test -run '^$' -bench 'BenchmarkAdvanceIdle' -benchmem -count 1 ./internal/fleet/)
 echo "$araw"
 
@@ -163,7 +154,7 @@ echo "$araw"
     echo '{'
     echo "  \"go\": \"$(go env GOVERSION)\","
     echo "  \"host_cpus\": $(getconf _NPROCESSORS_ONLN),"
-    echo '  "note": "GOMAXPROCS x shards matrix over the same 1000-household soak, plus an inline-control row at 8 shards. Digest and stats are identical on every row; only elapsed_sec/events_per_sec (and the control/job_retries bookkeeping) may differ. idle_rows measure the clock pump over a mostly-idle 10k-household population: indexed (due-time tenant index) vs sweep (pre-index full walk); their deterministic stdout is identical, only ticks_per_sec differs.",'
+    echo '  "note": "GOMAXPROCS x shards matrix over the same 1000-household soak. Digest and stats are identical on every row; only elapsed_sec/events_per_sec (and the job_retries bookkeeping) may differ. idle_rows measure the clock pump over a mostly-idle 10k-household population under the due-time tenant index. idle_benchmarks time the same pump at the shard level next to the exhaustive sweep reference of internal/fleet/advance_test.go.",'
     echo '  "rows": ['
     for i in "${!rows[@]}"; do
         sep=","
@@ -183,7 +174,7 @@ echo "$araw"
     echo '  ]'
     echo '}'
 } > "$fout"
-rm -f /tmp/coreda-bench-fleet-{1,2,4,8}.json /tmp/coreda-bench-fleet-inline.json /tmp/coreda-bench-fleetidle-{indexed,sweep}.json
+rm -f /tmp/coreda-bench-fleet-{1,2,4,8}.json /tmp/coreda-bench-fleetidle.json
 
 echo "wrote $fout"
 

@@ -41,58 +41,52 @@ go test -run 'Alloc' ./internal/wire/ ./internal/sim/ ./internal/fleet/ ./intern
 go run ./cmd/coreda-vet -only hotalloc ./...
 
 # Advance parity gate: the due-time tenant index must be observationally
-# equivalent to the pre-index full sweep — identical digests at 1/4/8
-# shards (TestAdvanceParity) and identical late-event clamping via the
-# lazy tick floor (TestLateEventAfterTickParity). The differential test
-# pins the scheduler itself against a naive reference implementation.
-echo "== advance parity (indexed vs sweep, race-enabled)"
+# equivalent to an exhaustive per-tick sweep — the test-only reference
+# in internal/fleet/advance_test.go: identical digests at 1/4/8 shards
+# (TestAdvanceParity) and identical late-event clamping via the lazy
+# tick floor (TestLateEventAfterTickParity). The differential test pins
+# the scheduler itself against a naive reference implementation.
+echo "== advance parity (indexed vs sweep reference, race-enabled)"
 go test -race -count 1 -run 'TestAdvanceParity|TestLateEventAfterTickParity|TestDueHeap' ./internal/fleet/
 go test -race -count 1 -run 'TestSchedulerMatchesNaiveReference' ./internal/sim/
 
+# The soak gates below run one race-enabled coreda-bench, built once into
+# a private temp dir that also holds every soak's output, so concurrent
+# check runs cannot clobber each other's files and a failing diff leaves
+# nothing behind.
+echo "== build coreda-bench (race-enabled)"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+bench="$tmp/coreda-bench"
+go build -race -o "$bench" ./cmd/coreda-bench
+
 echo "== chaos soak (workers 1 vs 4 must match)"
-go run ./cmd/coreda-bench -workers 1 chaos > /tmp/coreda-soak-w1.txt
-go run ./cmd/coreda-bench -workers 4 chaos > /tmp/coreda-soak-w4.txt
-diff /tmp/coreda-soak-w1.txt /tmp/coreda-soak-w4.txt
-rm -f /tmp/coreda-soak-w1.txt /tmp/coreda-soak-w4.txt
+"$bench" -workers 1 chaos > "$tmp/chaos-w1.txt"
+"$bench" -workers 4 chaos > "$tmp/chaos-w4.txt"
+diff "$tmp/chaos-w1.txt" "$tmp/chaos-w4.txt"
 
-# Shard-count parity gate: a race-enabled 1000-household fleet soak must
-# produce byte-identical output (stats + policy digest; stdout
-# deliberately omits the shard count) whether the tenants share one shard
-# event loop or are spread across eight. This is the end-to-end proof
-# that internal/fleet's concurrency never leaks into what a household
-# learns.
-echo "== fleet soak (shards 1 vs 4 vs 8 must match, race-enabled)"
+# Golden gates: each soak's stdout (stats + policy digest) must be
+# byte-identical to a golden committed under scripts/golden/. Diffing
+# against committed output, not a sibling run, also catches a change
+# that shifts every digest the same way. Stdout deliberately omits the
+# shard count and the job-failure rate, so the 1000-household fleet soak
+# is held to one golden whether its tenants share one shard event loop
+# or are spread across eight, and with a fifth of its control-queue jobs
+# failing injected attempts (the retry budget must absorb them). A
+# change meant to alter what households learn regenerates the goldens
+# with `make golden` and says why.
+golden=scripts/golden
+echo "== fleet soak (shards 1/4/8 and jobfail 0.2 vs golden, race-enabled)"
 for n in 1 4 8; do
-    go run -race ./cmd/coreda-bench -households 1000 -fleet-shards "$n" fleet > "/tmp/coreda-fleet-s$n.txt"
+    "$bench" -households 1000 -fleet-shards "$n" fleet > "$tmp/fleet-s$n.txt"
+    diff "$golden/fleet.txt" "$tmp/fleet-s$n.txt"
 done
-diff /tmp/coreda-fleet-s1.txt /tmp/coreda-fleet-s4.txt
-diff /tmp/coreda-fleet-s1.txt /tmp/coreda-fleet-s8.txt
+"$bench" -households 1000 -fleet-jobfail 0.2 fleet > "$tmp/fleet-jobfail.txt"
+diff "$golden/fleet.txt" "$tmp/fleet-jobfail.txt"
 
-# Storage-format parity gate: the same soak with JSON checkpoints must
-# produce the same stdout — including the policy digest, which decodes
-# and canonicalizes blobs precisely so that the on-disk encoding can
-# never change what a household learned.
-echo "== fleet soak (store-format json must match binary, race-enabled)"
-go run -race ./cmd/coreda-bench -households 1000 -store-format json fleet > /tmp/coreda-fleet-json.txt
-diff /tmp/coreda-fleet-s1.txt /tmp/coreda-fleet-json.txt
-
-# Control-plane parity gate: the same soak with the control queue
-# disabled (-fleet-control inline, the pre-queue code path where each
-# shard writes its evictions and checkpoints in place) must produce
-# byte-identical stdout at every shard count — the proof that moving
-# control work onto the queue's drain boundary changed scheduling, not
-# outcomes. A further run injects failures into the queued jobs: the
-# retry budget must absorb them without touching a digest (stdout
-# deliberately omits control mode, job-failure rate and retry counts).
-echo "== fleet soak (control queue vs inline vs jobfail must match, race-enabled)"
-for n in 1 4 8; do
-    go run -race ./cmd/coreda-bench -households 1000 -fleet-shards "$n" -fleet-control inline fleet > "/tmp/coreda-fleet-inline-s$n.txt"
-    diff "/tmp/coreda-fleet-s$n.txt" "/tmp/coreda-fleet-inline-s$n.txt"
-done
-go run -race ./cmd/coreda-bench -households 1000 -fleet-jobfail 0.2 fleet > /tmp/coreda-fleet-jobfail.txt
-diff /tmp/coreda-fleet-s1.txt /tmp/coreda-fleet-jobfail.txt
-rm -f /tmp/coreda-fleet-s{1,4,8}.txt /tmp/coreda-fleet-json.txt \
-      /tmp/coreda-fleet-inline-s{1,4,8}.txt /tmp/coreda-fleet-jobfail.txt
+echo "== fleet idle advance (10k households vs golden, race-enabled)"
+"$bench" -households 10000 -idle-active 100 -idle-ticks 2000 -fleet-shards 1 fleetidle > "$tmp/fleetidle.txt"
+diff "$golden/fleetidle.txt" "$tmp/fleetidle.txt"
 
 # Cluster kill-recovery gate: the same soak split across 3 worker
 # processes — one of which is SIGKILLed mid-run, after applying a round
@@ -100,10 +94,11 @@ rm -f /tmp/coreda-fleet-s{1,4,8}.txt /tmp/coreda-fleet-json.txt \
 # policy digest byte-identical to the fault-free single-process run.
 # Survivors adopt the victim's households from their replica blobs and
 # the driver replays the killed round. The bench "cluster" mode then
-# re-checks fault-free digest parity at 1, 2 and 3 processes and exits
-# non-zero on any divergence.
-echo "== cluster soak (3 procs, SIGKILL one peer, digest parity, race-enabled)"
+# re-checks fault-free digest parity at 1, 2 and 3 processes, exits
+# non-zero on any divergence, and its stdout must match the golden.
+echo "== cluster soak (3 procs, SIGKILL one peer, digest parity vs golden, race-enabled)"
 go test -race -count 1 -run 'TestClusterSoakMatchesSingleProcess|TestClusterSoakSurvivesSigkill' ./internal/cluster/
-go run ./cmd/coreda-bench -cluster-households 24 -cluster-sessions 4 cluster
+"$bench" -cluster-households 24 -cluster-sessions 4 cluster > "$tmp/cluster.txt"
+diff "$golden/cluster.txt" "$tmp/cluster.txt"
 
 echo "ok"

@@ -352,17 +352,9 @@ func (s *System) TrainEpisodes(episodes [][]StepID) error {
 	return nil
 }
 
-// SavePolicy persists the learned policy in the default (binary CKPT)
-// encoding.
+// SavePolicy persists the learned policy as a CKPT checkpoint.
 func (s *System) SavePolicy(path string) error {
-	return s.SavePolicyFormat(path, store.FormatBinary)
-}
-
-// SavePolicyFormat persists the learned policy with an explicit on-disk
-// encoding (the -store-format plumbing for cmd/coreda-server). Either
-// format loads back transparently via content sniffing.
-func (s *System) SavePolicyFormat(path string, format store.Format) error {
-	return store.SavePolicyFormat(path, format, s.cfg.UserName, s.cfg.Activity.Name, s.planner.Table(), s.planner.Episodes, s.planner.Epsilon())
+	return store.SavePolicy(path, s.cfg.UserName, s.cfg.Activity.Name, s.planner.Table(), s.planner.Episodes, s.planner.Epsilon())
 }
 
 // LoadPolicy restores a previously saved policy into the planner. The

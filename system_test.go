@@ -282,7 +282,7 @@ func TestUntrainedAssistAcceptsEverything(t *testing.T) {
 
 func TestPolicySaveLoadRoundTrip(t *testing.T) {
 	sys, _ := trainedSystem(t, SystemConfig{UserName: "Mr. Tanaka"})
-	path := filepath.Join(t.TempDir(), "policy.json")
+	path := filepath.Join(t.TempDir(), "policy.ckpt")
 	if err := sys.SavePolicy(path); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestPolicySaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadPolicyRejectsWrongActivity(t *testing.T) {
 	sys, _ := trainedSystem(t, SystemConfig{})
-	path := filepath.Join(t.TempDir(), "policy.json")
+	path := filepath.Join(t.TempDir(), "policy.ckpt")
 	if err := sys.SavePolicy(path); err != nil {
 		t.Fatal(err)
 	}
