@@ -9,6 +9,7 @@ import (
 
 	"coreda"
 	"coreda/internal/adl"
+	"coreda/internal/store"
 	"coreda/internal/testutil"
 	"coreda/internal/wire"
 )
@@ -236,5 +237,80 @@ func TestServeAllocBudget(t *testing.T) {
 	t.Logf("serve path: %.3f mallocs/frame over %d frames", perFrame, frames)
 	if perFrame > budget {
 		t.Errorf("serve path allocates %.3f mallocs/frame over %d frames, budget %.2f", perFrame, frames, budget)
+	}
+}
+
+// checkpointedBackend returns a MemBackend holding a CKPT checkpoint for
+// each of ids, written the way an evicted tenant writes its own.
+func checkpointedBackend(tb testing.TB, cfg Config, ids []string) *store.MemBackend {
+	tb.Helper()
+	mem := store.NewMemBackend()
+	var sv store.MultiSaver
+	for _, id := range ids {
+		sys, err := cfg.NewSystem(id)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		t, _, err := newTenant(id, sys, mem, false)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := t.save(mem, &sv, false); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return mem
+}
+
+// liveHeap collects twice (the second cycle frees what sync.Pool victim
+// caches still held) and returns the live heap.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestAdmitHeapAllocBudget bounds what one resident household costs in
+// live heap: a tenant admitted from its checkpoint through Fleet.Do,
+// idle, with no random draw yet. Its system, planner, Q-table, hub and
+// scheduler fit the budget; a random stream's generator state (~4.9 kB,
+// seeded on first draw) does not, so a stream seeded at admission fails
+// it.
+func TestAdmitHeapAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
+	}
+	const tenants = 2000
+	ids := make([]string, tenants)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("heap-%04d", i)
+	}
+	cfg := testConfig("")
+	cfg.Backend = checkpointedBackend(t, cfg, ids)
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	defer f.Stop()
+
+	before := liveHeap()
+	for _, id := range ids {
+		if err := f.Do(id, func(*Tenant) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := liveHeap()
+	if st := f.Stats(); st.Recovered != tenants || st.Resident != tenants {
+		t.Fatalf("admitted %d from checkpoints, %d resident; want %d of each", st.Recovered, st.Resident, tenants)
+	}
+
+	perTenant := float64(int64(after)-int64(before)) / tenants
+	const budget = 8 << 10
+	t.Logf("admitted household: %.0f B live heap over %d tenants", perTenant, tenants)
+	if perTenant > budget {
+		t.Errorf("admitted household holds %.0f B live heap over %d tenants, budget %d B", perTenant, tenants, budget)
 	}
 }

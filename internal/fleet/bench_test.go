@@ -119,3 +119,35 @@ func BenchmarkAdvanceIdle(b *testing.B) { benchAdvance(b, false) }
 // reference of advance_test.go: every tick walks the full resident
 // population in sorted order.
 func BenchmarkAdvanceIdleSweep(b *testing.B) { benchAdvance(b, true) }
+
+// BenchmarkAdmitFromCheckpoint measures one admission of a checkpointed
+// household — building its system and decoding its CKPT blob into the
+// planner's Q-table — plus the eviction that releases it again (which
+// writes its final checkpoint back). Like the advance benchmarks it runs
+// on an unstarted shard from the benchmark goroutine, so B/op and
+// allocs/op count exactly one admit-and-evict cycle.
+func BenchmarkAdmitFromCheckpoint(b *testing.B) {
+	const id = "bench-ckpt"
+	cfg := testConfig("")
+	cfg.Shards = 1
+	cfg.Backend = checkpointedBackend(b, cfg, []string{id})
+	f, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := f.shards[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.admit(id); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.evictNow(id); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if s.stats.Recovered != b.N {
+		b.Fatalf("%d of %d admissions restored the checkpoint", s.stats.Recovered, b.N)
+	}
+}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -104,5 +106,59 @@ func TestPendingAllocFreeAndO1(t *testing.T) {
 	}
 	if got := s.Pending(); got != 0 {
 		t.Errorf("Pending after Run = %d, want 0", got)
+	}
+}
+
+// rngSink keeps RNG results on the heap, as every real consumer keeps
+// them, so the allocation tests below measure what a caller pays.
+var rngSink *rand.Rand
+
+// TestRNGAllocBudget pins the lazily seeded stream: building one costs a
+// couple of small objects, not the ~4.9 kB generator state, and the first
+// draw builds that state exactly once.
+func TestRNGAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
+	}
+	const n = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		rngSink = RNG(int64(i), "planner")
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / n
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("RNG: %.2f allocs, %.0f B per stream", allocs, bytes)
+	if allocs > 3 || bytes >= 128 {
+		t.Errorf("RNG costs %.2f allocs and %.0f B per stream, budget 3 allocs and < 128 B", allocs, bytes)
+	}
+
+	build := testing.AllocsPerRun(n, func() { rngSink = RNG(1, "planner") })
+	first := testing.AllocsPerRun(n, func() {
+		rngSink = RNG(1, "planner")
+		rngSink.Int63()
+	})
+	if first-build != 1 {
+		t.Errorf("first draw allocates %.1f objects, want 1 (the generator state)", first-build)
+	}
+	if got := testing.AllocsPerRun(n, func() { rngSink.Int63() }); got != 0 {
+		t.Errorf("later draws allocate %.1f/op, want 0", got)
+	}
+
+	l := &lazySource{seed: 1}
+	r := rand.New(l)
+	if l.src != nil {
+		t.Fatal("rand.New built the generator before any draw")
+	}
+	r.Float64()
+	src := l.src
+	if src == nil {
+		t.Fatal("first draw did not build the generator")
+	}
+	r.Uint64()
+	r.Intn(10)
+	if l.src != src {
+		t.Error("a later draw rebuilt the generator")
 	}
 }

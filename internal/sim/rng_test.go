@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -100,5 +103,80 @@ func TestRNGStreamIndependence(t *testing.T) {
 				t.Errorf("correlation %.4f between streams, want |r| <= 0.05", r)
 			}
 		})
+	}
+}
+
+// TestStreamSeedPinned pins the derived seed of a (seed, stream) pair:
+// the FNV-1a hash of "<seed>/<stream>". The table was captured with
+// fmt.Fprintf(h, "%d/%s", seed, stream); a change to the hash input would
+// shift every stream in the repo, and fails here first. The last row
+// overflows streamSeed's stack buffer.
+func TestStreamSeedPinned(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		seed   int64
+		stream string
+		want   int64
+	}{
+		{0, "", 575327188912237952},
+		{1, "system", -8579658014746967064},
+		{1, "planner", 380116828501388767},
+		{7, "persona", 8374150204491149493},
+		{-3, "chaos", -266457173506328910},
+		{42, "fleet/ctl/worker/7", 7666078956342414179},
+		{math.MinInt64, "x", 6661679808740798958},
+		{math.MaxInt64, "fleet/soak/household-0001", 2664780368313100715},
+		{123456789, "perfbench/gateway/1", -4566733901726540399},
+		{5, "a very long stream name that does not fit in any small stack buffer at all, not even close to it", -8001207855085168056},
+	}
+	for _, tc := range cases {
+		if got := streamSeed(tc.seed, tc.stream); got != tc.want {
+			t.Errorf("streamSeed(%d, %q) = %d, want %d", tc.seed, tc.stream, got, tc.want)
+		}
+	}
+}
+
+// TestRNGMatchesEagerSource holds the lazily seeded stream to the one it
+// stands in for: rand.New(rand.NewSource(s)) on the FNV-1a seed of
+// "<seed>/<stream>", through every rand.Rand method the repo draws with,
+// and across Seed calls both before the first draw and mid-stream.
+func TestRNGMatchesEagerSource(t *testing.T) {
+	t.Parallel()
+	eager := func(seed int64, stream string) *rand.Rand {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d/%s", seed, stream)
+		return rand.New(rand.NewSource(int64(h.Sum64())))
+	}
+	// draws runs one round of every method on r and returns the results.
+	draws := func(r *rand.Rand) []any {
+		out := []any{r.Int63(), r.Uint64(), r.Float64(), r.Intn(7), r.Intn(1 << 40),
+			r.Int31n(1000), r.Perm(9), r.NormFloat64()}
+		s := []int{0, 1, 2, 3, 4, 5, 6, 7}
+		r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+		return append(out, s)
+	}
+	same := func(t *testing.T, what string, got, want *rand.Rand) {
+		t.Helper()
+		for round := 0; round < 50; round++ {
+			g, w := fmt.Sprint(draws(got)), fmt.Sprint(draws(want))
+			if g != w {
+				t.Fatalf("%s: round %d differs:\n got %s\nwant %s", what, round, g, w)
+			}
+		}
+	}
+	for _, seed := range []int64{0, 1, -3, 42, math.MaxInt64} {
+		for _, stream := range []string{"", "planner", "fleet/ctl/worker/3", "signals"} {
+			t.Run(fmt.Sprintf("%d/%s", seed, stream), func(t *testing.T) {
+				same(t, "fresh", RNG(seed, stream), eager(seed, stream))
+
+				got, want := RNG(seed, stream), eager(seed, stream)
+				got.Seed(seed + 99)
+				want.Seed(seed + 99)
+				same(t, "seeded before first draw", got, want)
+				got.Seed(seed - 5)
+				want.Seed(seed - 5)
+				same(t, "re-seeded mid-stream", got, want)
+			})
+		}
 	}
 }

@@ -5,6 +5,10 @@
 // Every CoReDA experiment runs on this kernel instead of wall-clock time,
 // so results are reproducible bit-for-bit from a seed.
 //
+// Random streams (RNG) are seeded on first draw: a stream costs a few
+// dozen bytes until something draws from it, which keeps a resident
+// household that makes no random choice small.
+//
 // The timer core is allocation-free at steady state: event records live
 // in a per-scheduler free list and are recycled as timers fire, the heap
 // is hand-rolled (container/heap would box every push through `any`),
@@ -20,6 +24,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -395,10 +400,50 @@ func (s *Scheduler) swap(i, j int) {
 // RNG derives an independent random stream from a master seed and a stream
 // name. Distinct names yield decorrelated streams, so adding a new
 // consumer of randomness does not perturb existing ones.
+//
+// The stream is seeded on first draw: the generator state behind it
+// (about 4.9 kB, and most of the cost of building one) is only built
+// when something first draws from the stream, so a consumer that never
+// draws pays for neither. The draws are exactly those of
+// rand.New(rand.NewSource(s)) for the stream's derived seed s.
 func RNG(seed int64, stream string) *rand.Rand {
+	return rand.New(&lazySource{seed: streamSeed(seed, stream)})
+}
+
+// streamSeed is the FNV-1a hash of "<seed>/<stream>", the stream's seed
+// for rand.NewSource. It is built in a stack buffer, so deriving a seed
+// does not allocate for stream names up to a few dozen bytes.
+func streamSeed(seed int64, stream string) int64 {
+	var buf [64]byte
+	b := strconv.AppendInt(buf[:0], seed, 10)
+	b = append(b, '/')
+	b = append(b, stream...)
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s", seed, stream)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	h.Write(b)
+	return int64(h.Sum64())
+}
+
+// lazySource is a rand.Source64 that builds its rand.NewSource generator
+// on the first draw and delegates to it from then on.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (l *lazySource) source() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64   { return l.source().Int63() }
+func (l *lazySource) Uint64() uint64 { return l.source().Uint64() }
+
+// Seed re-seeds the stream; the generator is rebuilt on the next draw.
+func (l *lazySource) Seed(seed int64) {
+	l.seed = seed
+	l.src = nil
 }
 
 // TimelineEntry is one recorded event of a simulated session.

@@ -128,9 +128,11 @@ echo "wrote $qout"
 # numbers move). The deterministic soak outcome goes to stdout; the
 # wall-clock numbers land in the JSON rows.
 fout=BENCH_fleet.json
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 rows=()
 for n in 1 2 4 8; do
-    row="/tmp/coreda-bench-fleet-$n.json"
+    row="$tmp/fleet-$n.json"
     GOMAXPROCS=$n go run ./cmd/coreda-bench -households 1000 -fleet-shards "$n" -fleet-json "$row" fleet
     rows+=("$row")
 done
@@ -138,7 +140,7 @@ done
 # Idle-advance row: the clock-pump cost over a 10k-household population
 # with 1% mid-session under the due-time index.
 idle_rows=()
-row="/tmp/coreda-bench-fleetidle.json"
+row="$tmp/fleetidle.json"
 go run ./cmd/coreda-bench -households 10000 -idle-active 100 -idle-ticks 2000 -fleet-shards 1 -fleet-json "$row" fleetidle
 idle_rows+=("$row")
 
@@ -150,11 +152,19 @@ idle_rows+=("$row")
 araw=$(go test -run '^$' -bench 'BenchmarkAdvanceIdle' -benchmem -count 1 ./internal/fleet/)
 echo "$araw"
 
+# Admission: one checkpointed household admitted from a MemBackend and
+# evicted again per op, on an unstarted shard, at GOMAXPROCS=1. B/op
+# counts all one admission allocates, the eviction's checkpoint write
+# included; the live heap an admitted household keeps is gated by
+# TestAdmitHeapAllocBudget in the no-race pass of scripts/check.sh.
+mraw=$(go test -run '^$' -bench 'BenchmarkAdmitFromCheckpoint' -benchmem -count 1 -cpu 1 ./internal/fleet/)
+echo "$mraw"
+
 {
     echo '{'
     echo "  \"go\": \"$(go env GOVERSION)\","
     echo "  \"host_cpus\": $(getconf _NPROCESSORS_ONLN),"
-    echo '  "note": "GOMAXPROCS x shards matrix over the same 1000-household soak. Digest and stats are identical on every row; only elapsed_sec/events_per_sec (and the job_retries bookkeeping) may differ. idle_rows measure the clock pump over a mostly-idle 10k-household population under the due-time tenant index. idle_benchmarks time the same pump at the shard level next to the exhaustive sweep reference of internal/fleet/advance_test.go.",'
+    echo '  "note": "GOMAXPROCS x shards matrix over the same 1000-household soak. Digest and stats are identical on every row; only elapsed_sec/events_per_sec (and the job_retries bookkeeping) may differ. idle_rows measure the clock pump over a mostly-idle 10k-household population under the due-time tenant index. idle_benchmarks time the same pump at the shard level next to the exhaustive sweep reference of internal/fleet/advance_test.go. admit_benchmarks admit one checkpointed household from a MemBackend and evict it per op, at GOMAXPROCS=1 (go test -cpu 1).",'
     echo '  "rows": ['
     for i in "${!rows[@]}"; do
         sep=","
@@ -171,10 +181,12 @@ echo "$araw"
     echo '  ],'
     echo '  "idle_benchmarks": ['
     echo "$araw" | bench_rows
+    echo '  ],'
+    echo '  "admit_benchmarks": ['
+    echo "$mraw" | bench_rows
     echo '  ]'
     echo '}'
 } > "$fout"
-rm -f /tmp/coreda-bench-fleet-{1,2,4,8}.json /tmp/coreda-bench-fleetidle.json
 
 echo "wrote $fout"
 

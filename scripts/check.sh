@@ -31,11 +31,12 @@ go test -race ./...
 # The zero-allocation budgets on the serving path skip themselves under
 # the race detector (its instrumentation allocates), so they are
 # enforced by an explicit no-race pass over the serving packages:
-# the wire codec, the timer core, the shard ingest + clock-pump loops,
-# the node client's report path, and the CKPT checkpoint codec. The
-# hotalloc analyzer rides in the same phase — it names the escaping
-# expression when a //coreda:hotpath function regresses, which an
-# AllocsPerRun count never does.
+# the wire codec, the timer core and lazily seeded random streams, the
+# shard ingest + clock-pump loops, the live heap of an admitted
+# household, the node client's report path, and the CKPT checkpoint
+# codec. The hotalloc analyzer rides in the same phase — it names the
+# escaping expression when a //coreda:hotpath function regresses, which
+# an AllocsPerRun count never does.
 echo "== alloc budgets (no race)"
 go test -run 'Alloc' ./internal/wire/ ./internal/sim/ ./internal/fleet/ ./internal/rtbridge/ ./internal/store/
 go run ./cmd/coreda-vet -only hotalloc ./...

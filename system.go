@@ -2,7 +2,6 @@ package coreda
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"coreda/internal/adl"
@@ -135,7 +134,6 @@ type System struct {
 	planner *core.Planner
 	session *core.OnlineSession
 	remind  *reminding.Subsystem
-	rng     *rand.Rand
 
 	mode          Mode
 	active        bool
@@ -192,7 +190,6 @@ func NewSystem(cfg SystemConfig, sched *sim.Scheduler) (*System, error) {
 	s := &System{
 		cfg:     cfg,
 		sched:   sched,
-		rng:     sim.RNG(cfg.Seed, "system"),
 		offline: make(map[ToolID]bool),
 	}
 
