@@ -63,6 +63,8 @@ examples:
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzDecode -fuzztime 30s
 
+# clean removes the command binaries `go build ./cmd/<name>` leaves at
+# the repo root, one per directory under cmd/.
 clean:
 	$(GO) clean -testcache
-	rm -f coreda-sim coreda-train coreda-server coreda-node coreda-bench coreda-report vet-report.json
+	rm -f $(notdir $(wildcard cmd/*)) vet-report.json

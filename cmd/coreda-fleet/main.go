@@ -9,7 +9,7 @@
 //	coreda-fleet [-addr :7100] [-shards N] [-dir fleet-policies]
 //	             [-activity tea-making] [-mode learn|assist] [-speed 1]
 //	             [-checkpoint 30s] [-evict 30m] [-default-household home]
-//	             [-seed 1] [-keep-learning]
+//	             [-seed 1] [-keep-learning] [-supervise 30s]
 //	             [-read-timeout 2m] [-write-timeout 10s]
 //	             [-peers host1:7200,host2:7200 -peer-addr host1:7200 -replicas 2]
 //
@@ -27,8 +27,16 @@
 // inactivity, and every dirty household is batch-checkpointed each
 // -checkpoint of wall time. Nodes that never send a hello are served as
 // -default-household (empty drops their traffic), so legacy nodes keep
-// working. On SIGINT/SIGTERM every household is checkpointed before
-// exit.
+// working. A policy trained by cmd/coreda-train preloads a household
+// when saved as its checkpoint: coreda-train -o fleet-policies/home.ckpt
+// serves it to hello-less nodes. On SIGINT/SIGTERM every household is
+// checkpointed before exit.
+//
+// -supervise arms node-liveness supervision in virtual time: a node
+// silent for more than three intervals is declared offline to its
+// household, which alerts the caregiver and escalates reminders for the
+// tool to specific; its next frame brings it back. -read-timeout reaps
+// connections of vanished nodes; set it above their heartbeat interval.
 package main
 
 import (
@@ -65,6 +73,7 @@ type options struct {
 	keepLearning     bool
 	readTimeout      time.Duration
 	writeTimeout     time.Duration
+	supervise        time.Duration
 	peers            string
 	peerAddr         string
 	replicas         int
@@ -87,6 +96,7 @@ func main() {
 	flag.BoolVar(&o.keepLearning, "keep-learning", false, "continue learning during assist sessions")
 	flag.DurationVar(&o.readTimeout, "read-timeout", 0, "per-connection read deadline, wall clock (0 disables)")
 	flag.DurationVar(&o.writeTimeout, "write-timeout", 0, "per-connection write deadline, wall clock (0 disables)")
+	flag.DurationVar(&o.supervise, "supervise", 0, "node-liveness supervision interval, virtual time (0 disables)")
 	flag.StringVar(&o.peers, "peers", "", "comma-separated cluster peer addresses including -peer-addr (empty = single process)")
 	flag.StringVar(&o.peerAddr, "peer-addr", "", "this process's peer listen address (its identity in -peers)")
 	flag.IntVar(&o.replicas, "replicas", 2, "checkpoint replica count K on the peer ring (with -peers)")
@@ -205,6 +215,9 @@ func run(o options) error {
 				OnComplete: func() {
 					out.printf("[%s] activity %q completed\n", household, activity.Name)
 				},
+				OnAlert: func(a coreda.CaregiverAlert) {
+					out.printf("[%s] CAREGIVER ALERT: %s\n", household, a.Text)
+				},
 			}, nil
 		},
 	})
@@ -217,6 +230,7 @@ func run(o options) error {
 		DefaultHousehold: o.defaultHousehold,
 		ReadTimeout:      o.readTimeout,
 		WriteTimeout:     o.writeTimeout,
+		Supervise:        o.supervise,
 		OnLog:            func(msg string) { out.printf("%s\n", msg) },
 	}
 	if node != nil {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -19,6 +20,7 @@ import (
 	"coreda/internal/adl"
 	"coreda/internal/cluster"
 	"coreda/internal/rtbridge"
+	"coreda/internal/sim"
 	"coreda/internal/store"
 )
 
@@ -260,7 +262,9 @@ func TestFleetMigratesLegacyJSONCheckpoint(t *testing.T) {
 // write was in flight torn where it stood) and the restarted fleet must
 // still admit the household from a usable checkpoint — the store's
 // rotation plus the CKPT checksum guarantee some complete generation
-// survives.
+// survives. The recovery must also be exact: the restarted fleet, which
+// serves without learning, re-saves byte for byte the generation it
+// loaded (Planner.Restore re-arms the episode count and epsilon).
 func TestFleetRecoversAfterSIGKILLDuringCheckpointChurn(t *testing.T) {
 	bin := buildFleet(t)
 	dir := t.TempDir()
@@ -284,22 +288,62 @@ func TestFleetRecoversAfterSIGKILLDuringCheckpointChurn(t *testing.T) {
 	// Whatever the kill left behind — stray temp, rotated-but-unrenamed
 	// generation, torn primary — the load path must produce a complete
 	// checkpoint.
-	f, _, _, err := store.LoadMultiPolicy(filepath.Join(dir, "kill-9.ckpt"))
+	ckpt := filepath.Join(dir, "kill-9.ckpt")
+	f, _, _, err := store.LoadMultiPolicy(ckpt)
 	if err != nil {
 		t.Fatalf("checkpoint unusable after SIGKILL: %v", err)
 	}
 	if f.User != "kill-9" || f.Policies[0].Episodes < 1 {
 		t.Errorf("recovered checkpoint = %+v, want at least one learned episode", f)
 	}
+	// The generation a restart loads: the same fallback chain, same
+	// decode-as-validation.
+	backend, err := store.NewDirBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := backend.Get("kill-9", func(data []byte) error {
+		var c store.Checkpoint
+		return store.DecodeCheckpoint(&c, data)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	cmd2, out2 := startFleetProc(t, bin, args...)
-	driveSession(t, awaitAddr(t, out2), "kill-9")
+	// Restart serving in assist mode, which does not learn: one report
+	// admits the household and dirties it, and the shutdown flush writes
+	// its state back.
+	cmd2, out2 := startFleetProc(t, bin, append(args, "-mode", "assist")...)
+	n, err := rtbridge.DialNode(awaitAddr(t, out2), uint16(adl.ToolTeaBox), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if err := n.Hello("kill-9"); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.UseStart(time.Second, 5); err != nil {
+		t.Fatal(err)
+	}
 	awaitOutput(t, out2, "admitted kill-9 from checkpoint")
 	if err := cmd2.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmd2.Wait(); err != nil {
 		t.Fatalf("restarted fleet exited uncleanly: %v\n%s", err, out2.String())
+	}
+	// Unless the tenant was written back, the file is simply the one the
+	// kill left, and the comparison below proves nothing.
+	awaitOutput(t, out2, "fleet stopped")
+	if m := regexp.MustCompile(`(\d+) checkpoints`).FindStringSubmatch(out2.String()); m == nil || m[1] == "0" {
+		t.Fatalf("restarted fleet wrote no checkpoint:\n%s", out2.String())
+	}
+	got, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("recovered state re-saved as %d bytes that differ from the %d it loaded", len(got), len(want))
 	}
 }
 
@@ -447,5 +491,56 @@ func TestFleetDefaultHousehold(t *testing.T) {
 	}
 	if _, _, _, err := store.LoadMultiPolicy(filepath.Join(dir, "legacy.ckpt")); err != nil {
 		t.Errorf("default household checkpoint: %v", err)
+	}
+}
+
+// TestFleetServesTrainedPolicy pins how a coreda-train policy reaches
+// the fleet: saved as <dir>/home.ckpt, it is the checkpoint hello-less
+// nodes' default household is admitted from, and an assist session
+// reminds from it at once.
+func TestFleetServesTrainedPolicy(t *testing.T) {
+	bin := buildFleet(t)
+	dir := t.TempDir()
+	sys, err := coreda.NewSystem(coreda.SystemConfig{Activity: coreda.TeaMaking(), UserName: "Mr. Tanaka", Seed: 1}, sim.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	routine := coreda.TeaMaking().CanonicalRoutine()
+	episodes := make([][]coreda.StepID, 120)
+	for i := range episodes {
+		episodes[i] = routine
+	}
+	if err := sys.TrainEpisodes(episodes); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SavePolicy(filepath.Join(dir, "home.ckpt")); err != nil {
+		t.Fatal(err)
+	}
+
+	cmd, out := startFleetProc(t, bin,
+		"-addr", "127.0.0.1:0", "-speed", "200", "-dir", dir, "-mode", "assist", "-checkpoint", "-1s")
+	addr := awaitAddr(t, out)
+	use := func(tool adl.ToolID) {
+		n, err := rtbridge.DialNode(addr, uint16(tool), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		if err := n.UseStart(time.Second, 5); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	// The tea box, then the cup where the pot belongs.
+	use(adl.ToolTeaBox)
+	awaitOutput(t, out, "admitted home from checkpoint (120 episodes)")
+	use(adl.ToolTeaCup)
+	awaitOutput(t, out, "[home] REMINDER [wrong-tool")
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("fleet exited uncleanly: %v\n%s", err, out.String())
 	}
 }

@@ -1,24 +1,24 @@
 // Command coreda-node simulates the sensor nodes of an activity over TCP:
-// it connects one node per tool to a coreda-server, acts out the user's
+// it connects one node per tool to coreda-fleet, acts out the user's
 // routine (with configurable freezes and wrong tools), reacts to LED
 // commands, and prints what "the user" experiences.
 //
 // Usage:
 //
-//	coreda-node [-addr localhost:7007] [-activity tea-making]
+//	coreda-node [-addr localhost:7100] [-activity tea-making]
 //	            [-sessions 3] [-severity 0.3] [-speed 1] [-seed 1]
 //	            [-heartbeat 10s] [-household tanaka-42]
 //
 // -household opens every node connection with a hello frame naming the
-// household, which multi-tenant coreda-fleet servers route on; plain
-// coreda-server acks and ignores it.
+// household the fleet routes on; without it the nodes are served as the
+// fleet's -default-household.
 //
 // speed scales the pacing: at -speed 10 a 4-second gesture takes 0.4
 // wall-clock seconds (use the same factor as the server).
 //
 // -heartbeat makes every node send liveness beacons at the given
 // activity-time interval (scaled by -speed like everything else); pair it
-// with the server's -supervise so silent nodes are detected.
+// with coreda-fleet -supervise so silent nodes are detected.
 package main
 
 import (
@@ -35,7 +35,7 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "localhost:7007", "server address")
+	addr := flag.String("addr", "localhost:7100", "coreda-fleet address")
 	activityName := flag.String("activity", "tea-making", "activity to perform")
 	activityFile := flag.String("activity-file", "", "JSON activity declaration overriding -activity")
 	sessions := flag.Int("sessions", 3, "how many times to perform the activity")
@@ -43,7 +43,7 @@ func main() {
 	speed := flag.Float64("speed", 1, "pacing speed-up factor (match the server)")
 	seed := flag.Int64("seed", 1, "random seed")
 	heartbeat := flag.Duration("heartbeat", 0, "liveness beacon interval in activity time (0 disables)")
-	household := flag.String("household", "", "household to greet as (multi-tenant coreda-fleet servers route on it; empty sends no hello)")
+	household := flag.String("household", "", "household to greet as (empty sends no hello: the fleet's default household)")
 	flag.Parse()
 
 	if err := run(*addr, *activityName, *activityFile, *household, *sessions, *severity, *speed, *seed, *heartbeat); err != nil {

@@ -1,6 +1,8 @@
 // Command coreda-train trains a CoReDA policy offline from generated
 // training samples (clean complete performances of an ADL, the paper's
-// unit of training data) and saves it for coreda-server to load.
+// unit of training data) and saves it as a CKPT checkpoint. Saved as
+// <dir>/<household>.ckpt, it is the policy coreda-fleet -dir <dir> admits
+// that household with.
 //
 // Usage:
 //
@@ -16,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -100,6 +103,11 @@ func run(activityName, activityFile, user string, episodes int, routineSpec stri
 	fmt.Printf("greedy-policy precision: %.1f%%\n", precision*100)
 	printPolicy(sys, activity, routine)
 
+	// The output may go straight into a fleet checkpoint directory that
+	// does not exist yet (-o fleet-policies/home.ckpt).
+	if err := os.MkdirAll(filepath.Dir(out), 0o755); err != nil {
+		return err
+	}
 	if err := sys.SavePolicy(out); err != nil {
 		return err
 	}

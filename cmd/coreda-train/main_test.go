@@ -47,8 +47,8 @@ func TestFindActivity(t *testing.T) {
 }
 
 func TestTrainAndEvalEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	policy := filepath.Join(dir, "policy.ckpt")
+	// Training into a fleet checkpoint directory creates it.
+	policy := filepath.Join(t.TempDir(), "fleet-policies", "home.ckpt")
 	if err := run("tea-making", "", "test-user", 120, "2,1,3,4", 1, policy, "", ""); err != nil {
 		t.Fatalf("train: %v", err)
 	}

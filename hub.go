@@ -109,7 +109,8 @@ func (h *Hub) Systems() map[string]*System {
 func (h *Hub) SetUnknownHandler(fn func(UnknownEvent)) { h.unknown = fn }
 
 // HandleUsage routes one gateway event to the owning activity's system.
-// Wire it as the sensornet.Gateway handler (or the rtbridge equivalent).
+// Wire it as the sensornet.Gateway handler; fleet shards feed it served
+// traffic the same way.
 func (h *Hub) HandleUsage(e UsageEvent) {
 	sys, ok := h.byTool[e.Tool]
 	if !ok {

@@ -10,7 +10,7 @@ import (
 // EXPERIMENTS.md is only reproducible if these packages take time from
 // sim.Scheduler and randomness from seeded *rand.Rand streams (sim.RNG).
 //
-// internal/rtbridge (the real-time hardware bridge), internal/chaosnet
+// internal/rtbridge (the node client over real sockets), internal/chaosnet
 // (faulty wrappers around real net.Conns — "chaosnet" is not a subpackage
 // of "chaos", so the prefix match below leaves it out) and cmd/ (operator
 // binaries) legitimately touch the wall clock and are allowlisted by

@@ -1,6 +1,6 @@
 // Package chaosnet wraps net.Conn with scripted transport faults — frame
-// splitting, garbage bytes, stalls and resets — for exercising rtbridge's
-// resynchronizing reader and its read/write deadlines. The byte
+// splitting, garbage bytes, stalls and resets — for exercising the wire
+// reader's resynchronization and the node-facing read/write deadlines. The byte
 // transformations are a deterministic function of the seeded rng and the
 // write sequence; only the timing side (stalls) touches the wall clock,
 // which is why this lives outside the chaos package's sim-scoped

@@ -741,17 +741,20 @@ func (s *shard) admit(household string) (*Tenant, error) {
 }
 
 // maybeEvict releases a tenant idle past the deadline on its own
-// virtual clock, reporting whether it did. Mid-session tenants are
-// kept: a session in flight pins the tenant. The eviction decision (and
-// the resident-map removal) is immediate and purely virtual-time-driven
-// — identical at any shard count — but the final checkpoint write of a
-// dirty tenant is queued and batched at the next drain boundary, where
-// a sweep of evictions becomes one parallel write wave. The file bytes
+// virtual clock, reporting whether it did. Mid-session and degraded
+// tenants are kept: a session in flight pins the tenant, and so does an
+// offline tool, since a re-admitted tenant would come back with every
+// tool online and the server sends each transition only once. The
+// eviction decision (and the resident-map removal) is immediate and
+// purely virtual-time-driven — identical at any shard count — but the
+// final checkpoint write of a dirty tenant is queued and batched at the
+// next drain boundary, where a sweep of evictions becomes one parallel
+// write wave. The file bytes
 // are a pure function of the tenant's state at eviction, so deferring
 // the write cannot change any policy file or the parity digest.
 func (s *shard) maybeEvict(t *Tenant) bool {
 	d := s.f.cfg.IdleEvict
-	if d <= 0 || t.System.Active() {
+	if d <= 0 || t.System.Active() || t.System.Degraded() {
 		return false
 	}
 	if t.Sched.Now()-t.lastEvent < d {
@@ -890,9 +893,9 @@ func (s *shard) writebackEvicted(household string) *Tenant {
 // Termination: a popped tenant is reinserted only via refreshDue, and
 // after RunUntil(to) its next timer is > to (RunUntil fires everything
 // due, including timers armed by the fired callbacks), while an
-// eviction deadline <= to would have evicted it (an Active tenant has
-// no eviction component at all). So every reinserted due is > to and
-// the loop pops each due tenant exactly once per tick.
+// eviction deadline <= to would have evicted it (an Active or Degraded
+// tenant has no eviction component at all). So every reinserted due is
+// > to and the loop pops each due tenant exactly once per tick.
 //
 //coreda:hotpath
 func (s *shard) advanceAll(to time.Duration) {
@@ -913,14 +916,15 @@ func (s *shard) advanceAll(to time.Duration) {
 
 // tenantDue computes the earliest virtual time at which t has work a
 // clock pump must deliver: its next scheduler timer, or — when idle
-// eviction is on and no session pins it — its idle-eviction deadline.
+// eviction is on and no session or offline tool pins it — its
+// idle-eviction deadline.
 // ok is false when the tenant has neither, i.e. it can sleep forever
 // until external traffic arrives.
 //
 //coreda:hotpath
 func (s *shard) tenantDue(t *Tenant) (time.Duration, bool) {
 	next, ok := t.Sched.NextDue()
-	if d := s.f.cfg.IdleEvict; d > 0 && !t.System.Active() {
+	if d := s.f.cfg.IdleEvict; d > 0 && !t.System.Active() && !t.System.Degraded() {
 		if ev := t.lastEvent + d; !ok || ev < next {
 			next, ok = ev, true
 		}

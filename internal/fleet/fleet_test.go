@@ -160,6 +160,56 @@ func TestMidSessionTenantIsNotEvicted(t *testing.T) {
 	}
 }
 
+// TestDegradedTenantIsNotEvicted pins a household with an offline tool
+// in memory: re-admitted, it would come back with every tool online,
+// and the server sends each transition only once. Its recovery makes it
+// evictable again.
+func TestDegradedTenantIsNotEvicted(t *testing.T) {
+	cfg := testConfig(t.TempDir())
+	cfg.IdleEvict = time.Minute
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	defer f.Stop()
+	nodeState := func(hh string, at time.Duration, online bool) {
+		t.Helper()
+		if err := f.Deliver(Event{Household: hh, At: at, Kind: EventNodeState, Tool: adl.ToolKettle, Online: online}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// "kon" loses its kettle node and gets it back; "ono" loses it.
+	nodeState("kon", time.Second, false)
+	nodeState("kon", 2*time.Second, true)
+	nodeState("ono", 2*time.Second, false)
+	if err := f.Advance(10 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Stats(); st.Evictions != 1 || st.Resident != 1 {
+		t.Fatalf("after the idle gap: stats = %+v, want only the healthy tenant evicted", st)
+	}
+	var degraded bool
+	if err := f.Do("ono", func(tn *Tenant) error {
+		degraded = tn.System.Degraded()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !degraded {
+		t.Error("resident tenant lost its offline tool")
+	}
+
+	nodeState("ono", 11*time.Minute, true)
+	if err := f.Advance(20 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Stats(); st.Evictions != 2 || st.Resident != 0 {
+		t.Errorf("after recovery and another idle gap: stats = %+v, want both evicted", st)
+	}
+}
+
 func TestCorruptCheckpointStartsFresh(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "ito.json"), []byte("{torn"), 0o644); err != nil {

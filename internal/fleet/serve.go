@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -47,6 +48,12 @@ type ServeConfig struct {
 	// WriteTimeout, when positive, bounds each frame write (acks, LED
 	// commands).
 	WriteTimeout time.Duration
+	// Supervise, when positive, arms node-liveness supervision: every
+	// Supervise of virtual time, each node that has sent a frame and
+	// then stayed silent for more than three intervals is declared
+	// offline to its household (degrading it and alerting the
+	// caregiver), and the node's next frame brings it back online.
+	Supervise time.Duration
 	// OnLog receives human-readable event lines (may be nil).
 	OnLog func(string)
 }
@@ -73,6 +80,18 @@ type Server struct {
 	conns map[string]map[uint16]*fleetConn // household → uid → latest conn
 	all   map[*fleetConn]struct{}
 	seq   uint16
+	// seen is the liveness registry under Supervise. Its entries outlive
+	// connections: a dead node's socket is often gone. recovered queues
+	// the offline nodes a frame has brought back, for the pump to
+	// deliver. Both guarded by mu.
+	seen      map[connKey]liveness
+	recovered []connKey
+}
+
+// liveness is one supervised node's state, in virtual time.
+type liveness struct {
+	last    time.Duration // when its latest frame arrived
+	offline bool          // declared offline to its household
 }
 
 // readBufSize is each node connection's read buffer. One socket read
@@ -191,6 +210,7 @@ func NewServer(f *Fleet, cfg ServeConfig) (*Server, error) {
 		done:  make(chan struct{}),
 		conns: make(map[string]map[uint16]*fleetConn),
 		all:   make(map[*fleetConn]struct{}),
+		seen:  make(map[connKey]liveness),
 	}
 	if f.state.Load() != fleetBuilt {
 		return nil, fmt.Errorf("fleet: NewServer requires a fleet that has not been started")
@@ -209,18 +229,28 @@ func (srv *Server) virtualNow() time.Duration {
 	return time.Duration(float64(time.Since(srv.start)) * srv.cfg.Speed) //coreda:vet-ignore nondeterminism the serving pump is the sanctioned wall-to-virtual boundary
 }
 
-// Run pumps the tenants' virtual clocks from the wall clock and drives
-// periodic batch checkpointing until Stop. Run it in one goroutine.
+// Run pumps the tenants' virtual clocks from the wall clock, sweeps
+// node liveness under Supervise, and drives periodic batch
+// checkpointing until Stop. Run it in one goroutine.
 func (srv *Server) Run() {
 	ticker := time.NewTicker(srv.cfg.Tick) //coreda:vet-ignore nondeterminism the serving pump is the sanctioned wall-to-virtual boundary
 	defer ticker.Stop()
 	var sinceFlush time.Duration
+	nextSweep := srv.cfg.Supervise
 	for {
 		select {
 		case <-srv.done:
 			return
 		case <-ticker.C:
-			srv.f.advanceAll(srv.virtualNow())
+			now := srv.virtualNow()
+			srv.f.advanceAll(now)
+			if srv.cfg.Supervise > 0 {
+				sweep := now >= nextSweep
+				if sweep {
+					nextSweep = now + srv.cfg.Supervise
+				}
+				srv.supervise(now, sweep)
+			}
 			if srv.cfg.CheckpointEvery > 0 {
 				sinceFlush += srv.cfg.Tick
 				if sinceFlush >= srv.cfg.CheckpointEvery {
@@ -266,10 +296,9 @@ func (srv *Server) Serve(l net.Listener) error {
 }
 
 // HandleConn reads frames from one node connection until EOF, a fatal
-// decode error, or — with ReadTimeout set — prolonged silence. Unlike the
-// single-household rtbridge there is no central packet loop: the fleet's
-// shard queues are the serialization point, so each connection goroutine
-// delivers directly.
+// decode error, or — with ReadTimeout set — prolonged silence. There is
+// no central packet loop: the fleet's shard queues are the
+// serialization point, so each connection goroutine delivers directly.
 //
 // Frames come through a fixed readBufSize buffer, so a burst of reports
 // costs one socket read. Acks are queued, and flushed in one write just
@@ -350,12 +379,12 @@ func (srv *Server) handlePacket(nc *fleetConn, f *wire.Frame) {
 		nc.mu.Lock()
 		nc.household = pkt.Household
 		nc.mu.Unlock()
-		srv.register(pkt.Household, pkt.UID, nc)
+		srv.register(pkt.Household, pkt.UID, nc, now)
 		srv.ack(nc, pkt.UID, pkt.Seq)
 		srv.log("%7.1fs node %d joined household %s (hello v%d)", now.Seconds(), pkt.UID, pkt.Household, pkt.HelloVersion)
 	case wire.TypeUsageStart:
 		pkt := &f.UsageStart
-		hh, ok := srv.resolve(nc, pkt.UID)
+		hh, ok := srv.resolve(nc, pkt.UID, now)
 		if !ok {
 			return
 		}
@@ -373,7 +402,7 @@ func (srv *Server) handlePacket(nc *fleetConn, f *wire.Frame) {
 		})
 	case wire.TypeUsageEnd:
 		pkt := &f.UsageEnd
-		hh, ok := srv.resolve(nc, pkt.UID)
+		hh, ok := srv.resolve(nc, pkt.UID, now)
 		if !ok {
 			return
 		}
@@ -392,7 +421,7 @@ func (srv *Server) handlePacket(nc *fleetConn, f *wire.Frame) {
 	case wire.TypeHeartbeat:
 		// Liveness only; register so LED write-back finds the node even
 		// before its first usage report.
-		srv.resolve(nc, f.Heartbeat.UID)
+		srv.resolve(nc, f.Heartbeat.UID, now)
 	case wire.TypeAck:
 		// LED command acknowledged; TCP already guarantees delivery.
 	}
@@ -401,7 +430,7 @@ func (srv *Server) handlePacket(nc *fleetConn, f *wire.Frame) {
 // resolve maps a connection's packet to its household and registers the
 // node for LED write-back. It returns false (logging the first time) for
 // traffic with neither a hello nor a default household.
-func (srv *Server) resolve(nc *fleetConn, uid uint16) (string, bool) {
+func (srv *Server) resolve(nc *fleetConn, uid uint16, now time.Duration) (string, bool) {
 	hh, ok := nc.forHousehold(srv.cfg.DefaultHousehold)
 	if hh == "" {
 		if ok {
@@ -409,7 +438,7 @@ func (srv *Server) resolve(nc *fleetConn, uid uint16) (string, bool) {
 		}
 		return "", false
 	}
-	srv.register(hh, uid, nc)
+	srv.register(hh, uid, nc, now)
 	return hh, true
 }
 
@@ -419,9 +448,22 @@ func (srv *Server) deliver(hh string, ev Event) {
 	}
 }
 
-func (srv *Server) register(household string, uid uint16, nc *fleetConn) {
+// register records nc as the LED route of a node and, under Supervise,
+// stamps the node's frame at now, queueing its recovery if it was
+// declared offline.
+func (srv *Server) register(household string, uid uint16, nc *fleetConn, now time.Duration) {
+	k := connKey{household, uid}
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
+	if srv.cfg.Supervise > 0 {
+		l := srv.seen[k]
+		if l.offline {
+			l.offline = false
+			srv.recovered = append(srv.recovered, k)
+		}
+		l.last = now
+		srv.seen[k] = l
+	}
 	m := srv.conns[household]
 	if m == nil {
 		m = make(map[uint16]*fleetConn)
@@ -431,9 +473,63 @@ func (srv *Server) register(household string, uid uint16, nc *fleetConn) {
 		return
 	}
 	m[uid] = nc
-	if k := (connKey{household, uid}); !slices.Contains(nc.regs, k) {
+	if !slices.Contains(nc.regs, k) {
 		nc.regs = append(nc.regs, k)
 	}
+}
+
+// supervise delivers node-liveness transitions at virtual time now:
+// first the recoveries frames have revealed since the last tick, then,
+// on a sweep, every node silent for more than three supervision
+// intervals, in (household, uid) order. Only the pump goroutine calls
+// it, so each household gets its transitions in the order they were
+// decided.
+func (srv *Server) supervise(now time.Duration, sweep bool) {
+	deadline := 3 * srv.cfg.Supervise
+	var dead []connKey
+	srv.mu.Lock()
+	back := srv.recovered
+	srv.recovered = nil
+	if sweep {
+		for k, l := range srv.seen {
+			if !l.offline && now-l.last > deadline {
+				l.offline = true
+				srv.seen[k] = l
+				dead = append(dead, k)
+			}
+		}
+	}
+	srv.mu.Unlock()
+	slices.SortFunc(dead, func(a, b connKey) int {
+		return cmp.Or(cmp.Compare(a.household, b.household), cmp.Compare(a.uid, b.uid))
+	})
+	for _, k := range back {
+		srv.transition(k, now, true)
+	}
+	for _, k := range dead {
+		srv.transition(k, now, false)
+	}
+}
+
+// transition delivers one node's liveness change to its household. A
+// household that Route places on another peer gets none: the node is
+// dropped from the registry instead, its transitions being the owner's
+// to send.
+func (srv *Server) transition(k connKey, now time.Duration, online bool) {
+	if srv.cfg.Route != nil {
+		if _, local := srv.cfg.Route(k.household); !local {
+			srv.mu.Lock()
+			delete(srv.seen, k)
+			srv.mu.Unlock()
+			return
+		}
+	}
+	state := "OFFLINE"
+	if online {
+		state = "back online"
+	}
+	srv.log("%7.1fs node %d household %s %s", now.Seconds(), k.uid, k.household, state)
+	srv.deliver(k.household, Event{Household: k.household, At: now, Kind: EventNodeState, Tool: coreda.ToolID(k.uid), Online: online})
 }
 
 // unregister forgets a closed connection: it drops the LED routes that

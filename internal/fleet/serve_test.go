@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"math/rand"
 	"net"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,6 +13,9 @@ import (
 
 	"coreda"
 	"coreda/internal/adl"
+	"coreda/internal/chaosnet"
+	"coreda/internal/rtbridge"
+	"coreda/internal/sensing"
 	"coreda/internal/wire"
 )
 
@@ -503,5 +509,319 @@ func TestServeReconnectKeepsNewRoute(t *testing.T) {
 	}
 	if led, ok := pkt.(*wire.LEDCommand); !ok || led.UID != tool {
 		t.Fatalf("reconnected node got %+v, want its LED command", pkt)
+	}
+}
+
+// loopback is a fleet server at 200× speed on a loopback listener,
+// serving hello-less nodes as household "home" and recording what its
+// tea-making households report.
+type loopback struct {
+	f    *Fleet
+	srv  *Server
+	addr string
+
+	mu          sync.Mutex
+	reminders   []coreda.Reminder
+	alerts      []coreda.CaregiverAlert
+	completions int
+}
+
+func startLoopback(t *testing.T, mode coreda.Mode, idleFloor time.Duration, scfg ServeConfig) *loopback {
+	t.Helper()
+	lb := &loopback{}
+	fcfg := testConfig(t.TempDir())
+	fcfg.NewSystem = func(household string) (coreda.SystemConfig, error) {
+		return coreda.SystemConfig{
+			Activity:    adl.TeaMaking(),
+			UserName:    household,
+			Seed:        SeedFor(7, household),
+			DefaultMode: mode,
+			Sensing:     sensing.Config{IdleFloor: idleFloor},
+			OnReminder: func(r coreda.Reminder) {
+				lb.mu.Lock()
+				lb.reminders = append(lb.reminders, r)
+				lb.mu.Unlock()
+			},
+			OnAlert: func(a coreda.CaregiverAlert) {
+				lb.mu.Lock()
+				lb.alerts = append(lb.alerts, a)
+				lb.mu.Unlock()
+			},
+			OnComplete: func() {
+				lb.mu.Lock()
+				lb.completions++
+				lb.mu.Unlock()
+			},
+		}, nil
+	}
+	scfg.Speed, scfg.Tick, scfg.DefaultHousehold = 200, time.Millisecond, "home"
+	lb.f, lb.srv, lb.addr = startServer(t, fcfg, scfg)
+	return lb
+}
+
+// train gives household "home" firm expectations of the canonical
+// routine.
+func (lb *loopback) train(t *testing.T) {
+	t.Helper()
+	canonical := adl.TeaMaking().CanonicalRoutine()
+	if err := lb.f.Do("home", func(tn *Tenant) error {
+		episodes := make([][]coreda.StepID, 150)
+		for i := range episodes {
+			episodes[i] = canonical
+		}
+		return tn.System.TrainEpisodes(episodes)
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// home reads household "home"'s system on its shard.
+func (lb *loopback) home(t *testing.T, fn func(*coreda.System)) {
+	t.Helper()
+	if err := lb.f.Do("home", func(tn *Tenant) error {
+		fn(tn.System)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dial connects one hello-less node client for tool.
+func (lb *loopback) dial(t *testing.T, tool adl.ToolID) *rtbridge.NodeClient {
+	t.Helper()
+	n, err := rtbridge.DialNode(lb.addr, uint16(tool), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
+// use reports one complete use of the tool, then pauses past the
+// sensing merge gap.
+func use(t *testing.T, n *rtbridge.NodeClient) {
+	t.Helper()
+	if err := n.UseStart(time.Second, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.UseEnd(2*time.Second, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+}
+
+// await polls cond, evaluated under lb.mu, until it holds.
+func (lb *loopback) await(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	waitUntil(t, what, func() bool {
+		lb.mu.Lock()
+		defer lb.mu.Unlock()
+		return cond()
+	})
+}
+
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestServeNodeLoopback drives real node clients against a fleet server
+// over loopback TCP: supervision, connection reaping, hostile
+// transports, reminders and shutdown.
+func TestServeNodeLoopback(t *testing.T) {
+	cases := []struct {
+		name      string
+		mode      coreda.Mode
+		idleFloor time.Duration
+		scfg      ServeConfig
+		run       func(t *testing.T, lb *loopback)
+	}{{
+		// A node that heartbeats and then falls silent is declared
+		// offline: one caregiver alert, a degraded household, and a
+		// Specific prompt when its tool is due. Its next frame recovers
+		// it.
+		name:      "Supervision",
+		mode:      coreda.ModeAssist,
+		idleFloor: 10 * time.Second, // 50 ms wall
+		// 40 s virtual is 200 ms wall: a node is declared offline
+		// 600-800 ms of wall time after its last frame.
+		scfg: ServeConfig{Supervise: 40 * time.Second},
+		run: func(t *testing.T, lb *loopback) {
+			lb.train(t)
+			kettleAlerts := func() (offline, recovered int) {
+				for _, a := range lb.alerts {
+					if a.Tool != adl.ToolKettle {
+						continue
+					}
+					if a.Recovered {
+						recovered++
+					} else {
+						offline++
+					}
+				}
+				return
+			}
+			kettle := lb.dial(t, adl.ToolKettle)
+			if err := kettle.Heartbeat(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			lb.await(t, "offline alert", func() bool { off, _ := kettleAlerts(); return off == 1 })
+			lb.home(t, func(s *coreda.System) {
+				if got := s.OfflineTools(); !s.Degraded() || len(got) != 1 || got[0] != adl.ToolKettle {
+					t.Errorf("after silence: Degraded = %v, OfflineTools = %v, want the kettle", s.Degraded(), got)
+				}
+			})
+
+			// The person takes the tea box and the pot, then freezes
+			// before the kettle, whose LED is dead.
+			use(t, lb.dial(t, adl.ToolTeaBox))
+			use(t, lb.dial(t, adl.ToolPot))
+			lb.await(t, "reminder", func() bool { return len(lb.reminders) > 0 })
+			lb.mu.Lock()
+			r := lb.reminders[0]
+			lb.mu.Unlock()
+			if r.Tool != adl.ToolKettle || r.Level != coreda.Specific {
+				t.Errorf("reminder = %+v, want a Specific prompt for the kettle", r)
+			}
+
+			if err := kettle.Heartbeat(2 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			lb.await(t, "recovered alert", func() bool { _, rec := kettleAlerts(); return rec == 1 })
+			lb.mu.Lock()
+			if off, _ := kettleAlerts(); off != 1 {
+				t.Errorf("%d offline alerts for the kettle, want 1", off)
+			}
+			lb.mu.Unlock()
+			lb.home(t, func(s *coreda.System) {
+				if slices.Contains(s.OfflineTools(), adl.ToolKettle) {
+					t.Error("kettle still offline after its heartbeat")
+				}
+			})
+		},
+	}, {
+		// Nodes that send one frame and vanish without a FIN (battery
+		// death) must not strand a reader goroutine each.
+		name: "ReadTimeoutReapsSilentConns",
+		scfg: ServeConfig{ReadTimeout: 100 * time.Millisecond},
+		run: func(t *testing.T, lb *loopback) {
+			baseline := runtime.NumGoroutine()
+			var conns []net.Conn
+			for i := 0; i < 5; i++ {
+				c, _ := dialNode(t, lb.addr)
+				sendPacket(t, c, &wire.Heartbeat{UID: 21, Seq: uint16(i + 1), Battery: 80})
+				conns = append(conns, c)
+			}
+			awaitConns(t, lb.srv, 5)
+			awaitConns(t, lb.srv, 0)
+			waitUntil(t, "reader goroutines to exit", func() bool { return runtime.NumGoroutine() <= baseline })
+			// The server-side close is visible on our end too.
+			conns[0].SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conns[0].Read(make([]byte, 1)); err == nil {
+				t.Error("reaped connection still open")
+			}
+		},
+	}, {
+		// Every node speaks through a pathological transport: frames
+		// split into 2-byte segments with garbage in between. The server
+		// must reassemble and resynchronize, and the session learn.
+		name: "LearnSessionThroughFaultyConns",
+		mode: coreda.ModeLearn,
+		run: func(t *testing.T, lb *loopback) {
+			rng := rand.New(rand.NewSource(7))
+			steps := adl.TeaMaking().StepIDs()
+			nodes := map[adl.ToolID]*rtbridge.NodeClient{}
+			for _, step := range steps {
+				c, err := net.Dial("tcp", lb.addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				faulty := chaosnet.Wrap(c, chaosnet.ConnPlan{SplitMax: 2, Garbage: 0.5}, rng)
+				n := rtbridge.NewNodeClient(faulty, uint16(adl.ToolOf(step)), nil)
+				t.Cleanup(func() { n.Close() })
+				nodes[adl.ToolOf(step)] = n
+			}
+			for _, step := range steps {
+				use(t, nodes[adl.ToolOf(step)])
+			}
+			lb.await(t, "session completion", func() bool { return lb.completions == 1 })
+			lb.home(t, func(s *coreda.System) {
+				if got := s.Planner().Episodes; got != 1 {
+					t.Errorf("episodes = %d, want 1", got)
+				}
+			})
+		},
+	}, {
+		// A trained household that sees the first step and then nothing
+		// prompts for the expected next tool.
+		name:      "IdleReminderOverTCP",
+		mode:      coreda.ModeAssist,
+		idleFloor: 10 * time.Second,
+		run: func(t *testing.T, lb *loopback) {
+			lb.train(t)
+			if err := lb.dial(t, adl.ToolTeaBox).UseStart(time.Second, 4); err != nil {
+				t.Fatal(err)
+			}
+			lb.await(t, "idle reminder", func() bool { return len(lb.reminders) > 0 })
+			lb.mu.Lock()
+			defer lb.mu.Unlock()
+			if r := lb.reminders[0]; r.Trigger != coreda.TriggerIdle || r.Tool != adl.ToolPot {
+				t.Errorf("reminder = %+v, want an idle prompt for the pot", r)
+			}
+		},
+	}, {
+		name: "StopClosesConnections",
+		run: func(t *testing.T, lb *loopback) {
+			n := lb.dial(t, 21)
+			lb.srv.Stop()
+			select {
+			case <-n.Done():
+			case <-time.After(5 * time.Second):
+				t.Fatal("node connection not closed by server stop")
+			}
+		},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.run(t, startLoopback(t, tc.mode, tc.idleFloor, tc.scfg))
+		})
+	}
+}
+
+// TestServeSupervisionDropsForeignHouseholds pins supervision in a
+// cluster: an overdue node whose household Route now places on another
+// peer is dropped from the liveness registry, and no transition for it
+// enters a local tenant.
+func TestServeSupervisionDropsForeignHouseholds(t *testing.T) {
+	var moved atomic.Bool
+	route := func(household string) (string, bool) {
+		if household == "moving" && moved.Load() {
+			return "10.0.0.9:7001", false
+		}
+		return "", true
+	}
+	// The pump never sweeps within the test: the sweep is called directly.
+	f, srv, addr := startServer(t, testConfig(t.TempDir()), ServeConfig{Speed: 100, Route: route, Supervise: time.Hour})
+	helloNode(t, addr, "moving", uint16(adl.ToolKettle))
+	helloNode(t, addr, "staying", uint16(adl.ToolKettle))
+	moved.Store(true)
+
+	srv.supervise(4*time.Hour, true)
+	if st := f.Stats(); st.NodeStates != 1 || st.Admissions != 1 {
+		t.Errorf("stats = %+v, want one transition, for the local household", st)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if _, ok := srv.seen[connKey{"moving", uint16(adl.ToolKettle)}]; ok {
+		t.Error("foreign household's node still supervised")
+	}
+	if l := srv.seen[connKey{"staying", uint16(adl.ToolKettle)}]; !l.offline {
+		t.Errorf("local node = %+v, want it declared offline", l)
 	}
 }

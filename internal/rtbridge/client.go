@@ -1,3 +1,9 @@
+// Package rtbridge is the node side of CoReDA's real network path: a
+// NodeClient stands in for one PAVENET sensor node, speaking the wire
+// frame format over TCP to a fleet server (internal/fleet, run by
+// cmd/coreda-fleet). It reports tool usage and heartbeats, opens with
+// the household hello, follows cluster redirects (DialCluster) and
+// surfaces the LED commands the server writes back.
 package rtbridge
 
 import (
@@ -63,7 +69,7 @@ func NewNodeClient(conn net.Conn, uid uint16, onLED func(LEDEvent)) *NodeClient 
 	return n
 }
 
-// DialNode connects to a bridge server and returns a node client.
+// DialNode connects to a fleet server and returns a node client.
 func DialNode(addr string, uid uint16, onLED func(LEDEvent)) (*NodeClient, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -127,9 +133,8 @@ func (n *NodeClient) UseEnd(nodeTime, duration time.Duration) error {
 }
 
 // Hello introduces the node, naming the household it belongs to — the
-// routing handshake of multi-tenant servers (internal/fleet). Single
-// household servers ack it and serve as before, so sending a hello is
-// always safe.
+// fleet server's routing handshake. Without one, the server serves the
+// node as its default household, if it has one.
 func (n *NodeClient) Hello(household string) error {
 	n.wm.Lock()
 	defer n.wm.Unlock()

@@ -5,7 +5,7 @@
 // the format here mirrors that constraint: a one-byte magic, a version, a
 // packet type, a length-prefixed payload of at most 64 bytes and a CRC-16
 // trailer. The same encoding is used over the in-memory radio simulation
-// and over real TCP links (cmd/coreda-server / cmd/coreda-node).
+// and over real TCP links (cmd/coreda-fleet / cmd/coreda-node).
 package wire
 
 import (

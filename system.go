@@ -58,7 +58,7 @@ type SystemConfig struct {
 	// KeepLearning keeps updating the policy during ModeAssist sessions.
 	KeepLearning bool
 	// DefaultMode is the mode auto-started sessions use (Hub routing,
-	// rtbridge); zero means ModeLearn.
+	// fleet tenants); zero means ModeLearn.
 	DefaultMode Mode
 	// AssumeBlindSteps lets an assist session advance past a step whose
 	// tool's sensor is OFFLINE: after a reminder for the blind step goes
