@@ -15,10 +15,13 @@ import (
 //
 // Like System, a Hub is single-threaded: drive it from one scheduler.
 type Hub struct {
-	sched   *sim.Scheduler
-	systems map[string]*System     // by activity name
-	byTool  map[adl.ToolID]*System // routing table
-	unknown func(UnknownEvent)     // handler for unroutable events
+	sched *sim.Scheduler
+	// systems holds one System per activity, in the order added. A home
+	// runs a few activities, so routing scans it and asks each
+	// activity's own tool map, rather than keeping a name index and a
+	// tool index per hub.
+	systems []*System
+	unknown func(UnknownEvent) // handler for unroutable events
 	// UnknownTools counts events for tools no activity claims.
 	UnknownTools int
 }
@@ -52,11 +55,7 @@ type UnknownEvent struct {
 
 // NewHub creates an empty hub on the scheduler.
 func NewHub(sched *sim.Scheduler) *Hub {
-	return &Hub{
-		sched:   sched,
-		systems: make(map[string]*System),
-		byTool:  make(map[adl.ToolID]*System),
-	}
+	return &Hub{sched: sched}
 }
 
 // Add builds a System for the activity and registers its tools for
@@ -66,39 +65,56 @@ func (h *Hub) Add(cfg SystemConfig) (*System, error) {
 	if cfg.Activity == nil {
 		return nil, fmt.Errorf("coreda: Hub.Add requires an activity")
 	}
-	if _, dup := h.systems[cfg.Activity.Name]; dup {
+	if _, dup := h.System(cfg.Activity.Name); dup {
 		return nil, fmt.Errorf("coreda: activity %q already added", cfg.Activity.Name)
 	}
-	// Sorted iteration keeps the reported conflict deterministic when
-	// several tools clash at once.
-	ids := adl.SortedToolIDs(cfg.Activity.Tools)
-	for _, id := range ids {
-		if other, taken := h.byTool[id]; taken {
-			return nil, fmt.Errorf("coreda: tool %d of %q already claimed by %q", id, cfg.Activity.Name, other.cfg.Activity.Name)
+	// The lowest conflicting tool ID is reported, so the error stays
+	// deterministic when several tools clash at once.
+	var (
+		conflict adl.ToolID
+		owner    *System
+	)
+	for id := range cfg.Activity.Tools {
+		if other := h.route(id); other != nil && (owner == nil || id < conflict) {
+			conflict, owner = id, other
 		}
+	}
+	if owner != nil {
+		return nil, fmt.Errorf("coreda: tool %d of %q already claimed by %q", conflict, cfg.Activity.Name, owner.cfg.Activity.Name)
 	}
 	sys, err := NewSystem(cfg, h.sched)
 	if err != nil {
 		return nil, err
 	}
-	h.systems[cfg.Activity.Name] = sys
-	for _, id := range ids {
-		h.byTool[id] = sys
-	}
+	h.systems = append(h.systems, sys)
 	return sys, nil
+}
+
+// route returns the system whose activity declares tool, or nil.
+func (h *Hub) route(tool ToolID) *System {
+	for _, sys := range h.systems {
+		if _, ok := sys.cfg.Activity.Tools[tool]; ok {
+			return sys
+		}
+	}
+	return nil
 }
 
 // System returns the system serving the named activity.
 func (h *Hub) System(activity string) (*System, bool) {
-	s, ok := h.systems[activity]
-	return s, ok
+	for _, sys := range h.systems {
+		if sys.cfg.Activity.Name == activity {
+			return sys, true
+		}
+	}
+	return nil, false
 }
 
 // Systems returns every registered system keyed by activity name.
 func (h *Hub) Systems() map[string]*System {
 	out := make(map[string]*System, len(h.systems))
-	for k, v := range h.systems {
-		out[k] = v
+	for _, sys := range h.systems {
+		out[sys.cfg.Activity.Name] = sys
 	}
 	return out
 }
@@ -112,8 +128,8 @@ func (h *Hub) SetUnknownHandler(fn func(UnknownEvent)) { h.unknown = fn }
 // Wire it as the sensornet.Gateway handler; fleet shards feed it served
 // traffic the same way.
 func (h *Hub) HandleUsage(e UsageEvent) {
-	sys, ok := h.byTool[e.Tool]
-	if !ok {
+	sys := h.route(e.Tool)
+	if sys == nil {
 		h.UnknownTools++
 		if h.unknown != nil {
 			h.unknown(UnknownEvent{Tool: e.Tool, Kind: UnknownUsage, Usage: e})
@@ -134,8 +150,8 @@ func (h *Hub) HandleUsage(e UsageEvent) {
 // (tool ID == node UID). Transitions for unclaimed tools are counted like
 // unroutable usage events.
 func (h *Hub) HandleNodeState(tool ToolID, online bool) {
-	sys, ok := h.byTool[tool]
-	if !ok {
+	sys := h.route(tool)
+	if sys == nil {
 		h.UnknownTools++
 		if h.unknown != nil {
 			h.unknown(UnknownEvent{Tool: tool, Kind: UnknownNodeState, Online: online})

@@ -1,6 +1,7 @@
 package coreda
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -97,10 +98,20 @@ func TestHubRejectsDuplicates(t *testing.T) {
 		t.Error("duplicate activity accepted")
 	}
 	// An activity whose tools collide with an existing one.
+	// Every tool clashes; the error must name the lowest one on every
+	// try, whatever order the tool map iterates in.
 	clash := TeaMaking()
 	clash.Name = "second-tea"
-	if _, err := hub.Add(SystemConfig{Activity: clash}); err == nil {
-		t.Error("tool collision accepted")
+	lowest := adl.SortedToolIDs(clash.Tools)[0]
+	want := fmt.Sprintf("coreda: tool %d of %q already claimed by %q", lowest, "second-tea", "tea-making")
+	for i := 0; i < 20; i++ {
+		_, err := hub.Add(SystemConfig{Activity: clash})
+		if err == nil {
+			t.Fatal("tool collision accepted")
+		}
+		if err.Error() != want {
+			t.Fatalf("collision error %q, want %q", err, want)
+		}
 	}
 	if _, err := hub.Add(SystemConfig{}); err == nil {
 		t.Error("nil activity accepted")

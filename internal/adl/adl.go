@@ -164,10 +164,39 @@ func (a *Activity) CanonicalRoutine() Routine {
 	return Routine(a.StepIDs())
 }
 
+// Equal reports whether o declares the same activity as a: the same
+// name, the same canonical steps in the same order, and the same tools.
+// It allocates nothing, so a fleet can compare each admitted household's
+// activity against its shared copy on every admission.
+func (a *Activity) Equal(o *Activity) bool {
+	if a == o {
+		return true
+	}
+	if a == nil || o == nil || a.Name != o.Name || len(a.Steps) != len(o.Steps) || len(a.Tools) != len(o.Tools) {
+		return false
+	}
+	for i := range a.Steps {
+		if a.Steps[i] != o.Steps[i] {
+			return false
+		}
+	}
+	for id, t := range a.Tools {
+		if ot, ok := o.Tools[id]; !ok || ot != t {
+			return false
+		}
+	}
+	return true
+}
+
 // Validate checks structural invariants of the activity:
 // at least one step, every step's tool declared, no reserved IDs, no two
 // steps sharing a tool (the paper's StepID scheme requires a bijection
 // between steps and tools), and every declared tool used by some step.
+//
+// Validate allocates nothing on a valid activity: an activity has a
+// handful of steps, so duplicate and usage checks are nested scans, and
+// the declared tools are checked in map order with the lowest offending
+// ID reported, which keeps the error deterministic without sorting.
 func (a *Activity) Validate() error {
 	if a.Name == "" {
 		return fmt.Errorf("adl: activity has empty name")
@@ -175,7 +204,6 @@ func (a *Activity) Validate() error {
 	if len(a.Steps) == 0 {
 		return fmt.Errorf("adl: activity %q has no steps", a.Name)
 	}
-	seen := make(map[ToolID]string, len(a.Steps))
 	for i, s := range a.Steps {
 		if s.Tool == NoTool {
 			return fmt.Errorf("adl: activity %q step %d (%q) uses reserved tool ID 0", a.Name, i, s.Name)
@@ -183,10 +211,11 @@ func (a *Activity) Validate() error {
 		if _, ok := a.Tools[s.Tool]; !ok {
 			return fmt.Errorf("adl: activity %q step %d (%q) uses undeclared tool %d", a.Name, i, s.Name, s.Tool)
 		}
-		if prev, dup := seen[s.Tool]; dup {
-			return fmt.Errorf("adl: activity %q steps %q and %q share tool %d; StepIDs must be unique per step", a.Name, prev, s.Name, s.Tool)
+		for _, prev := range a.Steps[:i] {
+			if prev.Tool == s.Tool {
+				return fmt.Errorf("adl: activity %q steps %q and %q share tool %d; StepIDs must be unique per step", a.Name, prev.Name, s.Name, s.Tool)
+			}
 		}
-		seen[s.Tool] = s.Name
 		if s.TypicalDuration <= 0 {
 			return fmt.Errorf("adl: activity %q step %d (%q) has non-positive duration", a.Name, i, s.Name)
 		}
@@ -194,17 +223,24 @@ func (a *Activity) Validate() error {
 			return fmt.Errorf("adl: activity %q step %d (%q) has non-positive intensity", a.Name, i, s.Name)
 		}
 	}
-	for _, id := range SortedToolIDs(a.Tools) {
-		t := a.Tools[id]
-		if id == NoTool {
-			return fmt.Errorf("adl: activity %q declares reserved tool ID 0", a.Name)
-		}
-		if id != t.ID {
-			return fmt.Errorf("adl: activity %q tool map key %d != tool ID %d", a.Name, id, t.ID)
-		}
-		if _, used := seen[id]; !used {
-			return fmt.Errorf("adl: activity %q declares unused tool %d (%q)", a.Name, id, t.Name)
+	bad, found := NoTool, false
+	for id, t := range a.Tools {
+		if _, used := a.StepByTool(id); id == NoTool || id != t.ID || !used {
+			if !found || id < bad {
+				bad, found = id, true
+			}
 		}
 	}
-	return nil
+	if !found {
+		return nil
+	}
+	t := a.Tools[bad]
+	switch {
+	case bad == NoTool:
+		return fmt.Errorf("adl: activity %q declares reserved tool ID 0", a.Name)
+	case bad != t.ID:
+		return fmt.Errorf("adl: activity %q tool map key %d != tool ID %d", a.Name, bad, t.ID)
+	default:
+		return fmt.Errorf("adl: activity %q declares unused tool %d (%q)", a.Name, bad, t.Name)
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"coreda/internal/testutil"
 )
 
 func TestLibraryValidates(t *testing.T) {
@@ -95,6 +97,70 @@ func TestValidateRejectsBrokenActivities(t *testing.T) {
 				t.Fatal("Validate() = nil, want error")
 			}
 		})
+	}
+}
+
+// TestValidateReportsLowestBadTool checks that the declared-tool checks,
+// which walk the tool map in its randomized order, still report the
+// lowest offending tool on every call.
+func TestValidateReportsLowestBadTool(t *testing.T) {
+	a := TeaMaking()
+	for _, id := range []ToolID{79, 77, 78} {
+		a.Tools[id] = Tool{ID: id, Name: "ghost", Sensor: SensorAccelerometer}
+	}
+	want := `adl: activity "tea-making" declares unused tool 77 ("ghost")`
+	for i := 0; i < 20; i++ {
+		if err := a.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("Validate() = %v, want %s", err, want)
+		}
+	}
+}
+
+func TestActivityEqual(t *testing.T) {
+	a := TeaMaking()
+	if !a.Equal(a) || !a.Equal(TeaMaking()) {
+		t.Fatal("identical activities compare unequal")
+	}
+	for name, change := range map[string]func(*Activity){
+		"name":      func(b *Activity) { b.Name = "coffee" },
+		"step":      func(b *Activity) { b.Steps[2].Intensity *= 2 },
+		"order":     func(b *Activity) { b.Steps[0], b.Steps[1] = b.Steps[1], b.Steps[0] },
+		"no steps":  func(b *Activity) { b.Steps = nil },
+		"tool":      func(b *Activity) { tl := b.Tools[ToolPot]; tl.Picture = "other.png"; b.Tools[ToolPot] = tl },
+		"extra":     func(b *Activity) { b.Tools[77] = Tool{ID: 77} },
+		"swap tool": func(b *Activity) { delete(b.Tools, ToolPot); b.Tools[77] = Tool{ID: 77} },
+	} {
+		b := TeaMaking()
+		change(b)
+		if a.Equal(b) || b.Equal(a) {
+			t.Errorf("%s: changed activity compares equal", name)
+		}
+	}
+	if a.Equal(nil) {
+		t.Error("activity equals nil")
+	}
+}
+
+// TestActivityCheckAllocs pins Equal and Validate of a valid activity to
+// zero allocations: a fleet runs both on its admission path.
+func TestActivityCheckAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
+	}
+	a, b := TeaMaking(), TeaMaking()
+	if n := testing.AllocsPerRun(100, func() {
+		if !a.Equal(b) {
+			t.Fatal("unequal")
+		}
+	}); n != 0 {
+		t.Errorf("Equal allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := a.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Validate allocates %v times per call, want 0", n)
 	}
 }
 

@@ -118,23 +118,14 @@ func (r RewardConfig) Of(a Prompt, next adl.StepID, terminal bool) float64 {
 // pair (tool, level): index tool*2+level.
 type codec struct {
 	activity *adl.Activity
-	steps    []adl.StepID       // canonical order
-	index    map[adl.StepID]int // StepID -> 1-based index (0 = idle)
+	steps    []adl.StepID // canonical order; index i holds step symbol i+1
 }
 
 func newCodec(a *adl.Activity) (*codec, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	c := &codec{
-		activity: a,
-		steps:    a.StepIDs(),
-		index:    make(map[adl.StepID]int, len(a.Steps)),
-	}
-	for i, id := range c.steps {
-		c.index[id] = i + 1
-	}
-	return c, nil
+	return &codec{activity: a, steps: a.StepIDs()}, nil
 }
 
 // numSteps counts step symbols including idle.
@@ -152,8 +143,12 @@ func (c *codec) stepIndex(s adl.StepID) int {
 	if s == adl.StepIdle {
 		return 0
 	}
-	if i, ok := c.index[s]; ok {
-		return i
+	// An activity has a handful of steps: a scan beats a map lookup and
+	// keeps no per-planner index.
+	for i, id := range c.steps {
+		if id == s {
+			return i + 1
+		}
 	}
 	return -1
 }

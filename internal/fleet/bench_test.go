@@ -125,26 +125,14 @@ func BenchmarkAdvanceIdleSweep(b *testing.B) { benchAdvance(b, true) }
 // planner's Q-table — plus the eviction that releases it again (which
 // writes its final checkpoint back). Like the advance benchmarks it runs
 // on an unstarted shard from the benchmark goroutine, so B/op and
-// allocs/op count exactly one admit-and-evict cycle.
+// allocs/op count exactly one admit-and-evict cycle (TestAdmitAllocBudget
+// gates the count).
 func BenchmarkAdmitFromCheckpoint(b *testing.B) {
-	const id = "bench-ckpt"
-	cfg := testConfig("")
-	cfg.Shards = 1
-	cfg.Backend = checkpointedBackend(b, cfg, []string{id})
-	f, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := f.shards[0]
+	s, cycle := admitCycle(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.admit(id); err != nil {
-			b.Fatal(err)
-		}
-		if err := s.evictNow(id); err != nil {
-			b.Fatal(err)
-		}
+		cycle()
 	}
 	b.StopTimer()
 	if s.stats.Recovered != b.N {

@@ -191,6 +191,8 @@ type Fleet struct {
 	cfg     Config
 	backend store.Backend
 	shards  []*shard
+	// acts interns the households' activities (see activityTable).
+	acts activityTable
 
 	// state is the lifecycle flag, atomic so the per-event Deliver fast
 	// path does not serialize every caller through a mutex.
@@ -717,7 +719,7 @@ func (s *shard) admit(household string) (*Tenant, error) {
 	if cfg.LEDs == nil && s.f.cfg.LEDs != nil {
 		cfg.LEDs = s.f.cfg.LEDs(household)
 	}
-	t, recovered, err := newTenant(household, cfg, s.f.backend, s.known[household])
+	t, recovered, err := newTenant(household, cfg, &s.f.acts, s.f.backend, s.known[household])
 	if err != nil {
 		return nil, err
 	}

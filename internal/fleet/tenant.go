@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"coreda"
@@ -28,11 +29,9 @@ type Tenant struct {
 	// System is the stack for the household's instrumented activity.
 	System *coreda.System
 
-	activity *coreda.Activity
-	// enc is the routine set in its on-disk form, encoded once at
-	// admission: routines never change after admission, so incremental
-	// checkpoints reuse this instead of re-encoding per save.
-	enc store.EncodedRoutines
+	// act is the household's activity and its encoded routine, shared
+	// read-only with every tenant that runs an equal activity.
+	act *sharedActivity
 	// tables/states are the one-element scratch slices handed to the
 	// saver, so a checkpoint does not allocate its argument slices.
 	tables [1]*rl.QTable
@@ -70,14 +69,85 @@ const (
 	recoveredError
 )
 
-// newTenant builds the household stack and restores its checkpoint from
-// the backend if one exists. tryLoad false skips the restore outright —
-// the caller (the shard's known-checkpoint set) already knows no blob
-// exists, so a first-contact admission costs zero storage probes.
-func newTenant(id string, cfg coreda.SystemConfig, b store.Backend, tryLoad bool) (*Tenant, recovery, error) {
+// sharedActivity is one activity together with what is derived from it
+// alone: its canonical routine in on-disk form. Routines never change
+// after admission, so incremental checkpoints reuse the encoding instead
+// of re-encoding per save.
+type sharedActivity struct {
+	activity *coreda.Activity
+	enc      store.EncodedRoutines
+}
+
+func newSharedActivity(a *coreda.Activity) *sharedActivity {
+	return &sharedActivity{
+		activity: a,
+		enc:      store.EncodeRoutines([]adl.Routine{a.CanonicalRoutine()}),
+	}
+}
+
+// activityTable interns the activities a fleet's households run, one
+// entry per activity name. Every household usually runs the same
+// activity, yet Config.NewSystem may build a fresh copy for each; the
+// table lets all of them share one copy and one encoded routine.
+//
+// Interned activities are read-only: tenants on every shard read them
+// concurrently, and nothing may write to one after it is interned.
+type activityTable struct {
+	mu     sync.Mutex
+	byName map[string]*sharedActivity
+}
+
+// intern returns the shared entry for a. The same pointer or an equal
+// activity gets the interned entry; the first activity seen under a name
+// is validated and becomes that entry. A same-named activity with
+// different content is not interned: it gets a private entry, so the
+// household keeps its own activity and its own encoding. Entries never
+// change once added, so they are compared and encoded outside the lock.
+func (t *activityTable) intern(a *coreda.Activity) (*sharedActivity, error) {
+	t.mu.Lock()
+	e, ok := t.byName[a.Name]
+	t.mu.Unlock()
+	if !ok {
+		if err := a.Validate(); err != nil {
+			return nil, err
+		}
+		e = t.add(newSharedActivity(a))
+	}
+	if e.activity.Equal(a) { // pointer-equal activities return at once
+		return e, nil
+	}
+	return newSharedActivity(a), nil
+}
+
+// add interns e unless its name is taken (another shard interned the
+// name first) and returns the table's entry for the name.
+func (t *activityTable) add(e *sharedActivity) *sharedActivity {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if prev, ok := t.byName[e.activity.Name]; ok {
+		return prev
+	}
+	if t.byName == nil {
+		t.byName = make(map[string]*sharedActivity)
+	}
+	t.byName[e.activity.Name] = e
+	return e
+}
+
+// newTenant builds the household stack on the activity interned in acts
+// and restores its checkpoint from the backend if one exists. tryLoad
+// false skips the restore outright — the caller (the shard's
+// known-checkpoint set) already knows no blob exists, so a first-contact
+// admission costs zero storage probes.
+func newTenant(id string, cfg coreda.SystemConfig, acts *activityTable, b store.Backend, tryLoad bool) (*Tenant, recovery, error) {
 	if cfg.Activity == nil {
 		return nil, 0, fmt.Errorf("fleet: NewSystem config for %q has no activity", id)
 	}
+	act, err := acts.intern(cfg.Activity)
+	if err != nil {
+		return nil, 0, err
+	}
+	cfg.Activity = act.activity
 	sched := sim.New()
 	hub := coreda.NewHub(sched)
 	sys, err := hub.Add(cfg)
@@ -85,13 +155,12 @@ func newTenant(id string, cfg coreda.SystemConfig, b store.Backend, tryLoad bool
 		return nil, 0, err
 	}
 	t := &Tenant{
-		ID:       id,
-		Sched:    sched,
-		Hub:      hub,
-		System:   sys,
-		activity: cfg.Activity,
-		enc:      store.EncodeRoutines([]adl.Routine{cfg.Activity.CanonicalRoutine()}),
-		dueIdx:   -1,
+		ID:     id,
+		Sched:  sched,
+		Hub:    hub,
+		System: sys,
+		act:    act,
+		dueIdx: -1,
 	}
 	if !tryLoad {
 		return t, recoveredFresh, nil
@@ -119,8 +188,8 @@ func (t *Tenant) load(b store.Backend) error {
 	if err := store.LoadCheckpoint(b, t.ID, &c); err != nil {
 		return err
 	}
-	if c.Activity != t.activity.Name {
-		return fmt.Errorf("fleet: checkpoint %s is for activity %q, tenant runs %q", t.ID, c.Activity, t.activity.Name)
+	if c.Activity != t.act.activity.Name {
+		return fmt.Errorf("fleet: checkpoint %s is for activity %q, tenant runs %q", t.ID, c.Activity, t.act.activity.Name)
 	}
 	if len(c.Policies) != 1 {
 		return fmt.Errorf("fleet: checkpoint %s has %d policies, want 1", t.ID, len(c.Policies))
@@ -147,5 +216,5 @@ func (t *Tenant) save(b store.Backend, sv *store.MultiSaver, fsync bool) error {
 	p := t.System.Planner()
 	t.tables[0] = p.Table()
 	t.states[0] = store.TrainState{Episodes: p.Episodes, Epsilon: p.Epsilon()}
-	return sv.Save(b, t.ID, t.ID, t.activity.Name, t.enc, t.tables[:], t.states[:], fsync)
+	return sv.Save(b, t.ID, t.ID, t.act.activity.Name, t.act.enc, t.tables[:], t.states[:], fsync)
 }

@@ -30,39 +30,39 @@ type Action int
 // stop rescanning whole action rows. The cache reproduces the rescan's
 // tie-break (lowest action index among maxima) exactly, so greedy
 // behaviour — and every experiment number derived from it — is unchanged.
+//
+// The cache is one int32 per state: the winner's value is always
+// q[s*actions+bestA[s]], so it is read from the table rather than kept
+// twice, and -1 marks a stale entry.
 type QTable struct {
 	states  int
 	actions int
 	q       []float64
 
-	bestA []Action  // cached greedy action per state (valid unless stale)
-	bestV []float64 // cached greedy value per state
-	stale []bool
+	bestA []int32 // cached greedy action per state; staleBest when unknown
 }
+
+// staleBest marks a bestA entry that must be rescanned.
+const staleBest = -1
 
 // NewQTable allocates a table of the given shape with every entry set to
 // init. Optimistic initialization (init > 0) encourages systematic early
 // exploration.
 func NewQTable(states, actions int, init float64) *QTable {
-	if states <= 0 || actions <= 0 {
+	if states <= 0 || actions <= 0 || actions > math.MaxInt32 {
 		panic(fmt.Sprintf("rl: invalid QTable shape %dx%d", states, actions))
 	}
 	t := &QTable{
 		states:  states,
 		actions: actions,
 		q:       make([]float64, states*actions),
-		bestA:   make([]Action, states),
-		bestV:   make([]float64, states),
+		bestA:   make([]int32, states), // every row is uniform: action 0 wins the tie
 	}
 	if init != 0 {
 		for i := range t.q {
 			t.q[i] = init
 		}
-		for s := range t.bestV {
-			t.bestV[s] = init
-		}
 	}
-	t.stale = make([]bool, states)
 	return t
 }
 
@@ -84,34 +84,37 @@ func (t *QTable) Get(s State, a Action) float64 { return t.q[t.idx(s, a)] }
 
 // Set assigns Q(s,a).
 func (t *QTable) Set(s State, a Action, v float64) {
-	t.q[t.idx(s, a)] = v
-	t.note(s, a, v)
+	i := t.idx(s, a)
+	old := t.q[i]
+	t.q[i] = v
+	t.note(s, a, old, v)
 }
 
 // Add increments Q(s,a) by delta.
 func (t *QTable) Add(s State, a Action, delta float64) {
 	i := t.idx(s, a)
+	old := t.q[i]
 	t.q[i] += delta
-	t.note(s, a, t.q[i])
+	t.note(s, a, old, t.q[i])
 }
 
-// note maintains the argmax cache after Q(s,a) became v. The only write
-// that can demote the cached winner is lowering its own value; everything
-// else either promotes (strictly greater, or equal at a lower index — the
-// rescan's tie-break) or leaves the winner alone.
-func (t *QTable) note(s State, a Action, v float64) {
-	if t.stale[s] {
-		return
-	}
+// note maintains the argmax cache after Q(s,a) went from old to v. The
+// only write that can demote the cached winner is lowering its own value
+// (old was the best value); everything else either promotes (strictly
+// greater, or equal at a lower index — the rescan's tie-break) or leaves
+// the winner alone.
+func (t *QTable) note(s State, a Action, old, v float64) {
+	b := t.bestA[s]
 	switch {
-	case a == t.bestA[s]:
-		if v < t.bestV[s] {
-			t.stale[s] = true
-		} else {
-			t.bestV[s] = v
+	case b == staleBest:
+	case Action(b) == a:
+		if v < old {
+			t.bestA[s] = staleBest
 		}
-	case v > t.bestV[s] || (v == t.bestV[s] && a < t.bestA[s]):
-		t.bestA[s], t.bestV[s] = a, v
+	default:
+		if bv := t.q[int(s)*t.actions+int(b)]; v > bv || (v == bv && a < Action(b)) {
+			t.bestA[s] = int32(a)
+		}
 	}
 }
 
@@ -119,8 +122,8 @@ func (t *QTable) note(s State, a Action, v float64) {
 // lowest action index, so greedy behaviour is deterministic.
 func (t *QTable) Best(s State) (Action, float64) {
 	base := t.idx(s, 0)
-	if !t.stale[s] {
-		return t.bestA[s], t.bestV[s]
+	if b := t.bestA[s]; b != staleBest {
+		return Action(b), t.q[base+int(b)]
 	}
 	bestA, bestV := Action(0), t.q[base]
 	for a := 1; a < t.actions; a++ {
@@ -128,7 +131,7 @@ func (t *QTable) Best(s State) (Action, float64) {
 			bestA, bestV = Action(a), v
 		}
 	}
-	t.bestA[s], t.bestV[s], t.stale[s] = bestA, bestV, false
+	t.bestA[s] = int32(bestA)
 	return bestA, bestV
 }
 
@@ -144,9 +147,7 @@ func (t *QTable) Clone() *QTable {
 		states:  t.states,
 		actions: t.actions,
 		q:       append([]float64(nil), t.q...),
-		bestA:   append([]Action(nil), t.bestA...),
-		bestV:   append([]float64(nil), t.bestV...),
-		stale:   append([]bool(nil), t.stale...),
+		bestA:   append([]int32(nil), t.bestA...),
 	}
 }
 
@@ -181,8 +182,8 @@ func (t *QTable) SetValues(v []float64) error {
 		return fmt.Errorf("rl: SetValues with %d values, table holds %d", len(v), len(t.q))
 	}
 	copy(t.q, v)
-	for s := range t.stale {
-		t.stale[s] = true
+	for s := range t.bestA {
+		t.bestA[s] = staleBest
 	}
 	return nil
 }

@@ -43,10 +43,13 @@ func TestQTableGreedyTieBreaksLow(t *testing.T) {
 	}
 }
 
-// TestQTableBestCacheMatchesRescan drives a table through random writes
-// and checks after every one that the cached argmax equals a from-scratch
-// rescan with the lowest-index tie-break — the invariant that keeps every
-// experiment number identical to the uncached implementation.
+// TestQTableBestCacheMatchesRescan drives a table and its clones through
+// random writes — Set, Add, whole-table SetValues, and Clone in both
+// directions — and checks after every one that each table's cached
+// argmax equals a from-scratch rescan with the lowest-index tie-break,
+// the invariant that keeps every experiment number identical to the
+// uncached implementation. A clone's cache is checked on its own: writes
+// to the source must never show through it, nor the reverse.
 func TestQTableBestCacheMatchesRescan(t *testing.T) {
 	const states, actions = 7, 5
 	rescan := func(q *QTable, s State) (Action, float64) {
@@ -58,25 +61,76 @@ func TestQTableBestCacheMatchesRescan(t *testing.T) {
 		}
 		return bestA, bestV
 	}
+	// check reports a cached argmax that disagrees with the rescan; where
+	// names the table and the write it follows.
+	check := func(q *QTable, s State, where ...any) bool {
+		wantA, wantV := rescan(q, s)
+		gotA, gotV := q.Best(s)
+		if gotA != wantA || gotV != wantV {
+			t.Logf("%v state %d: cached (%d,%v), rescan (%d,%v)", where, s, gotA, gotV, wantA, wantV)
+			return false
+		}
+		return true
+	}
+
+	// The winner lowered to an exact tie: with a lower-index rival the
+	// rival takes over, with only higher-index rivals the winner keeps
+	// its place.
+	for _, tc := range []struct {
+		row   []float64
+		lower float64
+		want  Action
+	}{
+		{row: []float64{3, 5, 3, 0, 0}, lower: 3, want: 0},
+		{row: []float64{1, 5, 3, 3, 0}, lower: 3, want: 1},
+		{row: []float64{1, 5, 3, 3, 0}, lower: 2, want: 2},
+	} {
+		q := NewQTable(1, actions, 0)
+		for a, v := range tc.row {
+			q.Set(0, Action(a), v)
+		}
+		if a, _ := q.Best(0); a != 1 {
+			t.Fatalf("row %v: best %d before lowering, want 1", tc.row, a)
+		}
+		q.Set(0, 1, tc.lower)
+		if a, _ := q.Best(0); a != tc.want {
+			t.Errorf("row %v, winner lowered to %v: best action %d, want %d", tc.row, tc.lower, a, tc.want)
+		}
+	}
+
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		q := NewQTable(states, actions, float64(rng.Intn(3)))
+		tables := [2]*QTable{NewQTable(states, actions, float64(rng.Intn(3)))}
+		tables[1] = tables[0].Clone()
+		vals := make([]float64, states*actions)
 		for i := 0; i < 500; i++ {
+			k := rng.Intn(2)
+			q := tables[k]
 			s := State(rng.Intn(states))
 			a := Action(rng.Intn(actions))
 			// Small integer steps force frequent exact ties.
 			v := float64(rng.Intn(7) - 3)
-			if rng.Intn(2) == 0 {
+			switch op := rng.Intn(20); {
+			case op == 0:
+				for j := range vals {
+					vals[j] = float64(rng.Intn(5))
+				}
+				if err := q.SetValues(vals); err != nil {
+					t.Fatal(err)
+				}
+			case op == 1:
+				// Replace the other table with a clone of this one, so
+				// stale and fresh cache entries alike are copied.
+				tables[1-k] = q.Clone()
+			case op < 11:
 				q.Set(s, a, v)
-			} else {
+			default:
 				q.Add(s, a, v)
 			}
-			checkS := State(rng.Intn(states))
-			wantA, wantV := rescan(q, checkS)
-			gotA, gotV := q.Best(checkS)
-			if gotA != wantA || gotV != wantV {
-				t.Logf("seed %d step %d state %d: cached (%d,%v), rescan (%d,%v)", seed, i, checkS, gotA, gotV, wantA, wantV)
-				return false
+			for j, q := range tables {
+				if !check(q, State(rng.Intn(states)), "seed", seed, "step", i, "table", j) {
+					return false
+				}
 			}
 		}
 		return true

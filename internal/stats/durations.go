@@ -13,12 +13,13 @@ import (
 // Durations is safe for concurrent use.
 type Durations struct {
 	mu sync.Mutex
-	m  map[uint32]*Running
+	m  map[uint32]*Running // built on the first Observe
 }
 
-// NewDurations returns an empty tracker.
+// NewDurations returns an empty tracker. An empty tracker holds no map,
+// so the idle households of a fleet pay nothing for one.
 func NewDurations() *Durations {
-	return &Durations{m: make(map[uint32]*Running)}
+	return &Durations{}
 }
 
 // Observe records one usage duration for a key.
@@ -27,6 +28,9 @@ func (d *Durations) Observe(key uint32, dur time.Duration) {
 	defer d.mu.Unlock()
 	r, ok := d.m[key]
 	if !ok {
+		if d.m == nil {
+			d.m = make(map[uint32]*Running)
+		}
 		r = &Running{}
 		d.m[key] = r
 	}

@@ -32,13 +32,14 @@ go test -race ./...
 # the race detector (its instrumentation allocates), so they are
 # enforced by an explicit no-race pass over the serving packages:
 # the wire codec, the timer core and lazily seeded random streams, the
-# shard ingest + clock-pump loops, the live heap of an admitted
-# household, the node client's report path, and the CKPT checkpoint
-# codec. The hotalloc analyzer rides in the same phase — it names the
-# escaping expression when a //coreda:hotpath function regresses, which
-# an AllocsPerRun count never does.
+# shard ingest + clock-pump loops, the live heap and the allocations of
+# an admitted household (activity comparison and validation included),
+# the node client's report path, and the CKPT checkpoint codec. The
+# hotalloc analyzer rides in the same phase — it names the escaping
+# expression when a //coreda:hotpath function regresses, which an
+# AllocsPerRun count never does.
 echo "== alloc budgets (no race)"
-go test -run 'Alloc' ./internal/wire/ ./internal/sim/ ./internal/fleet/ ./internal/rtbridge/ ./internal/store/
+go test -run 'Alloc' ./internal/adl/ ./internal/wire/ ./internal/sim/ ./internal/fleet/ ./internal/rtbridge/ ./internal/store/
 go run ./cmd/coreda-vet -only hotalloc ./...
 
 # Advance parity gate: the due-time tenant index must be observationally

@@ -128,7 +128,7 @@ type SystemStats struct {
 // It is single-threaded: drive it from a sim.Scheduler (simulation) or a
 // single gateway goroutine (deployment).
 type System struct {
-	cfg     SystemConfig
+	cfg     systemSettings
 	sched   *sim.Scheduler
 	sensing *sensing.Subsystem
 	planner *core.Planner
@@ -148,10 +148,32 @@ type System struct {
 
 	// offline marks tools whose sensor node the gateway supervision has
 	// declared dead; reminders about them escalate and, optionally, blind
-	// steps are presumed done (graceful degradation).
+	// steps are presumed done (graceful degradation). It is built on the
+	// first offline report: a healthy household holds no map.
 	offline map[ToolID]bool
 
 	stats SystemStats
+}
+
+// systemSettings is the part of a SystemConfig a running System reads:
+// the activity, the user name, the mode and skip flags, and the
+// callbacks. The subsystem configs, the seed and the LED sink are
+// consumed by NewSystem's constructors, so a resident System does not
+// carry them.
+type systemSettings struct {
+	Activity         *Activity
+	UserName         string
+	DefaultMode      Mode
+	KeepLearning     bool
+	AssumeBlindSteps bool
+	InferSkips       bool
+
+	OnSessionStart func(Mode)
+	OnStep         func(StepEvent)
+	OnReminder     func(Reminder)
+	OnPraise       func(Praise)
+	OnAlert        func(CaregiverAlert)
+	OnComplete     func()
 }
 
 // display adapts the System's callbacks to the reminding.Display
@@ -184,15 +206,26 @@ func NewSystem(cfg SystemConfig, sched *sim.Scheduler) (*System, error) {
 	if cfg.Activity == nil {
 		return nil, fmt.Errorf("coreda: SystemConfig.Activity is required")
 	}
-	if err := cfg.Activity.Validate(); err != nil {
-		return nil, err
-	}
 	s := &System{
-		cfg:     cfg,
-		sched:   sched,
-		offline: make(map[ToolID]bool),
+		cfg: systemSettings{
+			Activity:         cfg.Activity,
+			UserName:         cfg.UserName,
+			DefaultMode:      cfg.DefaultMode,
+			KeepLearning:     cfg.KeepLearning,
+			AssumeBlindSteps: cfg.AssumeBlindSteps,
+			InferSkips:       cfg.InferSkips,
+			OnSessionStart:   cfg.OnSessionStart,
+			OnStep:           cfg.OnStep,
+			OnReminder:       cfg.OnReminder,
+			OnPraise:         cfg.OnPraise,
+			OnAlert:          cfg.OnAlert,
+			OnComplete:       cfg.OnComplete,
+		},
+		sched: sched,
 	}
 
+	// The planner validates the activity (its state codec needs a
+	// well-formed one), so it is built first and the check runs once.
 	planner, err := core.NewPlanner(cfg.Activity, cfg.Planner, sim.RNG(cfg.Seed, "planner"))
 	if err != nil {
 		return nil, err
@@ -271,6 +304,9 @@ func (s *System) SetToolOnline(tool ToolID, online bool) {
 			Recovered: true,
 		})
 		return
+	}
+	if s.offline == nil {
+		s.offline = make(map[ToolID]bool)
 	}
 	s.offline[tool] = true
 	s.stats.DegradedEvents++
