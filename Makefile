@@ -42,14 +42,16 @@ bench:
 experiments:
 	$(GO) run ./cmd/coreda-bench
 
-# Regenerate the soak goldens scripts/check.sh diffs against: the
-# 1000-household fleet soak, the cluster soak and the idle-advance probe.
-# Only for a change meant to alter what households learn; the diff of
-# scripts/golden/ is then part of the change.
+# Regenerate the goldens scripts/check.sh diffs against: the
+# 1000-household fleet soak, the cluster soak, the idle-advance probe,
+# and per-package statement coverage of the race-enabled test run. Only
+# for a change meant to alter what households learn or what the tests
+# cover; the diff of scripts/golden/ is then part of the change.
 golden:
 	$(GO) run ./cmd/coreda-bench -households 1000 fleet > scripts/golden/fleet.txt
 	$(GO) run ./cmd/coreda-bench -cluster-households 24 -cluster-sessions 4 cluster > scripts/golden/cluster.txt
 	$(GO) run ./cmd/coreda-bench -households 10000 -idle-active 100 -idle-ticks 2000 -fleet-shards 1 fleetidle > scripts/golden/fleetidle.txt
+	out=$$($(GO) test -race -cover ./...) && echo "$$out" | awk -f scripts/coverage.awk > scripts/golden/coverage.txt
 
 examples:
 	$(GO) run ./examples/quickstart

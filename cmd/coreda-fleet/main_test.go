@@ -108,7 +108,7 @@ func driveSession(t *testing.T, addr, household string) {
 			t.Fatal(err)
 		}
 		defer n.Close()
-		if err := n.Hello(household); err != nil {
+		if err := n.HelloWait(household, 5*time.Second); err != nil {
 			t.Fatal(err)
 		}
 		nodes[adl.ToolOf(step)] = n
@@ -319,7 +319,7 @@ func TestFleetRecoversAfterSIGKILLDuringCheckpointChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	if err := n.Hello("kill-9"); err != nil {
+	if err := n.HelloWait("kill-9", 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.UseStart(time.Second, 5); err != nil {

@@ -10,8 +10,11 @@
 //	            [-heartbeat 10s] [-household tanaka-42]
 //
 // -household opens every node connection with a hello frame naming the
-// household the fleet routes on; without it the nodes are served as the
-// fleet's -default-household.
+// household the fleet routes on and waits for the fleet's answer; a
+// cluster member that does not own the household answers with a
+// redirect, and the node reconnects to the owning peer. Without
+// -household the nodes send no hello and are served as the fleet's
+// -default-household.
 //
 // speed scales the pacing: at -speed 10 a 4-second gesture takes 0.4
 // wall-clock seconds (use the same factor as the server).
@@ -52,6 +55,10 @@ func main() {
 	}
 }
 
+// helloTimeout bounds the wall-clock wait for the fleet's answer to a
+// node's hello.
+const helloTimeout = 5 * time.Second
+
 // prompt is what the user perceives from the LEDs: which tool lit green.
 type prompt struct {
 	tool     adl.ToolID
@@ -76,7 +83,7 @@ func run(addr, activityName, activityFile, household string, sessions int, sever
 	nodes := map[adl.ToolID]*rtbridge.NodeClient{}
 	for _, id := range adl.SortedToolIDs(activity.Tools) {
 		id := id
-		n, err := rtbridge.DialNode(addr, uint16(id), func(e rtbridge.LEDEvent) {
+		onLED := func(e rtbridge.LEDEvent) {
 			name := toolName(activity, id)
 			fmt.Printf("  [node %d] %s LED blinks x%d on %s\n", id, e.Color, e.Blinks, name)
 			if e.Color == wire.LEDGreen && e.Blinks > 0 {
@@ -85,16 +92,17 @@ func run(addr, activityName, activityFile, household string, sessions int, sever
 				default:
 				}
 			}
-		})
+		}
+		var n *rtbridge.NodeClient
+		if household != "" {
+			n, err = rtbridge.DialCluster(addr, household, uint16(id), onLED, helloTimeout)
+		} else {
+			n, err = rtbridge.DialNode(addr, uint16(id), onLED)
+		}
 		if err != nil {
 			return fmt.Errorf("dial node %d: %w", id, err)
 		}
 		defer n.Close()
-		if household != "" {
-			if err := n.Hello(household); err != nil {
-				return fmt.Errorf("hello from node %d: %w", id, err)
-			}
-		}
 		nodes[id] = n
 	}
 

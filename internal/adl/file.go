@@ -108,30 +108,3 @@ func LoadActivityFile(path string) (*Activity, error) {
 	defer f.Close()
 	return ReadActivity(f)
 }
-
-// WriteActivity serializes an activity to the file schema.
-func WriteActivity(w io.Writer, a *Activity) error {
-	if err := a.Validate(); err != nil {
-		return err
-	}
-	f := ActivityFile{Name: a.Name}
-	// Emit tools in step order for stable, review-friendly output.
-	for _, s := range a.Steps {
-		t := a.Tools[s.Tool]
-		f.Tools = append(f.Tools, ToolFile{
-			ID:      uint16(t.ID),
-			Name:    t.Name,
-			Sensor:  t.Sensor.String(),
-			Picture: t.Picture,
-		})
-		f.Steps = append(f.Steps, StepFile{
-			Name:      s.Name,
-			Tool:      uint16(s.Tool),
-			Duration:  s.TypicalDuration.String(),
-			Intensity: s.Intensity,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
-}

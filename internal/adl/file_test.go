@@ -2,6 +2,8 @@ package adl
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,9 +69,9 @@ func TestReadActivityRejectsBadInput(t *testing.T) {
 }
 
 func TestActivityFileRoundTrip(t *testing.T) {
-	for _, orig := range Library() {
+	for _, orig := range library() {
 		var buf bytes.Buffer
-		if err := WriteActivity(&buf, orig); err != nil {
+		if err := writeActivity(&buf, orig); err != nil {
 			t.Fatalf("%s: write: %v", orig.Name, err)
 		}
 		loaded, err := ReadActivity(&buf)
@@ -121,4 +123,32 @@ func TestParseSensorKind(t *testing.T) {
 	if _, err := ParseSensorKind("sonar"); err == nil {
 		t.Error("unknown sensor accepted")
 	}
+}
+
+// writeActivity serializes an activity to the file schema, the inverse
+// of ReadActivity.
+func writeActivity(w io.Writer, a *Activity) error {
+	if err := a.Validate(); err != nil {
+		return err
+	}
+	f := ActivityFile{Name: a.Name}
+	// Emit tools in step order for stable, review-friendly output.
+	for _, s := range a.Steps {
+		t := a.Tools[s.Tool]
+		f.Tools = append(f.Tools, ToolFile{
+			ID:      uint16(t.ID),
+			Name:    t.Name,
+			Sensor:  t.Sensor.String(),
+			Picture: t.Picture,
+		})
+		f.Steps = append(f.Steps, StepFile{
+			Name:      s.Name,
+			Tool:      uint16(s.Tool),
+			Duration:  s.TypicalDuration.String(),
+			Intensity: s.Intensity,
+		})
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(f)
 }

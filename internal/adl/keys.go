@@ -15,14 +15,3 @@ func SortedToolIDs[V any](m map[ToolID]V) []ToolID {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
-
-// SortedStepIDs returns the keys of a step-keyed map in ascending order.
-// See SortedToolIDs.
-func SortedStepIDs[V any](m map[StepID]V) []StepID {
-	ids := make([]StepID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id) //coreda:vet-ignore toolidmap keys are sorted before return
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}

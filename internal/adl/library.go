@@ -141,8 +141,3 @@ func Dressing() *Activity {
 	}
 	return a
 }
-
-// Library returns every activity in the standard library.
-func Library() []*Activity {
-	return []*Activity{ToothBrushing(), TeaMaking(), HandWashing(), Medication(), Dressing()}
-}

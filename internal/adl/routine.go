@@ -2,7 +2,6 @@ package adl
 
 import (
 	"fmt"
-	"math/rand"
 )
 
 // Routine is one user's personal step order for an activity. The paper's
@@ -79,15 +78,6 @@ func (r Routine) Validate(a *Activity) error {
 		seen[id] = true
 	}
 	return nil
-}
-
-// ShuffledRoutine returns a random permutation of the activity's canonical
-// steps, drawn from rng. It is used to generate distinct personal routines
-// for simulated users.
-func ShuffledRoutine(a *Activity, rng *rand.Rand) Routine {
-	r := a.CanonicalRoutine()
-	rng.Shuffle(len(r), func(i, j int) { r[i], r[j] = r[j], r[i] })
-	return r
 }
 
 // EditDistance returns the Levenshtein distance between two step

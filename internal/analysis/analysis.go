@@ -8,7 +8,8 @@
 // fleet-era runtime invariants: tenant state only touched from its owning
 // shard loop (shardaffinity), no mutex held across blocking calls on
 // serve paths (lockheld), no heap escapes in //coreda:hotpath functions
-// (hotalloc), and no stale suppression directives (ignorecheck).
+// (hotalloc), no production declaration that only tests reference
+// (testonly), and no stale suppression directives (ignorecheck).
 //
 // The suite is built on the standard library only (go/ast, go/parser,
 // go/types, plus `go list -json` shelling for package discovery), keeping
@@ -21,11 +22,13 @@
 //	//coreda:vet-ignore <analyzer> <reason>
 //
 // The analyzer name must match exactly ("all" suppresses every analyzer)
-// and a reason is required. Directives are themselves audited by the
-// ignorecheck analyzer: a reasonless directive, an unknown analyzer name,
-// or a directive that no longer suppresses anything is a finding (the
-// last with a ready-made deletion Fix). Ignorecheck findings cannot be
-// suppressed.
+// and a reason is required. A directive directly above a file's package
+// clause covers the whole package, for a package whose every declaration
+// shares one reason (a test harness by design, under testonly).
+// Directives are themselves audited by the ignorecheck analyzer: a
+// reasonless directive, an unknown analyzer name, or a directive that no
+// longer suppresses anything is a finding (the last with a ready-made
+// deletion Fix). Ignorecheck findings cannot be suppressed.
 package analysis
 
 import (
@@ -96,6 +99,8 @@ type Pass struct {
 	// failed; NeedsTypes analyzers are not run in that case.
 	TypesPkg  *types.Package
 	TypesInfo *types.Info
+	// Program is the whole program the package belongs to, or nil.
+	Program *Program
 
 	findings *[]Finding
 	// directives and ran are populated only for the ignorecheck pass,
@@ -137,6 +142,7 @@ var All = []*Analyzer{
 	ShardAffinity,
 	LockHeld,
 	HotAlloc,
+	TestOnly,
 	IgnoreCheck,
 }
 
@@ -202,6 +208,7 @@ func newPass(a *Analyzer, pkg *Package, findings *[]Finding) *Pass {
 		ImportPath: pkg.ImportPath,
 		TypesPkg:   pkg.TypesPkg,
 		TypesInfo:  pkg.TypesInfo,
+		Program:    pkg.Program,
 		findings:   findings,
 	}
 }
@@ -241,6 +248,7 @@ type directive struct {
 	end      token.Position // one past the comment text
 	analyzer string         // specific analyzer name, or "all"; "" if absent
 	reason   bool           // a reason string follows the analyzer name
+	pkgScope bool           // sits on or above the package clause: covers the package
 	used     bool           // the directive suppressed at least one finding
 }
 
@@ -249,6 +257,7 @@ type directive struct {
 func collectDirectives(pkg *Package) []*directive {
 	var dirs []*directive
 	for _, f := range pkg.Files {
+		pkgLine := pkg.Fset.Position(f.Package).Line
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
@@ -260,6 +269,7 @@ func collectDirectives(pkg *Package) []*directive {
 					pos: pkg.Fset.Position(c.Pos()),
 					end: pkg.Fset.Position(c.End()),
 				}
+				d.pkgScope = d.pos.Line == pkgLine || d.pos.Line == pkgLine-1
 				if len(fields) > 0 {
 					d.analyzer = fields[0]
 					d.reason = len(fields) > 1
@@ -272,13 +282,14 @@ func collectDirectives(pkg *Package) []*directive {
 }
 
 // suppressing returns the first reasoned directive covering the finding
-// (same line or the line above), or nil.
+// (same line, the line above, or package scope), or nil.
 func suppressing(dirs []*directive, f Finding) *directive {
 	for _, d := range dirs {
-		if !d.reason || d.pos.Filename != f.Pos.Filename {
+		if !d.reason {
 			continue
 		}
-		if d.pos.Line != f.Pos.Line && d.pos.Line != f.Pos.Line-1 {
+		sameLine := d.pos.Filename == f.Pos.Filename && (d.pos.Line == f.Pos.Line || d.pos.Line == f.Pos.Line-1)
+		if !sameLine && !d.pkgScope {
 			continue
 		}
 		if d.analyzer == f.Analyzer || d.analyzer == "all" {

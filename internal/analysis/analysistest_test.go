@@ -112,9 +112,22 @@ func TestAnalyzers(t *testing.T) {
 	}
 }
 
+// TestTestOnly runs testonly over its fixture as one package of a
+// two-package program: the fixture, checked as an internal package, and
+// a root package (import path "coreda") that calls into it and aliases
+// one of its types. Stale testonly directives are ignorecheck's to flag.
+func TestTestOnly(t *testing.T) {
+	t.Parallel()
+	pkg := loadFixture(t, "testonly", "coreda/internal/testonly", true)
+	root := loadFixture(t, "testonly_root", "coreda", true, pkg)
+	pkg.Program = &Program{loaded: true, pkgs: []*Package{pkg, root}}
+	checkWants(t, pkg, RunPackage(pkg, []*Analyzer{TestOnly, IgnoreCheck}))
+}
+
 // loadFixture parses (and optionally type-checks) testdata/src/<dir> as a
-// package with the given import path.
-func loadFixture(t *testing.T, dir, importPath string, needsTypes bool) *Package {
+// package with the given import path. Imports of a deps package's import
+// path resolve to that already checked package, so objects are shared.
+func loadFixture(t *testing.T, dir, importPath string, needsTypes bool, deps ...*Package) *Package {
 	t.Helper()
 	base := filepath.Join("testdata", "src", dir)
 	fset := token.NewFileSet()
@@ -138,6 +151,9 @@ func loadFixture(t *testing.T, dir, importPath string, needsTypes bool) *Package
 			root:  filepath.Join("testdata", "src"),
 			cache: map[string]*types.Package{},
 			std:   importer.ForCompiler(fset, "source", nil),
+		}
+		for _, d := range deps {
+			imp.cache[d.ImportPath] = d.TypesPkg
 		}
 		info := &types.Info{
 			Types: map[ast.Expr]types.TypeAndValue{},

@@ -9,6 +9,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
 	"os/exec"
 	"path/filepath"
 )
@@ -26,6 +27,46 @@ type Package struct {
 	// TypeErrs holds type-check diagnostics; analysis proceeds on the
 	// partial information go/types still produced.
 	TypeErrs []error
+	// Program is the whole program the package belongs to, for analyzers
+	// that judge a declaration by its references (testonly); nil when
+	// the package was loaded on its own.
+	Program *Program
+}
+
+// Program is every non-test package of a module plus those of the
+// consumer module nested in it (consumerModule), loaded on first use and
+// shared by all packages of one Loader run.
+type Program struct {
+	load   func() ([]*Package, error)
+	loaded bool
+	pkgs   []*Package
+	err    error
+	uses   *useIndex
+}
+
+// consumerModule is the nested module, relative to the module root, that
+// imports the module through a replace directive: its references count
+// as production uses.
+const consumerModule = "perfbench"
+
+// Packages loads (once) and returns the program's packages.
+func (p *Program) Packages() ([]*Package, error) {
+	if !p.loaded {
+		p.loaded = true
+		p.pkgs, p.err = p.load()
+	}
+	return p.pkgs, p.err
+}
+
+func (p *Program) useIndex() (*useIndex, error) {
+	if p.uses == nil {
+		pkgs, err := p.Packages()
+		if err != nil {
+			return nil, err
+		}
+		p.uses = buildUseIndex(pkgs)
+	}
+	return p.uses, nil
 }
 
 // listPkg is the subset of `go list -json` output the loader needs.
@@ -59,6 +100,8 @@ type Loader struct {
 	// a package currently being checked (import cycles resolve to the
 	// stdlib importer's error instead of recursing forever).
 	pkgs map[string]*Package
+	// programs holds one whole-program view per module root.
+	programs map[string]*Program
 }
 
 // NewLoader returns an empty loader with a fresh FileSet.
@@ -70,6 +113,7 @@ func NewLoader() *Loader {
 		universe: map[string]*listPkg{},
 		listed:   map[string]bool{},
 		pkgs:     map[string]*Package{},
+		programs: map[string]*Program{},
 	}
 }
 
@@ -80,7 +124,8 @@ func NewLoader() *Loader {
 // importer. Only the standard library is used.
 //
 // Patterns that match no packages are an error: a vet run over nothing
-// must not pass as a clean run.
+// must not pass as a clean run. dir must be the module root: it is also
+// the root of the whole program the returned packages belong to.
 func Load(dir string, patterns []string) ([]*Package, error) {
 	return NewLoader().Load(dir, patterns)
 }
@@ -119,12 +164,40 @@ func (l *Loader) Load(dir string, patterns []string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
+		if pkg.Program == nil {
+			pkg.Program = l.program(dir)
+		}
 		pkgs = append(pkgs, pkg)
 	}
 	if len(pkgs) == 0 {
 		return nil, fmt.Errorf("no Go packages matched %v", patterns)
 	}
 	return pkgs, nil
+}
+
+// program returns the whole-program view rooted at the module root dir:
+// ./... of the module, then ./... of the consumer module when present.
+func (l *Loader) program(dir string) *Program {
+	if p := l.programs[dir]; p != nil {
+		return p
+	}
+	p := &Program{load: func() ([]*Package, error) {
+		pkgs, err := l.Load(dir, []string{"./..."})
+		if err != nil {
+			return nil, err
+		}
+		sub := filepath.Join(dir, consumerModule)
+		if _, err := os.Stat(filepath.Join(sub, "go.mod")); err != nil {
+			return pkgs, nil
+		}
+		more, err := l.Load(sub, []string{"./..."})
+		if err != nil {
+			return nil, err
+		}
+		return append(pkgs, more...), nil
+	}}
+	l.programs[dir] = p
+	return p
 }
 
 // load parses and type-checks one module-local package (found in the

@@ -22,7 +22,7 @@ import (
 // end of the function — the `defer` + blocking-call pattern the analyzer
 // exists to catch. Blocking callees are recognized by package path and
 // name (net/os/bufio/io reads+writes, time.Sleep, sync.Wait, wire
-// Flush/WritePacket/ReadFrame/ReadPacket, all of store, parrun.Map) plus
+// Flush/WritePacket/ReadFrame, all of store, parrun.Map) plus
 // a same-package closure: any function in the analyzed package whose
 // body transitively contains a blocking operation is itself blocking, so
 // wrapping the socket write in a helper does not evade the check.
@@ -71,7 +71,7 @@ var lockBlockingNames = map[string]map[string]bool{
 	"time":  set("Sleep"),
 	"sync":  set("Wait"),
 
-	"coreda/internal/wire":   set("Flush", "WritePacket", "ReadFrame", "ReadPacket"),
+	"coreda/internal/wire":   set("Flush", "WritePacket", "ReadFrame"),
 	"coreda/internal/parrun": set("Map"),
 	// Drain blocks until every control job and Done callback has run —
 	// a synchronization point, never to be reached with a mutex held.

@@ -8,7 +8,8 @@ func TestSuiteComplete(t *testing.T) {
 	t.Parallel()
 	want := []string{
 		"nondeterminism", "rewardconst", "schedonly", "droppederr",
-		"toolidmap", "shardaffinity", "lockheld", "hotalloc", "ignorecheck",
+		"toolidmap", "shardaffinity", "lockheld", "hotalloc", "testonly",
+		"ignorecheck",
 	}
 	if len(All) != len(want) {
 		t.Fatalf("All has %d analyzers, want %d", len(All), len(want))
@@ -51,5 +52,22 @@ func TestRepoIsVetClean(t *testing.T) {
 	}
 	for _, f := range RunPackages(pkgs, All) {
 		t.Errorf("finding on clean repo: %s", f)
+	}
+
+	// testonly judged every declaration against the whole program: the
+	// module plus perfbench, whatever the vetted patterns were.
+	prog, err := pkgs[0].Program.Packages()
+	if err != nil {
+		t.Fatalf("loading the whole program: %v", err)
+	}
+	perfbench := false
+	for _, pkg := range prog {
+		perfbench = perfbench || pkg.ImportPath == "coreda/perfbench"
+		for _, e := range pkg.TypeErrs {
+			t.Errorf("%s: type error: %v", pkg.ImportPath, e)
+		}
+	}
+	if !perfbench {
+		t.Error("the testonly program does not include the perfbench module")
 	}
 }

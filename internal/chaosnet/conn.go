@@ -5,6 +5,8 @@
 // write sequence; only the timing side (stalls) touches the wall clock,
 // which is why this lives outside the chaos package's sim-scoped
 // determinism boundary.
+//
+//coreda:vet-ignore testonly a test harness by design: only _test.go files wrap conns with it
 package chaosnet
 
 import (

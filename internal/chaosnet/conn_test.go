@@ -22,9 +22,10 @@ func pump(t *testing.T, plan ConnPlan, n int) (decoded int, writeErr error) {
 	done := make(chan int)
 	go func() {
 		r := wire.NewReader(server)
+		var f wire.Frame
 		got := 0
 		for got < n {
-			if _, err := r.ReadPacket(); err != nil {
+			if err := r.ReadFrame(&f); err != nil {
 				break
 			}
 			got++

@@ -17,7 +17,7 @@ import (
 // NodeConfig parameterizes one cluster member.
 type NodeConfig struct {
 	// PeerAddr is this process's identity on the peer ring AND the
-	// address peers dial for replication/handoff traffic. It must appear
+	// address peers dial for replication traffic. It must appear
 	// verbatim in every member's Peers list.
 	PeerAddr string
 	// NodeAddr is the node-facing (rtbridge) address advertised in
@@ -44,14 +44,14 @@ type NodeConfig struct {
 	// backend publishes NodeDegraded/NodeRecovered on a peer's
 	// pending-push transitions, RemovePeer publishes PeerLost, and
 	// Start subscribes the node to WritebackFailed events (the fleet's
-	// failed eviction writebacks), folding them into Health.
+	// failed eviction writebacks), counting them as degraded.
 	Bus *notify.Bus
 }
 
 // Node is one cluster member: it owns the slot ranges the ring assigns
-// to its PeerAddr, serves peer traffic (replicas in, handoffs in/out,
-// range claims), replicates its own tenants' checkpoints outward, and
-// rebalances tenants when membership changes.
+// to its PeerAddr, serves peer traffic (replicas and range claims),
+// replicates its own tenants' checkpoints outward, and adopts a departed
+// peer's tenants when membership shrinks.
 //
 // Locking: mu guards only routing state (ring, epoch, link map, learned
 // addresses) and is never held across socket I/O — peer connections are
@@ -114,16 +114,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 // through.
 func (n *Node) Backend() *ReplicatingBackend { return n.rb }
 
-// AttachFleet wires the started fleet the node admits adopted and
-// handed-off tenants into.
+// AttachFleet wires the started fleet the node admits adopted tenants
+// into.
 func (n *Node) AttachFleet(f *fleet.Fleet) { n.f = f }
-
-// Epoch returns the current membership epoch.
-func (n *Node) Epoch() uint32 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.epoch
-}
 
 // Start begins serving peer traffic.
 func (n *Node) Start() error {
@@ -146,7 +139,7 @@ func (n *Node) Start() error {
 
 // WatchBus subscribes the node to bus's WritebackFailed events — fleet
 // eviction writebacks that failed after retries — and folds them into
-// Health's degraded accounting. The listener drains on its own
+// the node's degraded accounting. The listener drains on its own
 // goroutine (stopped by Close), so a busy node never blocks the
 // publishing shard loop; the bus drops instead of waiting. Start calls
 // this with NodeConfig.Bus; call it directly to watch a second bus
@@ -170,31 +163,6 @@ func (n *Node) WatchBus(bus *notify.Bus) {
 			n.mu.Unlock()
 		}
 	}()
-}
-
-// Health is the node's degraded-mode snapshot: what the operator (or a
-// supervising driver) reads to decide whether this member needs help.
-type Health struct {
-	// WritebackFailures counts WritebackFailed bus events observed —
-	// local eviction checkpoints that could not be written.
-	WritebackFailures int
-	// PendingPushes counts replica pushes owed to peers from failed
-	// barriers.
-	PendingPushes int
-	// DegradedPeers counts peers currently owed at least one push.
-	DegradedPeers int
-}
-
-// Health snapshots the node's degraded-mode accounting.
-func (n *Node) Health() Health {
-	n.mu.Lock()
-	wf := n.writebackFails
-	n.mu.Unlock()
-	return Health{
-		WritebackFailures: wf,
-		PendingPushes:     n.rb.Pending(),
-		DegradedPeers:     n.rb.DegradedPeers(),
-	}
 }
 
 // Close stops serving and closes every peer link.
@@ -272,14 +240,6 @@ func (n *Node) Route(household string) (addr string, local bool) {
 	// bounded retry surfaces a clean error instead of traffic silently
 	// dropping here.
 	return owner, false
-}
-
-// Owns reports whether this node owns the household under the current
-// ring.
-func (n *Node) Owns(household string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.ring.Owner(fleet.SlotOf(household)) == n.cfg.PeerAddr
 }
 
 // replicasFor is the ReplicatingBackend's route: the household's
@@ -393,50 +353,6 @@ func (n *Node) RemovePeer(dead string) ([]string, error) {
 	return adopted, nil
 }
 
-// AddPeer admits a joining peer and hands over every resident tenant
-// the new ring assigns to it: final fsynced checkpoint locally
-// (fleet.EvictNow), then the blob ships by Handoff. Returns the
-// handed-off household names.
-func (n *Node) AddPeer(joined string) ([]string, error) {
-	n.mu.Lock()
-	old := n.ring
-	next := NewRing(append(append([]string(nil), old.Peers()...), joined))
-	n.ring = next
-	n.epoch++
-	epoch := n.epoch
-	n.mu.Unlock()
-
-	var moved []string
-	err := n.cfg.Local.Enumerate(func(name string) {
-		if !fleet.ValidHousehold(name) {
-			return
-		}
-		if old.OwnerOf(name) == n.cfg.PeerAddr && next.OwnerOf(name) == joined {
-			moved = append(moved, name)
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("cluster: handoff scan: %w", err)
-	}
-	p := n.link(joined)
-	for _, name := range moved {
-		if n.f != nil {
-			if err := n.f.EvictNow(name); err != nil {
-				return moved, fmt.Errorf("cluster: handoff %s: evict: %w", name, err)
-			}
-		}
-		blob, err := n.cfg.Local.Get(name, nil)
-		if err != nil {
-			return moved, fmt.Errorf("cluster: handoff %s: read: %w", name, err)
-		}
-		if err := p.Handoff(name, blob, epoch); err != nil {
-			return moved, fmt.Errorf("cluster: handoff %s -> %s: %w", name, joined, err)
-		}
-	}
-	n.claimOwnedRanges(epoch)
-	return moved, nil
-}
-
 // claimOwnedRanges announces our slot ranges under the new epoch to
 // every peer, best-effort (claims only prime redirect routing; the
 // rings already agree).
@@ -482,7 +398,7 @@ func (n *Node) acceptLoop() {
 }
 
 // serveConn handles one inbound peer connection: hello handshake, then
-// replicas, handoffs and range claims until the peer hangs up.
+// replicas and range claims until the peer hangs up.
 func (n *Node) serveConn(c net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -505,8 +421,6 @@ func (n *Node) serveConn(c net.Conn) {
 			err = n.servePeerHello(w, &f.PeerHello)
 		case wire.TypeReplicate:
 			err = n.serveReplicate(c, w, &f.Replicate)
-		case wire.TypeHandoff:
-			err = n.serveHandoff(c, w, &f.Handoff)
 		case wire.TypeRangeClaim:
 			err = n.serveRangeClaim(w, &f.RangeClaim)
 		default:
@@ -542,35 +456,6 @@ func (n *Node) serveReplicate(c net.Conn, w *wire.Writer, h *wire.Replicate) err
 	// not serve it.
 	if err := n.cfg.Local.Put(name, blob, h.Flags&wire.FlagFsync != 0); err != nil {
 		return fmt.Errorf("replica store %s: %w", name, err)
-	}
-	return w.WritePacket(&wire.Ack{UID: ackOK, Seq: h.Seq})
-}
-
-func (n *Node) serveHandoff(c net.Conn, w *wire.Writer, h *wire.Handoff) error {
-	name, blob, err := readBody(c, int(h.NameLen), h.Size, h.CRC)
-	if err != nil {
-		return err
-	}
-	n.mu.Lock()
-	stale := h.Epoch < n.epoch
-	n.mu.Unlock()
-	if stale {
-		// The membership moved on while this transfer was in flight;
-		// the body was consumed (stream framing), the blob is refused.
-		return w.WritePacket(&wire.Ack{UID: ackStale, Seq: h.Seq})
-	}
-	if !fleet.ValidHousehold(name) {
-		return fmt.Errorf("handoff for invalid household %q", name)
-	}
-	if err := n.cfg.Local.Put(name, blob, true); err != nil {
-		return fmt.Errorf("handoff store %s: %w", name, err)
-	}
-	// Unlike a replica, a handoff transfers ownership: the tenant is
-	// ours now, and its next event must admit from this blob.
-	if n.f != nil {
-		if err := n.f.MarkKnown(name); err != nil {
-			return fmt.Errorf("handoff admit %s: %w", name, err)
-		}
 	}
 	return w.WritePacket(&wire.Ack{UID: ackOK, Seq: h.Seq})
 }

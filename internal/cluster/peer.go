@@ -19,9 +19,9 @@ import (
 // tighten it without waiting out real seconds.
 var rpcTimeout = time.Second
 
-// errStaleEpoch is returned when a peer rejects a transfer from an
+// errStaleEpoch is returned when a peer rejects a range claim from an
 // older membership epoch; retrying cannot fix it.
-var errStaleEpoch = errors.New("cluster: transfer rejected: stale epoch")
+var errStaleEpoch = errors.New("cluster: claim rejected: stale epoch")
 
 // Dialer opens the transport to a peer address. The default is
 // net.Dial; the chaos soak swaps in a chaosnet-wrapped dialer so peer
@@ -216,23 +216,6 @@ const (
 	ackStale = 1
 )
 
-// transfer is the shared bulk-send under Replicate and Handoff: header
-// frame, then household name and blob raw on the stream, then the ack.
-func (pc *peerConn) transfer(hdr wire.Packet, name string, blob []byte) error {
-	if err := pc.w.QueuePacket(hdr); err != nil {
-		return err
-	}
-	if err := pc.w.Flush(); err != nil {
-		return err
-	}
-	pc.buf = append(pc.buf[:0], name...)
-	pc.buf = append(pc.buf, blob...)
-	if _, err := pc.c.Write(pc.buf); err != nil {
-		return err
-	}
-	return pc.awaitAck(pc.seq)
-}
-
 // Replicate pushes one checkpoint blob to the peer, retrying per the
 // link policy. fsync asks the peer to persist durably before acking.
 func (p *peer) Replicate(name string, blob []byte, fsync bool) error {
@@ -243,34 +226,28 @@ func (p *peer) Replicate(name string, blob []byte, fsync bool) error {
 	if fsync {
 		flags = wire.FlagFsync
 	}
+	// Header frame, then household name and blob raw on the stream,
+	// then the ack.
 	return p.rpc(func(pc *peerConn) error {
 		pc.seq++
-		return pc.transfer(&wire.Replicate{
+		if err := pc.w.QueuePacket(&wire.Replicate{
 			Seq:     pc.seq,
 			Flags:   flags,
 			NameLen: uint8(len(name)),
 			Size:    uint32(len(blob)),
 			CRC:     crc32.ChecksumIEEE(blob),
-		}, name, blob)
-	})
-}
-
-// Handoff transfers tenant ownership to the peer: the blob is the
-// tenant's final checkpoint, epoch proves the transfer is current.
-func (p *peer) Handoff(name string, blob []byte, epoch uint32) error {
-	if len(name) > wire.MaxHousehold || len(blob) > wire.MaxBlob {
-		return fmt.Errorf("cluster: handoff %s: oversized transfer (%d byte blob)", name, len(blob))
-	}
-	return p.rpc(func(pc *peerConn) error {
-		pc.seq++
-		return pc.transfer(&wire.Handoff{
-			Seq:     pc.seq,
-			Epoch:   epoch,
-			Flags:   wire.FlagFsync,
-			NameLen: uint8(len(name)),
-			Size:    uint32(len(blob)),
-			CRC:     crc32.ChecksumIEEE(blob),
-		}, name, blob)
+		}); err != nil {
+			return err
+		}
+		if err := pc.w.Flush(); err != nil {
+			return err
+		}
+		pc.buf = append(pc.buf[:0], name...)
+		pc.buf = append(pc.buf, blob...)
+		if _, err := pc.c.Write(pc.buf); err != nil {
+			return err
+		}
+		return pc.awaitAck(pc.seq)
 	})
 }
 
@@ -294,7 +271,7 @@ func (p *peer) Claim(start, end int, epoch uint32, addr string) error {
 	})
 }
 
-// readBody reads the raw name+blob body following a transfer header,
+// readBody reads the raw name+blob body following a Replicate header,
 // verifying length and blob CRC.
 func readBody(r io.Reader, nameLen int, size, crc uint32) (name string, blob []byte, err error) {
 	body := make([]byte, nameLen+int(size))

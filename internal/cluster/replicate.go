@@ -127,32 +127,6 @@ func (rb *ReplicatingBackend) markDirty(name string) {
 	rb.mu.Unlock()
 }
 
-// Stats returns a snapshot of the replication counters.
-func (rb *ReplicatingBackend) Stats() ReplicaStats {
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	return rb.stats
-}
-
-// Pending reports how many (peer, name) pushes are owed from failed
-// replication — non-zero means the backend is running degraded.
-func (rb *ReplicatingBackend) Pending() int {
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	n := 0
-	for _, names := range rb.pending {
-		n += len(names)
-	}
-	return n
-}
-
-// DegradedPeers counts peers currently owed at least one push.
-func (rb *ReplicatingBackend) DegradedPeers() int {
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	return len(rb.pending)
-}
-
 // Sync replicates every blob written since the last barrier (plus any
 // pushes still owed from earlier degraded barriers) to its replica
 // peers. The pushes run as control-queue jobs: up to pushWorkers peers

@@ -296,3 +296,29 @@ func TestReplicatingBackendLocalReadFailure(t *testing.T) {
 		t.Fatal("Sync with unreadable local blob = nil, want error")
 	}
 }
+
+// Stats returns a snapshot of the replication counters.
+func (rb *ReplicatingBackend) Stats() ReplicaStats {
+	rb.mu.Lock()
+	defer rb.mu.Unlock()
+	return rb.stats
+}
+
+// Pending reports how many (peer, name) pushes are owed from failed
+// replication — non-zero means the backend is running degraded.
+func (rb *ReplicatingBackend) Pending() int {
+	rb.mu.Lock()
+	defer rb.mu.Unlock()
+	n := 0
+	for _, names := range rb.pending {
+		n += len(names)
+	}
+	return n
+}
+
+// DegradedPeers counts peers currently owed at least one push.
+func (rb *ReplicatingBackend) DegradedPeers() int {
+	rb.mu.Lock()
+	defer rb.mu.Unlock()
+	return len(rb.pending)
+}

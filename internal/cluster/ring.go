@@ -2,8 +2,10 @@
 // serving fleet: peers divide the household ring (fleet.SlotOf) between
 // them by rendezvous hashing, redirect misdirected node connections to
 // the owning peer (wire.Redirect), replicate every tenant checkpoint to
-// K replica peers at checkpoint barriers (ReplicatingBackend), and move
-// tenants between peers by checkpoint handoff when membership changes.
+// K replica peers at checkpoint barriers (ReplicatingBackend), and adopt
+// a departed peer's tenants from those replicas when membership shrinks
+// (RemovePeer). Membership never grows at run time: the cluster starts
+// with its full peer list.
 //
 // The design leans on one rendezvous-hashing property: a slot's replica
 // list is its ownership ranking. The owner is the top-ranked peer and

@@ -138,6 +138,8 @@ func (m *MultiPlanner) SavePolicies(path, user string) error {
 }
 
 // LoadMultiPlanner restores a multi-routine planner saved by SavePolicies.
+//
+//coreda:vet-ignore testonly reads back what the public coreda.MultiPlanner.SavePolicies writes
 func LoadMultiPlanner(path string, a *adl.Activity, cfg Config, rng *rand.Rand) (*MultiPlanner, error) {
 	f, routines, tables, err := store.LoadMultiPolicy(path)
 	if err != nil {

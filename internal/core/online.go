@@ -71,11 +71,6 @@ func (o *OnlineSession) Reset() {
 	}
 }
 
-// Sequence returns the real (non-idle) steps observed this session.
-func (o *OnlineSession) Sequence() []adl.StepID {
-	return append([]adl.StepID(nil), o.stepSeq...)
-}
-
 // Current returns the last observed (prev, cur) pair.
 func (o *OnlineSession) Current() (prev, cur adl.StepID, ok bool) {
 	return o.prev, o.cur, o.haveCur

@@ -54,25 +54,6 @@ func iterationsToPerfect(a *adl.Activity, cfg core.Config, seed int64, stream st
 	return ablationCap + 1, nil
 }
 
-// meanIterations averages iterationsToPerfect over the ablation seeds,
-// fanning the independent seeded trials across workers. Each trial owns
-// its own planner and named RNG stream, and the integer iteration counts
-// are summed by seed index, so the mean is bit-identical at any worker
-// count.
-func meanIterations(a *adl.Activity, cfg core.Config, stream string, workers int) (float64, error) {
-	iters, err := parrun.Map(ablationSeeds, workers, func(seed int) (int, error) {
-		return iterationsToPerfect(a, cfg, int64(seed), stream)
-	})
-	if err != nil {
-		return 0, err
-	}
-	sum := 0
-	for _, it := range iters {
-		sum += it
-	}
-	return float64(sum) / ablationSeeds, nil
-}
-
 // RunLambdaAblation sweeps the eligibility-trace decay λ with the
 // counterfactual sweep disabled (plain TD(λ), where λ is load-bearing).
 // The arm × seed trials run across workers (<= 0 means GOMAXPROCS).

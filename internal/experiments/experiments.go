@@ -9,7 +9,6 @@ import (
 	"math/rand"
 
 	"coreda/internal/adl"
-	"coreda/internal/core"
 	"coreda/internal/persona"
 	"coreda/internal/stats"
 )
@@ -47,22 +46,6 @@ var PaperTable4 = map[string]float64{
 // evalActivities returns the two ADLs of the paper's evaluation.
 func evalActivities() []*adl.Activity {
 	return []*adl.Activity{adl.ToothBrushing(), adl.TeaMaking()}
-}
-
-// trainedPlanner returns a planner trained to convergence on the
-// activity's canonical routine.
-func trainedPlanner(a *adl.Activity, cfg core.Config, rng *rand.Rand, episodes int) (*core.Planner, error) {
-	p, err := core.NewPlanner(a, cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	routine := a.CanonicalRoutine()
-	for i := 0; i < episodes; i++ {
-		if err := p.TrainEpisode(routine); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
 }
 
 // cleanTrainingSet builds n clean episodes of the persona's routine.

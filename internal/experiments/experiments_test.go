@@ -54,15 +54,15 @@ func TestFigure4ReproducesPaperShape(t *testing.T) {
 		t.Fatalf("series = %d", len(res.Series))
 	}
 	for _, s := range res.Series {
-		if s.Curve.Len() != 120 {
-			t.Errorf("%s: curve length %d", s.Activity, s.Curve.Len())
+		if len(s.Curve.X) != 120 {
+			t.Errorf("%s: curve length %d", s.Activity, len(s.Curve.X))
 		}
 		c95, c98 := s.Converged["95"], s.Converged["98"]
 		if c95 == 0 {
-			t.Fatalf("%s: never converged at 95%% (final %v)", s.Activity, s.Curve.Final())
+			t.Fatalf("%s: never converged at 95%% (final %v)", s.Activity, s.Curve.Y[len(s.Curve.Y)-1])
 		}
 		if c98 == 0 {
-			t.Fatalf("%s: never converged at 98%% (final %v)", s.Activity, s.Curve.Final())
+			t.Fatalf("%s: never converged at 98%% (final %v)", s.Activity, s.Curve.Y[len(s.Curve.Y)-1])
 		}
 		// The paper reports 49-56 iterations at 95 % and 91-98 at 98 %;
 		// the shape (tens of iterations, 98 % strictly later) must hold.

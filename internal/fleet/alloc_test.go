@@ -301,7 +301,7 @@ func TestAdmitAllocBudget(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
 	}
 	s, cycle := admitCycle(t)
-	const budget = 47
+	const budget = 39
 	n := testing.AllocsPerRun(200, cycle)
 	t.Logf("admit+evict: %.0f allocs per cycle", n)
 	if n > budget {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
 	"runtime"
@@ -100,7 +101,7 @@ func TestServeRoutesByHello(t *testing.T) {
 	sendPacket(t, ca, &wire.Hello{UID: uint16(adl.ToolTeaBox), Seq: 1, HelloVersion: wire.HelloVersion, Household: "yamada"})
 	sendPacket(t, cb, &wire.Hello{UID: uint16(adl.ToolTeaBox), Seq: 1, HelloVersion: wire.HelloVersion, Household: "suzuki"})
 	for _, r := range []*wire.Reader{ra, rb} {
-		pkt, err := r.ReadPacket()
+		pkt, err := readPacket(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +136,7 @@ func TestServeDefaultHousehold(t *testing.T) {
 
 	c, r := dialNode(t, addr)
 	sendPacket(t, c, &wire.UsageStart{UID: uint16(adl.ToolTeaBox), Seq: 9, Hits: 3})
-	if pkt, err := r.ReadPacket(); err != nil {
+	if pkt, err := readPacket(r); err != nil {
 		t.Fatal(err)
 	} else if ack, ok := pkt.(*wire.Ack); !ok || ack.Seq != 9 {
 		t.Fatalf("usage answered with %v", pkt)
@@ -246,7 +247,7 @@ func TestServeLEDWriteBack(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		c.SetReadDeadline(deadline)
-		pkt, err := r.ReadPacket()
+		pkt, err := readPacket(r)
 		if err != nil {
 			t.Fatalf("no red LED on the wrong tool before deadline (acked through %d): %v", acked, err)
 		}
@@ -289,7 +290,7 @@ func TestServeRedirectsForeignHousehold(t *testing.T) {
 
 	c, r := dialNode(t, addr)
 	sendPacket(t, c, &wire.Hello{UID: 3, Seq: 9, HelloVersion: wire.HelloVersion, Household: "foreign"})
-	pkt, err := r.ReadPacket()
+	pkt, err := readPacket(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestServeRedirectsForeignHousehold(t *testing.T) {
 	// A local household on the same server still routes normally.
 	c2, r2 := dialNode(t, addr)
 	sendPacket(t, c2, &wire.Hello{UID: 4, Seq: 1, HelloVersion: wire.HelloVersion, Household: "local"})
-	if pkt, err := r2.ReadPacket(); err != nil {
+	if pkt, err := readPacket(r2); err != nil {
 		t.Fatal(err)
 	} else if ack, ok := pkt.(*wire.Ack); !ok || ack.Seq != 1 {
 		t.Fatalf("local hello answered with %+v", pkt)
@@ -347,7 +348,7 @@ func helloNode(t *testing.T, addr, hh string, uid uint16) (net.Conn, *wire.Reade
 	c, r := dialNode(t, addr)
 	sendPacket(t, c, &wire.Hello{UID: uid, Seq: 1, HelloVersion: wire.HelloVersion, Household: hh})
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if pkt, err := r.ReadPacket(); err != nil {
+	if pkt, err := readPacket(r); err != nil {
 		t.Fatal(err)
 	} else if ack, ok := pkt.(*wire.Ack); !ok || ack.Seq != 1 {
 		t.Fatalf("hello answered with %+v", pkt)
@@ -386,7 +387,7 @@ func TestServeCoalescesBurstAcks(t *testing.T) {
 	}
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for i := 0; i < n; i++ {
-		pkt, err := r.ReadPacket()
+		pkt, err := readPacket(r)
 		if err != nil {
 			t.Fatalf("ack %d of %d: %v", i+1, n, err)
 		}
@@ -423,7 +424,7 @@ func TestServeAcksBeforeSplitFrame(t *testing.T) {
 	readAck := func(seq uint16) {
 		t.Helper()
 		c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		pkt, err := r.ReadPacket()
+		pkt, err := readPacket(r)
 		if err != nil {
 			t.Fatalf("waiting for ack %d: %v", seq, err)
 		}
@@ -503,7 +504,7 @@ func TestServeReconnectKeepsNewRoute(t *testing.T) {
 
 	serveLEDs{srv: srv, household: "moved"}.Blink(coreda.ToolID(tool), wire.LEDGreen, 3, time.Second)
 	fresh.SetReadDeadline(time.Now().Add(5 * time.Second))
-	pkt, err := r.ReadPacket()
+	pkt, err := readPacket(r)
 	if err != nil {
 		t.Fatalf("LED did not reach the reconnected node: %v", err)
 	}
@@ -780,10 +781,14 @@ func TestServeNodeLoopback(t *testing.T) {
 		run: func(t *testing.T, lb *loopback) {
 			n := lb.dial(t, 21)
 			lb.srv.Stop()
-			select {
-			case <-n.Done():
-			case <-time.After(5 * time.Second):
-				t.Fatal("node connection not closed by server stop")
+			// Once the client's reader sees the server hang up it closes
+			// the connection, and every later report fails.
+			deadline := time.Now().Add(5 * time.Second)
+			for n.Heartbeat(0) == nil {
+				if time.Now().After(deadline) {
+					t.Fatal("node connection not closed by server stop")
+				}
+				time.Sleep(5 * time.Millisecond)
 			}
 		},
 	}}
@@ -824,4 +829,22 @@ func TestServeSupervisionDropsForeignHouseholds(t *testing.T) {
 	if l := srv.seen[connKey{"staying", uint16(adl.ToolKettle)}]; !l.offline {
 		t.Errorf("local node = %+v, want it declared offline", l)
 	}
+}
+
+// readPacket reads the next frame off r as the packet the server sent to
+// a node: an ack, an LED command or a redirect.
+func readPacket(r *wire.Reader) (wire.Packet, error) {
+	var f wire.Frame
+	if err := r.ReadFrame(&f); err != nil {
+		return nil, err
+	}
+	switch f.Kind {
+	case wire.TypeAck:
+		return &f.Ack, nil
+	case wire.TypeLEDCommand:
+		return &f.LEDCommand, nil
+	case wire.TypeRedirect:
+		return &f.Redirect, nil
+	}
+	return nil, fmt.Errorf("unexpected %v frame", f.Kind)
 }

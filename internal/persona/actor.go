@@ -95,16 +95,6 @@ func (a *Actor) Begin() error {
 // Busy reports whether the actor is mid-gesture.
 func (a *Actor) Busy() bool { return a.busy }
 
-// Done reports whether the routine completed.
-func (a *Actor) Done() bool { return a.done }
-
-// Position returns the current routine index (the next step to perform).
-func (a *Actor) Position() int { return a.pos }
-
-// Waiting reports whether the actor is stuck (frozen or just used a wrong
-// tool) and needs a prompt to proceed.
-func (a *Actor) Waiting() bool { return a.waiting }
-
 // OnPrompt delivers a reminder to the actor. A complying actor performs
 // the prompted tool's step; an ignoring actor stays stuck until
 // re-prompted.

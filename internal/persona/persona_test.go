@@ -137,68 +137,6 @@ func TestTrainingSetSize(t *testing.T) {
 	}
 }
 
-func TestEpisodeAlwaysCompletesRoutine(t *testing.T) {
-	p, a := teaProfile(t, 0.9) // heavy error rates
-	s := &Sequencer{Profile: p, Activity: a, RNG: rand.New(rand.NewSource(9))}
-	routine := a.CanonicalRoutine()
-	for trial := 0; trial < 200; trial++ {
-		events, err := s.Episode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var correct []adl.StepID
-		for _, e := range events {
-			if e.Kind == Correct {
-				correct = append(correct, e.Step)
-			}
-		}
-		if !adl.Routine(correct).Equal(routine) {
-			t.Fatalf("trial %d: correct steps %v != routine %v", trial, correct, routine)
-		}
-	}
-}
-
-func TestEpisodeErrorsAreWellFormed(t *testing.T) {
-	p, a := teaProfile(t, 0.9)
-	s := &Sequencer{Profile: p, Activity: a, RNG: rand.New(rand.NewSource(10))}
-	wrongs, freezes := 0, 0
-	for trial := 0; trial < 200; trial++ {
-		events, err := s.Episode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range events {
-			switch e.Kind {
-			case WrongTool:
-				wrongs++
-				if e.Step == e.Expected || e.Step == adl.StepIdle {
-					t.Fatalf("wrong-tool event uses expected/idle step: %+v", e)
-				}
-				if _, ok := a.StepByID(e.Step); !ok {
-					t.Fatalf("wrong-tool step %d not in activity", e.Step)
-				}
-			case Freeze:
-				freezes++
-				if e.Step != adl.StepIdle {
-					t.Fatalf("freeze event step = %d", e.Step)
-				}
-			}
-		}
-	}
-	if wrongs == 0 || freezes == 0 {
-		t.Errorf("severity 0.9 produced wrongs=%d freezes=%d; expected both > 0", wrongs, freezes)
-	}
-}
-
-func TestEventKindString(t *testing.T) {
-	if Correct.String() != "correct" || WrongTool.String() != "wrong-tool" || Freeze.String() != "freeze" {
-		t.Error("kind strings")
-	}
-	if EventKind(0).String() != "unknown" {
-		t.Error("unknown kind")
-	}
-}
-
 // actorHarness wires an Actor to a trivial Perform that records gestures.
 type actorHarness struct {
 	sched    *sim.Scheduler
@@ -388,3 +326,13 @@ func TestDetectedEpisodeDropsSteps(t *testing.T) {
 		t.Errorf("kept rate = %v, want ~0.5", rate)
 	}
 }
+
+// Done reports whether the routine completed.
+func (a *Actor) Done() bool { return a.done }
+
+// Position returns the current routine index (the next step to perform).
+func (a *Actor) Position() int { return a.pos }
+
+// Waiting reports whether the actor is stuck (frozen or just used a wrong
+// tool) and needs a prompt to proceed.
+func (a *Actor) Waiting() bool { return a.waiting }

@@ -6,48 +6,6 @@ import (
 	"coreda/internal/adl"
 )
 
-// EventKind classifies one step of a generated episode.
-type EventKind int
-
-// Event kinds emitted by the sequencer.
-const (
-	// Correct means the user performed the routine's next step.
-	Correct EventKind = iota + 1
-	// WrongTool means the user used a tool out of order (the paper's
-	// trigger situation 2).
-	WrongTool
-	// Freeze means the user did nothing for a long time; the sensing
-	// subsystem reports StepIdle (trigger situation 1).
-	Freeze
-)
-
-// String returns the kind name.
-func (k EventKind) String() string {
-	switch k {
-	case Correct:
-		return "correct"
-	case WrongTool:
-		return "wrong-tool"
-	case Freeze:
-		return "freeze"
-	default:
-		return "unknown"
-	}
-}
-
-// Event is one observed (or absent) tool usage of an episode.
-type Event struct {
-	// Kind classifies the event.
-	Kind EventKind
-	// Step is the StepID observed: the routine step for Correct, the
-	// erroneous tool for WrongTool, StepIdle for Freeze.
-	Step adl.StepID
-	// Expected is the step the routine called for at this point.
-	Expected adl.StepID
-	// RoutinePos is the index within the routine the user is at.
-	RoutinePos int
-}
-
 // Sequencer generates episodes of a user performing an activity as
 // discrete step sequences. It is the workload generator for the learning
 // (Figure 4) and prediction (Table 4) experiments.
@@ -65,51 +23,6 @@ func (s *Sequencer) CleanEpisode() ([]adl.StepID, error) {
 		return nil, err
 	}
 	return r.Clone(), nil
-}
-
-// Episode generates one performance with errors drawn from the profile:
-// each routine position may be preceded by a freeze or a wrong-tool use.
-// After an error the user (prompted by the system, or recovering on their
-// own) performs the correct step, so the routine always completes — the
-// error events are interleaved.
-func (s *Sequencer) Episode() ([]Event, error) {
-	r, err := s.Profile.Routine(s.Activity.Name, s.RNG)
-	if err != nil {
-		return nil, err
-	}
-	var events []Event
-	for i, want := range r {
-		switch {
-		case s.RNG.Float64() < s.Profile.FreezeProb:
-			events = append(events, Event{Kind: Freeze, Step: adl.StepIdle, Expected: want, RoutinePos: i})
-		case s.RNG.Float64() < s.Profile.WrongToolProb:
-			wrong := s.wrongTool(r, i)
-			if wrong != adl.StepIdle {
-				events = append(events, Event{Kind: WrongTool, Step: wrong, Expected: want, RoutinePos: i})
-			}
-		}
-		events = append(events, Event{Kind: Correct, Step: want, Expected: want, RoutinePos: i})
-	}
-	return events, nil
-}
-
-// wrongTool picks a plausible erroneous tool at routine position i: any
-// tool of the activity other than the expected one and the one just used.
-func (s *Sequencer) wrongTool(r adl.Routine, i int) adl.StepID {
-	var prev adl.StepID
-	if i > 0 {
-		prev = r[i-1]
-	}
-	candidates := make([]adl.StepID, 0, len(r))
-	for _, id := range r {
-		if id != r[i] && id != prev {
-			candidates = append(candidates, id)
-		}
-	}
-	if len(candidates) == 0 {
-		return adl.StepIdle
-	}
-	return candidates[s.RNG.Intn(len(candidates))]
 }
 
 // DetectedEpisode returns one clean performance as the sensing subsystem

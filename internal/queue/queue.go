@@ -195,13 +195,6 @@ func (q *Queue) Enqueue(j Job) {
 	q.mu.Unlock()
 }
 
-// Depth reports how many jobs are waiting for the next drain.
-func (q *Queue) Depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.pending)
-}
-
 // Stats snapshots the counters.
 func (q *Queue) Stats() Stats {
 	q.mu.Lock()

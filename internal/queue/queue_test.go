@@ -302,3 +302,10 @@ func BenchmarkQueueThroughput(b *testing.B) {
 		}
 	}
 }
+
+// Depth reports how many jobs are waiting for the next drain.
+func (q *Queue) Depth() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.pending)
+}

@@ -77,13 +77,6 @@ func (w *Watcher) loop(regenerate func(int)) {
 	}
 }
 
-// Stats snapshots the watcher's counters.
-func (w *Watcher) Stats() WatcherStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.stats
-}
-
 // Stop unsubscribes and blocks until the consuming goroutine exits (no
 // regenerate call is in flight after Stop returns).
 func (w *Watcher) Stop() {

@@ -72,3 +72,10 @@ func TestWatcherSlowRegenerateNeverBlocksPublisher(t *testing.T) {
 	close(gate)
 	w.Stop()
 }
+
+// Stats snapshots the watcher's counters.
+func (w *Watcher) Stats() WatcherStats {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.stats
+}

@@ -78,12 +78,6 @@ func NewQLambda(cfg Config, table *QTable) (*QLambda, error) {
 	}, nil
 }
 
-// Table returns the table being learned.
-func (l *QLambda) Table() *QTable { return l.table }
-
-// LastDelta returns |δ| of the most recent observation.
-func (l *QLambda) LastDelta() float64 { return l.lastDelta }
-
 // StartEpisode resets eligibility traces; call it at each episode start.
 func (l *QLambda) StartEpisode() { l.traces.Reset() }
 
@@ -136,12 +130,6 @@ func NewSARSALambda(cfg Config, table *QTable) (*SARSALambda, error) {
 		traces: NewTraces(cfg.Traces, table.NumActions()),
 	}, nil
 }
-
-// Table returns the table being learned.
-func (l *SARSALambda) Table() *QTable { return l.table }
-
-// LastDelta returns |δ| of the most recent observation.
-func (l *SARSALambda) LastDelta() float64 { return l.lastDelta }
 
 // StartEpisode resets eligibility traces.
 func (l *SARSALambda) StartEpisode() { l.traces.Reset() }

@@ -151,21 +151,6 @@ func (t *QTable) Clone() *QTable {
 	}
 }
 
-// MaxAbsDiff returns the largest absolute entry-wise difference between
-// two same-shaped tables; it is a convergence signal.
-func (t *QTable) MaxAbsDiff(other *QTable) float64 {
-	if t.states != other.states || t.actions != other.actions {
-		panic("rl: MaxAbsDiff on differently shaped tables")
-	}
-	m := 0.0
-	for i := range t.q {
-		if d := math.Abs(t.q[i] - other.q[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Values returns a copy of the raw value slice (row-major by state). It is
 // used by persistence.
 func (t *QTable) Values() []float64 { return t.AppendValues(nil) }
@@ -188,21 +173,6 @@ func (t *QTable) SetValues(v []float64) error {
 	return nil
 }
 
-// Policy selects actions from a Q-table.
-type Policy interface {
-	// Select picks an action for state s.
-	Select(t *QTable, s State, rng *rand.Rand) Action
-}
-
-// Greedy always picks the best-valued action.
-type Greedy struct{}
-
-// Select implements Policy.
-func (Greedy) Select(t *QTable, s State, _ *rand.Rand) Action {
-	a, _ := t.Best(s)
-	return a
-}
-
 // EpsilonGreedy explores uniformly with probability Epsilon and exploits
 // otherwise. Call Decay after each episode to anneal Epsilon toward Min.
 type EpsilonGreedy struct {
@@ -214,7 +184,8 @@ type EpsilonGreedy struct {
 	Min float64
 }
 
-// Select implements Policy.
+// Select picks the action for state s: uniform with probability Epsilon,
+// else the best-valued one.
 func (p *EpsilonGreedy) Select(t *QTable, s State, rng *rand.Rand) Action {
 	if rng.Float64() < p.Epsilon {
 		return Action(rng.Intn(t.NumActions()))
@@ -231,42 +202,4 @@ func (p *EpsilonGreedy) Decay() {
 			p.Epsilon = p.Min
 		}
 	}
-}
-
-// Softmax samples actions with Boltzmann probabilities at the given
-// temperature: higher temperature, more exploration.
-type Softmax struct {
-	// Temperature must be positive.
-	Temperature float64
-}
-
-// Select implements Policy.
-func (p Softmax) Select(t *QTable, s State, rng *rand.Rand) Action {
-	temp := p.Temperature
-	if temp <= 0 {
-		temp = 1
-	}
-	n := t.NumActions()
-	// Subtract the max for numerical stability.
-	maxV := math.Inf(-1)
-	for a := 0; a < n; a++ {
-		if v := t.Get(s, Action(a)); v > maxV {
-			maxV = v
-		}
-	}
-	weights := make([]float64, n)
-	total := 0.0
-	for a := 0; a < n; a++ {
-		w := math.Exp((t.Get(s, Action(a)) - maxV) / temp)
-		weights[a] = w
-		total += w
-	}
-	r := rng.Float64() * total
-	for a := 0; a < n; a++ {
-		r -= weights[a]
-		if r <= 0 {
-			return Action(a)
-		}
-	}
-	return Action(n - 1)
 }

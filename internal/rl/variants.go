@@ -32,12 +32,6 @@ func NewExpectedSARSA(cfg Config, table *QTable, epsilon float64) (*ExpectedSARS
 	}, nil
 }
 
-// Table returns the table being learned.
-func (l *ExpectedSARSA) Table() *QTable { return l.table }
-
-// LastDelta returns |δ| of the most recent observation.
-func (l *ExpectedSARSA) LastDelta() float64 { return l.lastDelta }
-
 // StartEpisode resets eligibility traces.
 func (l *ExpectedSARSA) StartEpisode() { l.traces.Reset() }
 
@@ -122,9 +116,6 @@ func (l *DoubleQ) Best(s State) (Action, float64) {
 	}
 	return bestA, bestV / 2
 }
-
-// LastDelta returns |δ| of the most recent observation.
-func (l *DoubleQ) LastDelta() float64 { return l.lastDelta }
 
 // Observe applies one transition, updating one table chosen by coin flip
 // with the other's estimate of its argmax.

@@ -46,8 +46,7 @@ type NodeClient struct {
 		hb  wire.Heartbeat
 		ack wire.Ack
 	}
-	timeout time.Duration
-	onLED   func(LEDEvent)
+	onLED func(LEDEvent)
 
 	// helloSeq/helloWait track an in-flight HelloWait (guarded by wm);
 	// the reader loop resolves it through helloCh with the server's
@@ -78,28 +77,12 @@ func DialNode(addr string, uid uint16, onLED func(LEDEvent)) (*NodeClient, error
 	return NewNodeClient(conn, uid, onLED), nil
 }
 
-// UID returns the node's unique ID (== its tool ID).
-func (n *NodeClient) UID() uint16 { return n.uid }
-
-// SetReadTimeout bounds each read of the reader loop (wall clock). With a
-// timeout set, a server that dies without closing the connection — power
-// cut, SIGKILL — cannot strand the loop (and its goroutine) forever; the
-// loop exits and Done() closes. Zero restores unbounded reads.
-func (n *NodeClient) SetReadTimeout(d time.Duration) {
-	n.wm.Lock()
-	n.timeout = d
-	n.wm.Unlock()
-}
-
 // Close shuts the connection down.
 func (n *NodeClient) Close() error {
 	var err error
 	n.closed.Do(func() { err = n.conn.Close() })
 	return err
 }
-
-// Done is closed when the reader loop exits (connection closed).
-func (n *NodeClient) Done() <-chan struct{} { return n.doneCh }
 
 // UseStart reports that the tool started being used.
 func (n *NodeClient) UseStart(nodeTime time.Duration, hits int) error {
@@ -132,22 +115,6 @@ func (n *NodeClient) UseEnd(nodeTime, duration time.Duration) error {
 	return n.write(&n.pkt.ue)
 }
 
-// Hello introduces the node, naming the household it belongs to — the
-// fleet server's routing handshake. Without one, the server serves the
-// node as its default household, if it has one.
-func (n *NodeClient) Hello(household string) error {
-	n.wm.Lock()
-	defer n.wm.Unlock()
-	n.seq++
-	//coreda:vet-ignore lockheld wm orders seq increment and socket write as one atomic report
-	return n.write(&wire.Hello{
-		UID:          n.uid,
-		Seq:          n.seq,
-		HelloVersion: wire.HelloVersion,
-		Household:    household,
-	})
-}
-
 // Redirected reports that a fleet cluster answered the node's hello by
 // naming the peer that owns its household; the node should reconnect to
 // Addr.
@@ -156,12 +123,13 @@ type Redirected struct{ Addr string }
 // Error implements error.
 func (r *Redirected) Error() string { return "rtbridge: household served by " + r.Addr }
 
-// HelloWait sends a hello and waits for the cluster's verdict: nil when
-// the household is served on this connection, *Redirected when the
-// owning peer is elsewhere, or an error when the connection dies or
-// timeout passes first. Plain Hello stays fire-and-forget for
-// single-process servers; cluster-aware nodes use this (via DialCluster)
-// so they never stream usage to a process that would drop it.
+// HelloWait introduces the node, naming the household it belongs to —
+// the fleet server's routing handshake — and waits for the verdict: nil
+// when the household is served on this connection, *Redirected when the
+// owning cluster peer is elsewhere, or an error when the connection dies
+// or timeout passes first. Waiting means a node never streams usage to a
+// process that would drop it. A node that sends no hello is served as
+// the server's default household, if it has one.
 func (n *NodeClient) HelloWait(household string, timeout time.Duration) error {
 	n.wm.Lock()
 	n.seq++
@@ -261,12 +229,6 @@ func (n *NodeClient) readLoop() {
 	r := wire.NewReader(bufio.NewReaderSize(n.conn, readBufSize))
 	var f wire.Frame
 	for {
-		n.wm.Lock()
-		d := n.timeout
-		n.wm.Unlock()
-		if d > 0 {
-			n.conn.SetReadDeadline(time.Now().Add(d))
-		}
 		if err := r.ReadFrame(&f); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				n.readEr = err

@@ -161,23 +161,6 @@ func (s *Subsystem) SetExpected(tool adl.ToolID) {
 	}
 }
 
-// History returns the step events of the current session.
-func (s *Subsystem) History() []StepEvent {
-	return append([]StepEvent(nil), s.history...)
-}
-
-// Sequence returns the StepIDs of the current session.
-func (s *Subsystem) Sequence() []adl.StepID {
-	out := make([]adl.StepID, len(s.history))
-	for i, e := range s.history {
-		out[i] = e.Step
-	}
-	return out
-}
-
-// Durations exposes the per-tool usage-length statistics.
-func (s *Subsystem) Durations() *stats.Durations { return s.durations }
-
 // IdleTimeout returns the currently applicable idle timeout.
 func (s *Subsystem) IdleTimeout() time.Duration {
 	if s.expected == adl.NoTool {

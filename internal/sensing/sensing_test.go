@@ -170,8 +170,10 @@ func TestDurationStatsAccumulate(t *testing.T) {
 	s.Start()
 	s.HandleUsage(end(adl.ToolPot, 5*time.Second, 1200*time.Millisecond))
 	s.HandleUsage(end(adl.ToolPot, 9*time.Second, 1000*time.Millisecond))
-	if got := s.Durations().N(uint32(adl.ToolPot)); got != 2 {
-		t.Errorf("duration samples = %d", got)
+	// Two samples reach minSamples 2, so with k = 0 the timeout is their
+	// mean.
+	if got := s.durations.Timeout(uint32(adl.ToolPot), 0, 2, 0, 0); got < 1099*time.Millisecond || got > 1101*time.Millisecond {
+		t.Errorf("timeout over the two samples = %v, want their 1.1s mean", got)
 	}
 	if s.Stats.UsageEnds != 2 {
 		t.Errorf("UsageEnds = %d", s.Stats.UsageEnds)
@@ -228,4 +230,18 @@ func TestStartResetsSession(t *testing.T) {
 	if len(s.Sequence()) != 0 {
 		t.Error("history survived session restart")
 	}
+}
+
+// History returns the step events of the current session.
+func (s *Subsystem) History() []StepEvent {
+	return append([]StepEvent(nil), s.history...)
+}
+
+// Sequence returns the StepIDs of the current session.
+func (s *Subsystem) Sequence() []adl.StepID {
+	out := make([]adl.StepID, len(s.history))
+	for i, e := range s.history {
+		out[i] = e.Step
+	}
+	return out
 }

@@ -168,22 +168,6 @@ func (g *Gateway) StartSupervision(cfg SupervisionConfig) (stop func()) {
 	return g.supStop
 }
 
-// Online reports a watched node's supervision state. Unwatched nodes are
-// reported online.
-func (g *Gateway) Online(uid uint16) bool { return !g.offline[uid] }
-
-// OfflineNodes lists the watched nodes currently declared offline, in
-// ascending UID order.
-func (g *Gateway) OfflineNodes() []uint16 {
-	var out []uint16
-	for _, uid := range g.watched {
-		if g.offline[uid] {
-			out = append(out, uid)
-		}
-	}
-	return out
-}
-
 // touch records traffic from a node and flips it back ONLINE if it had
 // been declared dead — recovery is symmetric with failure.
 func (g *Gateway) touch(uid uint16) {
@@ -202,25 +186,6 @@ func (g *Gateway) touch(uid uint16) {
 
 // SetHandler replaces the usage-event handler.
 func (g *Gateway) SetHandler(handler func(UsageEvent)) { g.handler = handler }
-
-// Battery returns the last battery percentage a node reported via
-// heartbeat (ok false before the first heartbeat).
-func (g *Gateway) Battery(uid uint16) (uint8, bool) {
-	b, ok := g.battery[uid]
-	return b, ok
-}
-
-// LowBatteryNodes lists nodes whose last report is at or below
-// LowBatteryPercent — the gateway's maintenance signal for caregivers.
-func (g *Gateway) LowBatteryNodes() []uint16 {
-	var out []uint16
-	for uid, b := range g.battery {
-		if b <= LowBatteryPercent {
-			out = append(out, uid)
-		}
-	}
-	return out
-}
 
 // SendLED commands a node to blink one of its LEDs. The command is
 // retransmitted until acknowledged or MaxRetries is exhausted.

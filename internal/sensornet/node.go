@@ -185,6 +185,8 @@ func (n *Node) flushSource() {
 }
 
 // LED returns a snapshot of the LED with the given color.
+//
+//coreda:vet-ignore testonly public API: coreda.(*Simulation).Node hands nodes to callers outside the module to inspect LEDs
 func (n *Node) LED(c wire.LEDColor) LEDState {
 	if s, ok := n.leds[c]; ok {
 		return *s
@@ -194,6 +196,8 @@ func (n *Node) LED(c wire.LEDColor) LEDState {
 
 // LogEntries returns the usage records currently held in the EEPROM ring
 // log (oldest first).
+//
+//coreda:vet-ignore testonly public API: coreda.(*Simulation).Node hands nodes to callers outside the module to inspect EEPROM logs
 func (n *Node) LogEntries() []UsageRecord { return n.eeprom.entries() }
 
 // BatteryPercent returns the remaining battery in percent (100 when the

@@ -479,3 +479,48 @@ func TestUnlimitedBatteryByDefault(t *testing.T) {
 		t.Errorf("default node drained: dead=%v battery=%d", n.Dead(), n.BatteryPercent())
 	}
 }
+
+// Online reports a watched node's supervision state. Unwatched nodes are
+// reported online.
+func (g *Gateway) Online(uid uint16) bool { return !g.offline[uid] }
+
+// OfflineNodes lists the watched nodes currently declared offline, in
+// ascending UID order.
+func (g *Gateway) OfflineNodes() []uint16 {
+	var out []uint16
+	for _, uid := range g.watched {
+		if g.offline[uid] {
+			out = append(out, uid)
+		}
+	}
+	return out
+}
+
+// Battery returns the last battery percentage a node reported via
+// heartbeat (ok false before the first heartbeat).
+func (g *Gateway) Battery(uid uint16) (uint8, bool) {
+	b, ok := g.battery[uid]
+	return b, ok
+}
+
+// LowBatteryPercent is the threshold at or below which LowBatteryNodes
+// flags a node for maintenance.
+const LowBatteryPercent = 20
+
+// LowBatteryNodes lists nodes whose last report is at or below
+// LowBatteryPercent — the gateway's maintenance signal for caregivers.
+func (g *Gateway) LowBatteryNodes() []uint16 {
+	var out []uint16
+	for uid, b := range g.battery {
+		if b <= LowBatteryPercent {
+			out = append(out, uid)
+		}
+	}
+	return out
+}
+
+// FuncSource adapts a function to the SampleSource interface.
+type FuncSource func() float64
+
+// Next implements SampleSource.
+func (f FuncSource) Next() float64 { return f() }

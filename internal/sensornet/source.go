@@ -64,9 +64,3 @@ func (s *SliceSource) Flush() {
 	s.series = s.series[:0]
 	s.pos = 0
 }
-
-// FuncSource adapts a function to the SampleSource interface.
-type FuncSource func() float64
-
-// Next implements SampleSource.
-func (f FuncSource) Next() float64 { return f() }

@@ -53,9 +53,6 @@ const (
 	EnergyTX = 1000.0
 	// EnergyBlink is the cost of one LED blink.
 	EnergyBlink = 200.0
-	// LowBatteryPercent is the threshold below which the gateway flags a
-	// node for maintenance.
-	LowBatteryPercent = 20
 )
 
 // Link-layer parameters of the simulated radio protocol.

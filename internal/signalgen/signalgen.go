@@ -20,23 +20,6 @@ import (
 	"coreda/internal/adl"
 )
 
-// Vec3 is a 3-axis accelerometer sample in units of g.
-type Vec3 struct {
-	X, Y, Z float64
-}
-
-// Magnitude returns the Euclidean norm of the sample.
-func (v Vec3) Magnitude() float64 {
-	return math.Sqrt(v.X*v.X + v.Y*v.Y + v.Z*v.Z)
-}
-
-// Excitation converts an accelerometer sample to the scalar detection
-// metric the node thresholds: the absolute deviation of the magnitude from
-// 1 g (a tool at rest reads exactly gravity).
-func (v Vec3) Excitation() float64 {
-	return math.Abs(v.Magnitude() - 1)
-}
-
 // Generator synthesizes sensor sample series.
 type Generator struct {
 	rate  int     // samples per second (PAVENET: 10)
@@ -59,9 +42,6 @@ func New(rate int, noise float64, rng *rand.Rand) *Generator {
 	}
 	return &Generator{rate: rate, noise: noise, rng: rng}
 }
-
-// Rate returns the sample rate in Hz.
-func (g *Generator) Rate() int { return g.rate }
 
 // Samples returns how many samples cover duration d at the generator rate
 // (at least 1 for positive d).
@@ -123,19 +103,13 @@ func envelope(i, n int) float64 {
 	}
 }
 
-// StepSignal synthesizes the excitation series of one performance of an
-// activity step on an accelerometer-instrumented tool: a short rest
+// StepSignalKind synthesizes the excitation series of one performance of
+// an activity step on a tool with the given sensor kind: a short rest
 // lead-in, the gesture (duration jittered around the step's typical
-// duration by the given relative stddev), and a rest tail. It returns the
-// series and the index range [gestureLo, gestureHi) of the gesture within
-// it.
-func (g *Generator) StepSignal(step adl.Step, durJitter float64) (series []float64, gestureLo, gestureHi int) {
-	return g.StepSignalKind(step, adl.SensorAccelerometer, durJitter)
-}
-
-// StepSignalKind is StepSignal for an explicit sensor kind: pressure
-// sensors see a smooth press bump, everything else the oscillatory
-// gesture envelope.
+// duration by the given relative stddev; a smooth press bump on pressure
+// sensors, the oscillatory gesture envelope on everything else), and a
+// rest tail. It returns the series and the index range
+// [gestureLo, gestureHi) of the gesture within it.
 func (g *Generator) StepSignalKind(step adl.Step, kind adl.SensorKind, durJitter float64) (series []float64, gestureLo, gestureHi int) {
 	d := step.TypicalDuration.Seconds()
 	if durJitter > 0 {
@@ -161,51 +135,6 @@ func (g *Generator) StepSignalKind(step adl.Step, kind adl.SensorKind, durJitter
 	gestureHi = len(series)
 	series = append(series, tail...)
 	return series, gestureLo, gestureHi
-}
-
-// RestAccel produces n 3-axis samples of a tool at rest: gravity on Z plus
-// per-axis noise.
-func (g *Generator) RestAccel(n int) []Vec3 {
-	out := make([]Vec3, n)
-	for i := range out {
-		out[i] = Vec3{
-			X: g.rng.NormFloat64() * g.noise * 0.3,
-			Y: g.rng.NormFloat64() * g.noise * 0.3,
-			Z: 1 + g.rng.NormFloat64()*g.noise*0.3,
-		}
-	}
-	return out
-}
-
-// GestureAccel produces n 3-axis samples of an active gesture whose
-// excitation (magnitude deviation from 1 g) follows the same envelope as
-// Gesture. The energy is distributed randomly across axes per sample.
-func (g *Generator) GestureAccel(n int, intensity float64) []Vec3 {
-	out := make([]Vec3, n)
-	for i := range out {
-		e := envelope(i, n) * intensity
-		// Random direction for the dynamic component.
-		theta := g.rng.Float64() * 2 * math.Pi
-		phi := g.rng.Float64() * math.Pi
-		dx := e * math.Sin(phi) * math.Cos(theta)
-		dy := e * math.Sin(phi) * math.Sin(theta)
-		dz := e * math.Cos(phi)
-		out[i] = Vec3{
-			X: dx + g.rng.NormFloat64()*g.noise*0.3,
-			Y: dy + g.rng.NormFloat64()*g.noise*0.3,
-			Z: 1 + dz + g.rng.NormFloat64()*g.noise*0.3,
-		}
-	}
-	return out
-}
-
-// Excitations converts a 3-axis series to the scalar detection metric.
-func Excitations(vs []Vec3) []float64 {
-	out := make([]float64, len(vs))
-	for i, v := range vs {
-		out[i] = v.Excitation()
-	}
-	return out
 }
 
 // PressurePress produces n samples of a press on a pressure sensor (the

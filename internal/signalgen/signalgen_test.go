@@ -116,49 +116,6 @@ func TestStepSignalDurationJitterIsClamped(t *testing.T) {
 	}
 }
 
-func TestVec3Excitation(t *testing.T) {
-	rest := Vec3{0, 0, 1}
-	if got := rest.Excitation(); got != 0 {
-		t.Errorf("rest excitation = %v", got)
-	}
-	moving := Vec3{0, 0, 2}
-	if got := moving.Excitation(); math.Abs(got-1) > 1e-12 {
-		t.Errorf("moving excitation = %v, want 1", got)
-	}
-	if got := (Vec3{3, 4, 0}).Magnitude(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("magnitude = %v, want 5", got)
-	}
-}
-
-func TestRestAccelNearGravity(t *testing.T) {
-	g := newGen(6)
-	vs := g.RestAccel(500)
-	var sum float64
-	for _, v := range vs {
-		sum += v.Magnitude()
-	}
-	mean := sum / float64(len(vs))
-	if math.Abs(mean-1) > 0.05 {
-		t.Errorf("mean rest magnitude = %v, want ~1 g", mean)
-	}
-}
-
-func TestGestureAccelExcitationTracksIntensity(t *testing.T) {
-	g := newGen(7)
-	weak := Excitations(g.GestureAccel(200, 0.5))
-	strong := Excitations(g.GestureAccel(200, 2.5))
-	meanOf := func(xs []float64) float64 {
-		s := 0.0
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
-	}
-	if meanOf(strong) <= meanOf(weak) {
-		t.Errorf("strong gesture excitation %v not above weak %v", meanOf(strong), meanOf(weak))
-	}
-}
-
 func TestPressurePressBumpShape(t *testing.T) {
 	g := New(10, 0, rand.New(rand.NewSource(8))) // no noise: pure bump
 	series := g.PressurePress(11, 2.0)
@@ -183,7 +140,6 @@ func TestAllSeriesNonNegative(t *testing.T) {
 			g.Rest(count),
 			g.Gesture(count, intensity),
 			g.PressurePress(count, intensity),
-			Excitations(g.GestureAccel(count, intensity)),
 		} {
 			for _, v := range series {
 				if v < 0 || math.IsNaN(v) {
@@ -206,4 +162,12 @@ func TestDeterminismFromSeed(t *testing.T) {
 			t.Fatalf("sample %d differs across identical seeds", i)
 		}
 	}
+}
+
+// Rate returns the sample rate in Hz.
+func (g *Generator) Rate() int { return g.rate }
+
+// StepSignal is StepSignalKind on an accelerometer-instrumented tool.
+func (g *Generator) StepSignal(step adl.Step, durJitter float64) (series []float64, gestureLo, gestureHi int) {
+	return g.StepSignalKind(step, adl.SensorAccelerometer, durJitter)
 }

@@ -22,17 +22,6 @@ func (c *Curve) Append(x int, y float64) {
 	c.Y = append(c.Y, y)
 }
 
-// Len returns the number of points.
-func (c *Curve) Len() int { return len(c.X) }
-
-// Final returns the last recorded value, or 0 when empty.
-func (c *Curve) Final() float64 {
-	if len(c.Y) == 0 {
-		return 0
-	}
-	return c.Y[len(c.Y)-1]
-}
-
 // ConvergedAt returns the first iteration from which the value stays at or
 // above the threshold for the rest of the series (the paper's "converging
 // condition"). It returns 0 and false when the series never converges.
@@ -55,25 +44,6 @@ func (c *Curve) ConvergedAt(threshold float64) (iteration int, ok bool) {
 	default:
 		return c.X[last+1], true
 	}
-}
-
-// AUC returns the area under the curve by trapezoidal rule over the
-// recorded X range, normalized by the X span so the result is a mean value.
-// It is used by the ablation benches to compare learning speeds.
-func (c *Curve) AUC() float64 {
-	if len(c.X) < 2 {
-		return c.Final()
-	}
-	area := 0.0
-	for i := 1; i < len(c.X); i++ {
-		dx := float64(c.X[i] - c.X[i-1])
-		area += dx * (c.Y[i] + c.Y[i-1]) / 2
-	}
-	span := float64(c.X[len(c.X)-1] - c.X[0])
-	if span == 0 {
-		return c.Final()
-	}
-	return area / span
 }
 
 // Smoothed returns a copy of the curve with a centered moving average of

@@ -37,26 +37,6 @@ func (d *Durations) Observe(key uint32, dur time.Duration) {
 	r.Add(dur.Seconds())
 }
 
-// N returns the number of observations for a key.
-func (d *Durations) N(key uint32) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if r, ok := d.m[key]; ok {
-		return r.N()
-	}
-	return 0
-}
-
-// Mean returns the mean duration observed for a key (0 if none).
-func (d *Durations) Mean(key uint32) time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if r, ok := d.m[key]; ok {
-		return time.Duration(r.Mean() * float64(time.Second))
-	}
-	return 0
-}
-
 // Timeout returns mean + k*stddev for the key, clamped to [floor, ceil].
 // With fewer than minSamples observations it returns the floor — the
 // system falls back to a safe default (e.g. the paper's illustrative 30 s)
@@ -76,15 +56,4 @@ func (d *Durations) Timeout(key uint32, k float64, minSamples int, floor, ceil t
 		t = ceil
 	}
 	return t
-}
-
-// Keys returns every key with at least one observation.
-func (d *Durations) Keys() []uint32 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	keys := make([]uint32, 0, len(d.m))
-	for k := range d.m {
-		keys = append(keys, k)
-	}
-	return keys
 }

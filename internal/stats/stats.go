@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Running accumulates count, mean and variance of a stream of observations
@@ -42,12 +41,6 @@ func (r *Running) N() int { return r.n }
 
 // Mean returns the sample mean, or 0 with no observations.
 func (r *Running) Mean() float64 { return r.mean }
-
-// Min returns the smallest observation, or 0 with no observations.
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (r *Running) Max() float64 { return r.max }
 
 // Var returns the unbiased sample variance (n-1 denominator), or 0 for
 // fewer than two observations.
@@ -122,112 +115,4 @@ func (c *Counter) Wilson(z float64) (lo, hi float64) {
 		hi = 1
 	}
 	return lo, hi
-}
-
-// Confusion is a confusion matrix over small integer labels.
-type Confusion struct {
-	labels []int
-	index  map[int]int
-	cells  [][]int
-}
-
-// NewConfusion creates a confusion matrix for the given label set.
-func NewConfusion(labels []int) *Confusion {
-	sorted := append([]int(nil), labels...)
-	sort.Ints(sorted)
-	idx := make(map[int]int, len(sorted))
-	for i, l := range sorted {
-		idx[l] = i
-	}
-	cells := make([][]int, len(sorted))
-	for i := range cells {
-		cells[i] = make([]int, len(sorted))
-	}
-	return &Confusion{labels: sorted, index: idx, cells: cells}
-}
-
-// Observe records a (truth, predicted) pair. Unknown labels are ignored.
-func (c *Confusion) Observe(truth, predicted int) {
-	i, ok1 := c.index[truth]
-	j, ok2 := c.index[predicted]
-	if !ok1 || !ok2 {
-		return
-	}
-	c.cells[i][j]++
-}
-
-// Count returns the number of (truth, predicted) observations.
-func (c *Confusion) Count(truth, predicted int) int {
-	i, ok1 := c.index[truth]
-	j, ok2 := c.index[predicted]
-	if !ok1 || !ok2 {
-		return 0
-	}
-	return c.cells[i][j]
-}
-
-// Accuracy returns the fraction of observations on the diagonal.
-func (c *Confusion) Accuracy() float64 {
-	total, diag := 0, 0
-	for i := range c.cells {
-		for j, n := range c.cells[i] {
-			total += n
-			if i == j {
-				diag += n
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(diag) / float64(total)
-}
-
-// Recall returns, for one truth label, the fraction of its observations
-// that were predicted correctly. (The paper's per-step "precision" columns
-// are per-step recalls in modern terminology; we expose both names.)
-func (c *Confusion) Recall(label int) float64 {
-	i, ok := c.index[label]
-	if !ok {
-		return 0
-	}
-	total := 0
-	for _, n := range c.cells[i] {
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(c.cells[i][i]) / float64(total)
-}
-
-// Precision returns, for one predicted label, the fraction of its
-// predictions that were correct.
-func (c *Confusion) Precision(label int) float64 {
-	j, ok := c.index[label]
-	if !ok {
-		return 0
-	}
-	total := 0
-	for i := range c.cells {
-		total += c.cells[i][j]
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(c.cells[j][j]) / float64(total)
-}
-
-// Labels returns the sorted label set.
-func (c *Confusion) Labels() []int { return append([]int(nil), c.labels...) }
-
-// Total returns the number of observations recorded.
-func (c *Confusion) Total() int {
-	t := 0
-	for i := range c.cells {
-		for _, n := range c.cells[i] {
-			t += n
-		}
-	}
-	return t
 }

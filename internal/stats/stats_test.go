@@ -113,6 +113,31 @@ func TestWilsonInterval(t *testing.T) {
 	}
 }
 
+// TestWilsonIntervalBoundaryRounding pins the clamps for p = 0 and
+// p = 1, where floating-point rounding would otherwise leave a bound an
+// epsilon outside [0, 1] or the interval an epsilon off the point
+// estimate (the computed value is in each case's comment).
+func TestWilsonIntervalBoundaryRounding(t *testing.T) {
+	for _, tc := range []struct {
+		hits, trials int
+		lo, hi       float64
+	}{
+		{0, 11, 0, 0.2588}, // lo = +2.8e-17, above p
+		{0, 1, 0, 0.7935},  // lo = -5.6e-17, below 0
+		{6, 6, 0.6097, 1},  // hi = 1 - 1.1e-16, below p
+		{5, 5, 0.5655, 1},  // hi = 1 + 2.2e-16, above 1
+	} {
+		c := &Counter{Hits: tc.hits, Trials: tc.trials}
+		lo, hi := c.Wilson(1.96)
+		if tc.lo == 0 && lo != 0 || tc.hi == 1 && hi != 1 {
+			t.Errorf("%d of %d: interval (%g, %g), want the exact boundary", tc.hits, tc.trials, lo, hi)
+		}
+		if math.Abs(lo-tc.lo) > 1e-4 || math.Abs(hi-tc.hi) > 1e-4 {
+			t.Errorf("%d of %d: interval (%.4f, %.4f), want (%.4f, %.4f)", tc.hits, tc.trials, lo, hi, tc.lo, tc.hi)
+		}
+	}
+}
+
 func TestWilsonIntervalIsAlwaysValid(t *testing.T) {
 	f := func(hits, extra uint8) bool {
 		c := Counter{Hits: int(hits), Trials: int(hits) + int(extra)}
@@ -125,45 +150,6 @@ func TestWilsonIntervalIsAlwaysValid(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestConfusion(t *testing.T) {
-	c := NewConfusion([]int{1, 2, 3})
-	c.Observe(1, 1)
-	c.Observe(1, 1)
-	c.Observe(1, 2)
-	c.Observe(2, 2)
-	c.Observe(3, 3)
-	c.Observe(99, 1) // ignored: unknown truth label
-
-	if got := c.Total(); got != 5 {
-		t.Errorf("Total = %d", got)
-	}
-	if got := c.Count(1, 2); got != 1 {
-		t.Errorf("Count(1,2) = %d", got)
-	}
-	if got, want := c.Accuracy(), 4.0/5.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Accuracy = %v, want %v", got, want)
-	}
-	if got, want := c.Recall(1), 2.0/3.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Recall(1) = %v, want %v", got, want)
-	}
-	if got, want := c.Precision(2), 1.0/2.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Precision(2) = %v, want %v", got, want)
-	}
-	if got := c.Recall(42); got != 0 {
-		t.Errorf("Recall(unknown) = %v", got)
-	}
-	if got := len(c.Labels()); got != 3 {
-		t.Errorf("Labels len = %d", got)
-	}
-}
-
-func TestConfusionEmpty(t *testing.T) {
-	c := NewConfusion([]int{1})
-	if c.Accuracy() != 0 || c.Recall(1) != 0 || c.Precision(1) != 0 {
-		t.Error("empty confusion should report zeros")
 	}
 }
 
@@ -322,4 +308,71 @@ func TestDurationsConcurrent(t *testing.T) {
 	if total != 8000 {
 		t.Errorf("total observations = %d, want 8000", total)
 	}
+}
+
+// Len returns the number of points.
+func (c *Curve) Len() int { return len(c.X) }
+
+// AUC returns the area under the curve by trapezoidal rule over the
+// recorded X range, normalized by the X span so the result is a mean value.
+// It is used by the ablation benches to compare learning speeds.
+func (c *Curve) AUC() float64 {
+	if len(c.X) < 2 {
+		return c.Final()
+	}
+	area := 0.0
+	for i := 1; i < len(c.X); i++ {
+		dx := float64(c.X[i] - c.X[i-1])
+		area += dx * (c.Y[i] + c.Y[i-1]) / 2
+	}
+	span := float64(c.X[len(c.X)-1] - c.X[0])
+	if span == 0 {
+		return c.Final()
+	}
+	return area / span
+}
+
+// N returns the number of observations for a key.
+func (d *Durations) N(key uint32) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if r, ok := d.m[key]; ok {
+		return r.N()
+	}
+	return 0
+}
+
+// Mean returns the mean duration observed for a key (0 if none).
+func (d *Durations) Mean(key uint32) time.Duration {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if r, ok := d.m[key]; ok {
+		return time.Duration(r.Mean() * float64(time.Second))
+	}
+	return 0
+}
+
+// Keys returns every key with at least one observation.
+func (d *Durations) Keys() []uint32 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	keys := make([]uint32, 0, len(d.m))
+	for k := range d.m {
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// Min returns the smallest observation, or 0 with no observations.
+func (r *Running) Min() float64 { return r.min }
+
+// Max returns the largest observation, or 0 with no observations.
+func (r *Running) Max() float64 { return r.max }
+
+// Final returns the last recorded value, or 0 when empty.
+func (c *Curve) Final() float64 {
+	if len(c.Y) == 0 {
+		return 0
+	}
+	return c.Y[len(c.Y)-1]
 }

@@ -265,7 +265,13 @@ func decodeCkptBinary(c *Checkpoint, data []byte) error {
 		}
 		p.States, p.Actions, p.Episodes = int(st), int(ac), int(ep)
 		p.Epsilon = unpackFloat(eps)
+		// need is bounded by the body length above, so presizing cannot
+		// be steered into a huge allocation by a hostile header.
 		q := p.Q[:0]
+		if cap(q) < need {
+			//coreda:vet-ignore hotalloc the Q slice is the decode's output and outlives it; one presized allocation replaces append's regrowth
+			q = make([]float64, 0, need)
+		}
 		for j := 0; j < need; j++ {
 			var v uint64
 			if v, off, ok = ckptUvarint(body, off); !ok {

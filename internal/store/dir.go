@@ -167,9 +167,6 @@ func NewDirBackend(dir string) (*DirBackend, error) {
 	return b, nil
 }
 
-// Dir returns the backend's root directory.
-func (d *DirBackend) Dir() string { return d.dir }
-
 func (d *DirBackend) path(name string) string { return filepath.Join(d.dir, name+ckptExt) }
 
 func (d *DirBackend) hasLegacy(name string) bool {

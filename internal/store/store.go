@@ -8,20 +8,14 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 
-	"coreda/internal/adl"
 	"coreda/internal/rl"
 )
 
 // policyVersion is the current PolicyFile schema version.
 const policyVersion = 1
-
-// profileVersion is the current ProfileFile schema version.
-const profileVersion = 1
 
 // PolicyFile is the serialized form of one learned Q-table plus the
 // metadata needed to resume training.
@@ -96,16 +90,6 @@ func LoadPolicy(path string) (PolicyFile, *rl.QTable, error) {
 	return checkpointToPolicy(path, &c)
 }
 
-// loadPolicyFile loads exactly one generation (no backup fallback); the
-// backup-rotation tests use it to inspect a specific file.
-func loadPolicyFile(path string) (PolicyFile, *rl.QTable, error) {
-	var c Checkpoint
-	if _, err := readBlobAt(path, func(data []byte) error { return DecodeCheckpoint(&c, data) }); err != nil {
-		return PolicyFile{}, nil, err
-	}
-	return checkpointToPolicy(path, &c)
-}
-
 // checkpointToPolicy converts a decoded single-policy checkpoint to the
 // PolicyFile view plus a materialized Q-table.
 func checkpointToPolicy(path string, c *Checkpoint) (PolicyFile, *rl.QTable, error) {
@@ -127,103 +111,4 @@ func checkpointToPolicy(path string, c *Checkpoint) (PolicyFile, *rl.QTable, err
 		Epsilon:  p.Epsilon,
 		Q:        p.Q,
 	}, table, nil
-}
-
-// ProfileFile is the serialized form of a user profile: identity and the
-// personal routines learned or configured per activity.
-type ProfileFile struct {
-	Version  int                   `json:"version"`
-	Name     string                `json:"name"`
-	Severity float64               `json:"severity"`
-	Routines map[string][][]uint16 `json:"routines"` // activity -> routines -> StepIDs
-}
-
-// SaveProfile writes a profile file atomically.
-func SaveProfile(path, name string, severity float64, routines map[string][]adl.Routine) error {
-	f := ProfileFile{
-		Version:  profileVersion,
-		Name:     name,
-		Severity: severity,
-		Routines: make(map[string][][]uint16, len(routines)),
-	}
-	for activity, rs := range routines {
-		enc := make([][]uint16, len(rs))
-		for i, r := range rs {
-			steps := make([]uint16, len(r))
-			for j, s := range r {
-				steps[j] = uint16(s)
-			}
-			enc[i] = steps
-		}
-		f.Routines[activity] = enc
-	}
-	return writeJSON(path, f)
-}
-
-// LoadProfile reads and validates a profile file, returning the decoded
-// routines.
-func LoadProfile(path string) (ProfileFile, map[string][]adl.Routine, error) {
-	var f ProfileFile
-	if err := readJSON(path, &f); err != nil {
-		return ProfileFile{}, nil, err
-	}
-	if f.Version != profileVersion {
-		return ProfileFile{}, nil, fmt.Errorf("store: profile %s has version %d, want %d", path, f.Version, profileVersion)
-	}
-	routines := make(map[string][]adl.Routine, len(f.Routines))
-	for activity, encs := range f.Routines {
-		rs := make([]adl.Routine, len(encs))
-		for i, enc := range encs {
-			r := make(adl.Routine, len(enc))
-			for j, s := range enc {
-				r[j] = adl.StepID(s)
-			}
-			rs[i] = r
-		}
-		routines[activity] = rs
-	}
-	return f, routines, nil
-}
-
-// writeJSON marshals v and writes it atomically: to a temp file in the
-// target directory, fsynced, then renamed over the destination.
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: marshal %s: %w", path, err)
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("store: temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after successful rename
-
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: write %s: %w", tmpName, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: sync %s: %w", tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: close %s: %w", tmpName, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("store: rename: %w", err)
-	}
-	return nil
-}
-
-func readJSON(path string, v any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("store: read: %w", err)
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("store: parse %s: %w", path, err)
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestPolicyRoundTrip(t *testing.T) {
 	if loaded.Get(3, 2) != 123.5 {
 		t.Errorf("Q(3,2) = %v", loaded.Get(3, 2))
 	}
-	if loaded.MaxAbsDiff(table) != 0 {
+	if !slices.Equal(loaded.Values(), table.Values()) {
 		t.Error("table changed across round trip")
 	}
 }
@@ -129,46 +130,6 @@ func TestLoadPolicyFallsBackToBackup(t *testing.T) {
 	}
 }
 
-func TestProfileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "tanaka.json")
-
-	tea := adl.TeaMaking()
-	dress := adl.Dressing()
-	r1 := dress.CanonicalRoutine()
-	r2 := r1.Clone()
-	r2[2], r2[3] = r2[3], r2[2]
-	in := map[string][]adl.Routine{
-		tea.Name:   {tea.CanonicalRoutine()},
-		dress.Name: {r1, r2},
-	}
-	if err := SaveProfile(path, "Mr. Tanaka", 0.4, in); err != nil {
-		t.Fatal(err)
-	}
-	f, routines, err := LoadProfile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Name != "Mr. Tanaka" || f.Severity != 0.4 {
-		t.Errorf("metadata = %+v", f)
-	}
-	if len(routines[dress.Name]) != 2 || !routines[dress.Name][1].Equal(r2) {
-		t.Errorf("dressing routines = %v", routines[dress.Name])
-	}
-	if !routines[tea.Name][0].Equal(tea.CanonicalRoutine()) {
-		t.Errorf("tea routine = %v", routines[tea.Name])
-	}
-}
-
-func TestLoadProfileRejectsBadVersion(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "p.json")
-	os.WriteFile(path, []byte(`{"version":0,"name":"x"}`), 0o644)
-	if _, _, err := LoadProfile(path); err == nil {
-		t.Error("wrong version accepted")
-	}
-}
-
 func TestAtomicWriteLeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "pol.json")
@@ -264,4 +225,14 @@ func TestMultiPolicyValidation(t *testing.T) {
 	if _, _, _, err := LoadMultiPolicy(path); err == nil {
 		t.Error("empty multi-policy accepted")
 	}
+}
+
+// loadPolicyFile loads exactly one generation (no backup fallback); the
+// backup-rotation tests use it to inspect a specific file.
+func loadPolicyFile(path string) (PolicyFile, *rl.QTable, error) {
+	var c Checkpoint
+	if _, err := readBlobAt(path, func(data []byte) error { return DecodeCheckpoint(&c, data) }); err != nil {
+		return PolicyFile{}, nil, err
+	}
+	return checkpointToPolicy(path, &c)
 }

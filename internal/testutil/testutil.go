@@ -6,4 +6,6 @@
 // scripts/check.sh therefore runs the test suite both with -race (for
 // the data-race coverage) and without (so the alloc budgets are actually
 // enforced).
+//
+//coreda:vet-ignore testonly a test harness by design: only _test.go files import it
 package testutil

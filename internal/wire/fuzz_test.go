@@ -42,8 +42,9 @@ func FuzzReader(f *testing.F) {
 	f.Add(append([]byte{0x00, Magic, 0x13}, good...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
+		var f Frame
 		for {
-			if _, err := r.ReadPacket(); err != nil {
+			if err := r.ReadFrame(&f); err != nil {
 				return
 			}
 		}

@@ -66,16 +66,15 @@ const (
 	TypeRedirect Type = 0x08
 	// TypeReplicate pushes one tenant checkpoint generation to a
 	// replica peer. The frame is a bulk-transfer header: the household
-	// name and blob bytes follow it raw on the stream (see
-	// Replicate.BodyLen), since checkpoint blobs dwarf MaxPayload.
+	// name and blob bytes follow it raw on the stream (see Replicate),
+	// since checkpoint blobs dwarf MaxPayload.
 	TypeReplicate Type = 0x09
-	// TypeHandoff transfers tenant ownership: like TypeReplicate (same
-	// header-then-body shape) but the receiver becomes the tenant's
-	// owner and the sender stops serving it once acked.
-	TypeHandoff Type = 0x0A
+	// 0x0A is reserved: it carried the retired tenant-handoff transfer
+	// and must not be reused, so a frame from an old peer is refused as
+	// an unknown type instead of being misread.
+
 	// TypeRangeClaim announces that a peer owns a ring-slot range as of
-	// a membership epoch; receivers rebalance (hand off resident
-	// tenants in the range) and redirect accordingly.
+	// a membership epoch; receivers redirect accordingly.
 	TypeRangeClaim Type = 0x0B
 )
 
@@ -100,8 +99,6 @@ func (t Type) String() string {
 		return "redirect"
 	case TypeReplicate:
 		return "replicate"
-	case TypeHandoff:
-		return "handoff"
 	case TypeRangeClaim:
 		return "range-claim"
 	default:
@@ -468,7 +465,7 @@ func (p *Redirect) parse(b []byte) error {
 	return nil
 }
 
-// MaxBlob is the largest checkpoint blob a Replicate/Handoff transfer
+// MaxBlob is the largest checkpoint blob a Replicate transfer
 // accepts — a hostile-input cap far above any real checkpoint, which is
 // kilobytes.
 const MaxBlob = 16 << 20
@@ -481,7 +478,7 @@ const FlagFsync = 0x01
 // cap payloads at MaxPayload, so the household name (NameLen bytes) and
 // checkpoint blob (Size bytes) follow the frame raw on the stream — a
 // bulk side-channel the resynchronizing Reader never sees because the
-// receiver consumes exactly BodyLen bytes before the next frame. CRC is
+// receiver consumes exactly NameLen+Size bytes before the next frame. CRC is
 // the IEEE CRC-32 of the blob alone; the name is covered by the check
 // that it parses as a household the receiver replicates.
 type Replicate struct {
@@ -494,9 +491,6 @@ type Replicate struct {
 
 // Type implements Packet.
 func (*Replicate) Type() Type { return TypeReplicate }
-
-// BodyLen returns how many raw bytes follow the frame on the stream.
-func (p *Replicate) BodyLen() int { return int(p.NameLen) + int(p.Size) }
 
 func (p *Replicate) appendPayload(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, p.Seq)
@@ -523,57 +517,6 @@ func (p *Replicate) parse(b []byte) error {
 	p.NameLen = b[3]
 	p.Size = binary.BigEndian.Uint32(b[4:])
 	p.CRC = binary.BigEndian.Uint32(b[8:])
-	return nil
-}
-
-// Handoff transfers tenant ownership between peers. The transfer shape
-// is Replicate's (header frame, then name and blob raw on the stream)
-// plus the sender's membership epoch: a receiver rejects handoffs from a
-// stale epoch so a partitioned ex-owner cannot re-seed a tenant it no
-// longer owns. Once the receiver acks, it owns the tenant and the
-// sender must evict it and redirect its nodes.
-type Handoff struct {
-	Seq     uint16
-	Epoch   uint32 // sender's membership epoch
-	Flags   uint8  // FlagFsync is the only defined bit
-	NameLen uint8  // household name length, at most MaxHousehold
-	Size    uint32 // checkpoint blob length, at most MaxBlob
-	CRC     uint32 // IEEE CRC-32 of the blob bytes
-}
-
-// Type implements Packet.
-func (*Handoff) Type() Type { return TypeHandoff }
-
-// BodyLen returns how many raw bytes follow the frame on the stream.
-func (p *Handoff) BodyLen() int { return int(p.NameLen) + int(p.Size) }
-
-func (p *Handoff) appendPayload(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, p.Seq)
-	dst = binary.BigEndian.AppendUint32(dst, p.Epoch)
-	dst = append(dst, p.Flags, p.NameLen)
-	dst = binary.BigEndian.AppendUint32(dst, p.Size)
-	return binary.BigEndian.AppendUint32(dst, p.CRC)
-}
-
-func (p *Handoff) parse(b []byte) error {
-	if len(b) != 16 {
-		return ErrBadPayload
-	}
-	if b[6]&^FlagFsync != 0 {
-		return fmt.Errorf("%w: handoff flags 0x%02x", ErrBadField, b[6])
-	}
-	if int(b[7]) > MaxHousehold {
-		return fmt.Errorf("%w: household length %d", ErrBadField, b[7])
-	}
-	if size := binary.BigEndian.Uint32(b[8:]); size > MaxBlob {
-		return fmt.Errorf("%w: blob size %d", ErrBadField, size)
-	}
-	p.Seq = binary.BigEndian.Uint16(b[0:])
-	p.Epoch = binary.BigEndian.Uint32(b[2:])
-	p.Flags = b[6]
-	p.NameLen = b[7]
-	p.Size = binary.BigEndian.Uint32(b[8:])
-	p.CRC = binary.BigEndian.Uint32(b[12:])
 	return nil
 }
 
@@ -681,44 +624,11 @@ type Frame struct {
 	PeerHello  PeerHello
 	Redirect   Redirect
 	Replicate  Replicate
-	Handoff    Handoff
 	RangeClaim RangeClaim
 }
 
-// Packet returns the active member as a Packet. The returned value
-// aliases the Frame: it is only valid until the next DecodeInto/ReadFrame
-// on the same Frame.
-func (f *Frame) Packet() Packet {
-	switch f.Kind {
-	case TypeUsageStart:
-		return &f.UsageStart
-	case TypeUsageEnd:
-		return &f.UsageEnd
-	case TypeLEDCommand:
-		return &f.LEDCommand
-	case TypeAck:
-		return &f.Ack
-	case TypeHeartbeat:
-		return &f.Heartbeat
-	case TypeHello:
-		return &f.Hello
-	case TypePeerHello:
-		return &f.PeerHello
-	case TypeRedirect:
-		return &f.Redirect
-	case TypeReplicate:
-		return &f.Replicate
-	case TypeHandoff:
-		return &f.Handoff
-	case TypeRangeClaim:
-		return &f.RangeClaim
-	default:
-		return nil
-	}
-}
-
 // detach returns a heap copy of the active member, independent of the
-// Frame — the compatibility shim under Decode/ReadPacket.
+// Frame — the compatibility shim under Decode.
 func (f *Frame) detach() Packet {
 	switch f.Kind {
 	case TypeUsageStart:
@@ -747,9 +657,6 @@ func (f *Frame) detach() Packet {
 		return &p
 	case TypeReplicate:
 		p := f.Replicate
-		return &p
-	case TypeHandoff:
-		p := f.Handoff
 		return &p
 	case TypeRangeClaim:
 		p := f.RangeClaim
@@ -813,9 +720,6 @@ func DecodeInto(f *Frame, frame []byte) error {
 	case TypeReplicate:
 		f.Kind = t
 		return f.Replicate.parse(body)
-	case TypeHandoff:
-		f.Kind = t
-		return f.Handoff.parse(body)
 	case TypeRangeClaim:
 		f.Kind = t
 		return f.RangeClaim.parse(body)
@@ -932,18 +836,6 @@ type Reader struct {
 
 // NewReader returns a frame reader over r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
-
-// ReadPacket reads the next valid frame, skipping garbage bytes until a
-// frame parses, and returns a freshly allocated packet. It returns the
-// underlying stream error (e.g. io.EOF) when the stream ends. Hot paths
-// should prefer ReadFrame, which parses into a reusable Frame instead.
-func (r *Reader) ReadPacket() (Packet, error) {
-	var f Frame
-	if err := r.ReadFrame(&f); err != nil {
-		return nil, err
-	}
-	return f.detach(), nil
-}
 
 // ReadFrame reads the next valid frame into f, skipping garbage bytes
 // until a frame parses — the allocation-free read path (Hello excepted

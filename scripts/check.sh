@@ -5,6 +5,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# One private temp dir holds every gate's output (test logs, the
+# race-enabled coreda-bench and its soak outputs), so concurrent check
+# runs cannot clobber each other's files and nothing is left behind.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+golden=scripts/golden
+
 echo "== gofmt"
 unformatted=$(gofmt -l .)
 if [[ -n "$unformatted" ]]; then
@@ -25,8 +32,27 @@ go run ./cmd/coreda-vet -skip hotalloc ./...
 echo "== go build"
 go build ./...
 
-echo "== go test -race"
-go test -race ./...
+# The race run also measures per-package statement coverage, gated
+# against the committed golden: deleting code must never delete
+# coverage. A package may not fall more than 0.5 points below its
+# golden figure, nor vanish from the report; a change that means to
+# move coverage regenerates the golden with `make golden` and says why.
+echo "== go test -race -cover (coverage vs golden)"
+go test -race -cover ./... | tee "$tmp/test.txt"
+awk -f scripts/coverage.awk "$tmp/test.txt" > "$tmp/coverage.txt"
+# Figures are printed to one decimal, so they are compared in tenths.
+awk 'NR == FNR { want[$1] = $2; next } { got[$1] = $2 }
+END {
+	bad = 0
+	for (p in want) {
+		if (!(p in got)) {
+			printf "coverage: %s missing (golden %.1f%%)\n", p, want[p]; bad = 1
+		} else if (int(want[p] * 10 + 0.5) - int(got[p] * 10 + 0.5) > 5) {
+			printf "coverage: %s fell from %.1f%% to %.1f%%\n", p, want[p], got[p]; bad = 1
+		}
+	}
+	exit bad
+}' "$golden/coverage.txt" "$tmp/coverage.txt"
 
 # The zero-allocation budgets on the serving path skip themselves under
 # the race detector (its instrumentation allocates), so they are
@@ -53,12 +79,8 @@ go test -race -count 1 -run 'TestAdvanceParity|TestLateEventAfterTickParity|Test
 go test -race -count 1 -run 'TestSchedulerMatchesNaiveReference' ./internal/sim/
 
 # The soak gates below run one race-enabled coreda-bench, built once into
-# a private temp dir that also holds every soak's output, so concurrent
-# check runs cannot clobber each other's files and a failing diff leaves
-# nothing behind.
+# the private temp dir.
 echo "== build coreda-bench (race-enabled)"
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
 bench="$tmp/coreda-bench"
 go build -race -o "$bench" ./cmd/coreda-bench
 
@@ -77,7 +99,6 @@ diff "$tmp/chaos-w1.txt" "$tmp/chaos-w4.txt"
 # failing injected attempts (the retry budget must absorb them). A
 # change meant to alter what households learn regenerates the goldens
 # with `make golden` and says why.
-golden=scripts/golden
 echo "== fleet soak (shards 1/4/8 and jobfail 0.2 vs golden, race-enabled)"
 for n in 1 4 8; do
     "$bench" -households 1000 -fleet-shards "$n" fleet > "$tmp/fleet-s$n.txt"

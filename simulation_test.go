@@ -87,9 +87,10 @@ func runAssistFlippingAfterFirstStep(t *testing.T, s *Simulation, flip func()) {
 		t.Fatal(err)
 	}
 	flipped := false
+	base := s.Actor.Stats.CorrectSteps
 	deadline := s.Sched.Now() + 10*time.Minute
 	for !s.completed && s.Sched.Now() < deadline {
-		if !flipped && s.Actor.Position() >= 1 {
+		if !flipped && s.Actor.Stats.CorrectSteps > base {
 			flip()
 			flipped = true
 		}
