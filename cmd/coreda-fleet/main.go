@@ -135,9 +135,9 @@ func run(o options) error {
 
 	out := &console{}
 
-	// The control-plane bus: shards publish eviction/checkpoint events,
-	// the cluster node publishes degraded-mode transitions, and the
-	// operator log below consumes the ones worth a line. Slow output
+	// The control-plane bus: shards publish failed eviction writebacks,
+	// the cluster node publishes degraded-mode transitions and lost
+	// peers, and the operator log below prints a line for each. Slow output
 	// never backs up into a shard loop — the bus drops instead.
 	bus := notify.NewBus()
 	health := bus.Subscribe(256, notify.WritebackFailed, notify.NodeDegraded, notify.NodeRecovered, notify.PeerLost)

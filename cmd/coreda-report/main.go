@@ -7,13 +7,10 @@
 //
 //	coreda-report [-user "Mr. Tanaka"] [-watch 2s] trace.jsonl
 //
-// With -watch the command stays up as a control-plane bus subscriber
-// (internal/report.Watch on an internal/notify bus): a poller publishes
-// a CheckpointDone event whenever the trace gains records — the offline
-// stand-in for the events a fleet's shards publish after checkpoint
-// waves — and the subscriber regenerates the report on each one. Run
-// against a trace that is still being appended to, the report refreshes
-// as sessions land.
+// With -watch the command stays up and polls the trace at the given
+// interval, re-rendering the report whenever the trace has gained
+// records. Run against a trace that is still being appended to, the
+// report refreshes as sessions land.
 package main
 
 import (
@@ -23,7 +20,6 @@ import (
 	"time"
 
 	"coreda"
-	"coreda/internal/notify"
 	"coreda/internal/report"
 	"coreda/internal/trace"
 )
@@ -65,19 +61,18 @@ func knownActivities() (stepCounts map[string]int, toolNames map[uint16]string) 
 	return stepCounts, toolNames
 }
 
-// render reads the trace and prints the report, returning the record
-// count so the watch poller can detect growth.
-func render(user, path string) (int, error) {
+// readTrace loads every record of the trace file.
+func readTrace(path string) ([]trace.Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer f.Close()
-	records, err := trace.Read(f)
-	if err != nil {
-		return 0, err
-	}
+	return trace.Read(f)
+}
 
+// render prints the report for the given records.
+func render(user string, records []trace.Record) {
 	stepCounts, toolNames := knownActivities()
 	r := report.Build(user, records, stepCounts)
 	fmt.Print(r.Render(toolNames))
@@ -85,47 +80,33 @@ func render(user, path string) (int, error) {
 	sum := trace.Summarize(records)
 	fmt.Printf("\ntrace: %d sessions, %d steps, %d idle events, %d reminders, %d praises\n",
 		sum.Sessions, sum.Steps, sum.Idles, sum.Reminders, sum.Praises)
-	return len(records), nil
 }
 
 func run(user, path string) error {
-	_, err := render(user, path)
-	return err
-}
-
-// runWatch renders once, then keeps regenerating: the poller publishes
-// CheckpointDone onto a local bus whenever the trace gains records, and
-// the report.Watch subscriber — the same consumer an embedded fleet bus
-// would drive — re-renders on each event.
-func runWatch(user, path string, every time.Duration) error {
-	seen, err := render(user, path)
+	records, err := readTrace(path)
 	if err != nil {
 		return err
 	}
+	render(user, records)
+	return nil
+}
 
-	bus := notify.NewBus()
-	w := report.Watch(bus, 0, func(fresh int) {
-		fmt.Printf("\n--- %d new records ---\n", fresh)
-		if _, err := render(user, path); err != nil {
-			fmt.Fprintln(os.Stderr, "coreda-report:", err)
-		}
-	})
-	defer w.Stop()
-
+// runWatch renders once, then polls the trace every interval and
+// re-renders it whenever it has gained records.
+func runWatch(user, path string, every time.Duration) error {
+	seen := -1 // no render yet
 	for {
-		time.Sleep(every)
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		records, err := trace.Read(f)
-		f.Close()
+		records, err := readTrace(path)
 		if err != nil {
 			return err
 		}
 		if len(records) > seen {
-			bus.Publish(notify.Event{Kind: notify.CheckpointDone, Count: len(records) - seen})
+			if seen >= 0 {
+				fmt.Printf("\n--- %d new records ---\n", len(records)-seen)
+			}
+			render(user, records)
 			seen = len(records)
 		}
+		time.Sleep(every)
 	}
 }

@@ -13,10 +13,9 @@ import (
 //  1. Goroutines may only be spawned by the sanctioned lifecycle points
 //     (*Fleet).Start (the shard loops), (*Server).Serve (per-conn
 //     handlers), in internal/cluster (*Node).Start plus its acceptLoop
-//     (the peer listener and its per-conn handlers) and (*Node).WatchBus
-//     (the bus-consumer loop, subscribed at Start and closed with the
-//     node), and in internal/queue (*Queue).dispatch (the drain's
-//     bounded worker pool). A `go` statement anywhere else — a shard
+//     (the peer listener and its per-conn handlers), and in
+//     internal/queue (*Queue).dispatch (the drain's bounded worker
+//     pool). A `go` statement anywhere else — a shard
 //     drain, a flush, a handler — is a handoff the ownership model
 //     cannot see.
 //  2. No goroutine launch may capture or receive a *Tenant.
@@ -117,17 +116,15 @@ func runShardAffinity(pass *Pass) {
 // sanctionedSpawner reports whether fd is one of the lifecycle methods
 // allowed to start goroutines: the fleet's shard-loop launch and
 // per-conn serve, the cluster node's peer accept loop (Start spawns
-// acceptLoop, acceptLoop spawns one serveConn per peer link) and its
-// bus-consumer loop (WatchBus, subscribed at Start and torn down with
-// the node), and the control queue's worker-pool launch (dispatch, the
-// only place drained jobs leave the calling goroutine).
+// acceptLoop, acceptLoop spawns one serveConn per peer link), and the
+// control queue's worker-pool launch (dispatch, the only place drained
+// jobs leave the calling goroutine).
 func sanctionedSpawner(fd *ast.FuncDecl) bool {
 	recv := recvTypeName(fd)
 	return fd.Name.Name == "Start" && recv == "Fleet" ||
 		fd.Name.Name == "Serve" && recv == "Server" ||
 		fd.Name.Name == "Start" && recv == "Node" ||
 		fd.Name.Name == "acceptLoop" && recv == "Node" ||
-		fd.Name.Name == "WatchBus" && recv == "Node" ||
 		fd.Name.Name == "dispatch" && recv == "Queue"
 }
 

@@ -5,16 +5,10 @@
 // blocking call).
 package queue
 
-// Class names a permit class.
-type Class string
-
 // Job is one unit of control-plane work.
 type Job struct {
-	Class    Class
-	Priority int
-	Label    string
-	Run      func() error
-	Done     func(error)
+	Run  func() error
+	Done func(error)
 }
 
 // Queue collects jobs between drain boundaries.

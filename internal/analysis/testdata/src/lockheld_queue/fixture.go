@@ -39,8 +39,7 @@ func (s *shard) enqueueLocked(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ctl.Enqueue(queue.Job{
-		Label: id,
-		Run:   func() error { return nil },
-		Done:  func(error) { s.known[id] = true },
+		Run:  func() error { return nil },
+		Done: func(error) { s.known[id] = true },
 	})
 }

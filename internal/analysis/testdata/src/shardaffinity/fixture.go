@@ -80,9 +80,8 @@ func (s *shard) enqueueGood(ctl *queue.Queue, sv *Saver, fsync bool) {
 	for _, t := range s.evictq {
 		t := t
 		ctl.Enqueue(queue.Job{
-			Label: t.ID,
-			Run:   func() error { return t.save(sv, fsync) },
-			Done:  func(error) { t.lastEvent = 0 },
+			Run:  func() error { return t.save(sv, fsync) },
+			Done: func(error) { t.lastEvent = 0 },
 		})
 	}
 }
@@ -93,7 +92,6 @@ func (s *shard) enqueueBad(ctl *queue.Queue) {
 	for _, t := range s.evictq {
 		t := t
 		ctl.Enqueue(queue.Job{
-			Label: t.ID,
 			Run: func() error {
 				t.lastEvent = 0 // want `tenant reached inside a queue\.Job Run closure`
 				return nil

@@ -23,12 +23,6 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// WatchBus is sanctioned: the bus-consumer loop is a lifecycle point,
-// subscribed at Start and torn down with the node.
-func (n *Node) WatchBus() {
-	go n.serveConn(0)
-}
-
 // Sync is not a lifecycle point: a goroutine here would hide
 // replication work from the ownership model.
 func (n *Node) Sync() {

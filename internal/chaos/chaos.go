@@ -276,7 +276,7 @@ func (inj *Injector) OnFrame(now time.Duration, toGateway bool, uid uint16, fram
 // budget guarantees the job still completes, so injection perturbs only
 // retry counters and backoff timing — never a policy file.
 func (p *Plan) JobInjector(rng *rand.Rand) queue.InjectFunc {
-	return func(queue.Class, string) int {
+	return func() int {
 		if rng.Float64() < p.JobFail {
 			return 1
 		}

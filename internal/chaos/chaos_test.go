@@ -269,7 +269,7 @@ func TestJobInjectorDeterminism(t *testing.T) {
 		inject := plan.JobInjector(sim.RNG(7, "chaos/jobs"))
 		var out []int
 		for i := 0; i < 200; i++ {
-			out = append(out, inject("eviction", "h00001"))
+			out = append(out, inject())
 		}
 		return out
 	}
@@ -288,7 +288,7 @@ func TestJobInjectorDeterminism(t *testing.T) {
 	// fixed so enabling the knob cannot shift other draws on the stream.
 	never := (&Plan{}).JobInjector(sim.RNG(7, "chaos/jobs"))
 	for i := 0; i < 50; i++ {
-		if never("checkpoint", "h00002") != 0 {
+		if never() != 0 {
 			t.Fatal("zero-probability injector failed a job")
 		}
 	}

@@ -42,9 +42,7 @@ type NodeConfig struct {
 	Listener net.Listener
 	// Bus, if non-nil, is the control-plane event bus. The replicating
 	// backend publishes NodeDegraded/NodeRecovered on a peer's
-	// pending-push transitions, RemovePeer publishes PeerLost, and
-	// Start subscribes the node to WritebackFailed events (the fleet's
-	// failed eviction writebacks), counting them as degraded.
+	// pending-push transitions, and RemovePeer publishes PeerLost.
 	Bus *notify.Bus
 }
 
@@ -68,9 +66,6 @@ type Node struct {
 	links     map[string]*peer  // outbound, by peer addr
 	nodeAddrs map[string]string // peer addr -> its advertised NodeAddr
 	slotAddr  []string          // slot -> owner NodeAddr per accepted RangeClaims
-
-	watchers       []*notify.Listener // bus subscriptions, closed by Close
-	writebackFails int                // WritebackFailed events observed via WatchBus
 
 	ln     net.Listener
 	conns  map[net.Conn]bool // inbound peer conns, for Close
@@ -131,38 +126,7 @@ func (n *Node) Start() error {
 	n.ln = ln
 	n.wg.Add(1)
 	go n.acceptLoop()
-	if n.cfg.Bus != nil {
-		n.WatchBus(n.cfg.Bus)
-	}
 	return nil
-}
-
-// WatchBus subscribes the node to bus's WritebackFailed events — fleet
-// eviction writebacks that failed after retries — and folds them into
-// the node's degraded accounting. The listener drains on its own
-// goroutine (stopped by Close), so a busy node never blocks the
-// publishing shard loop; the bus drops instead of waiting. Start calls
-// this with NodeConfig.Bus; call it directly to watch a second bus
-// (e.g. a fleet bus distinct from the cluster's).
-func (n *Node) WatchBus(bus *notify.Bus) {
-	l := bus.Subscribe(256, notify.WritebackFailed)
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		l.Close()
-		return
-	}
-	n.watchers = append(n.watchers, l)
-	n.mu.Unlock()
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		for range l.C() {
-			n.mu.Lock()
-			n.writebackFails++
-			n.mu.Unlock()
-		}
-	}()
 }
 
 // Close stops serving and closes every peer link.
@@ -182,8 +146,6 @@ func (n *Node) Close() {
 	for c := range n.conns {
 		conns = append(conns, c)
 	}
-	watchers := n.watchers
-	n.watchers = nil
 	n.mu.Unlock()
 	if ln != nil {
 		ln.Close()
@@ -193,9 +155,6 @@ func (n *Node) Close() {
 	}
 	for _, c := range conns {
 		c.Close()
-	}
-	for _, l := range watchers {
-		l.Close()
 	}
 	n.wg.Wait()
 }

@@ -358,12 +358,13 @@ func TestRangeClaimStaleEpochRefused(t *testing.T) {
 	}
 }
 
-// TestNodeBusPeerLostAndHealth: the node's bus wiring — a fleet-side
-// WritebackFailed event folds into Health via the WatchBus subscription
-// Start installs, and RemovePeer announces the departure as PeerLost.
+// TestNodeBusPeerLostAndHealth: the node's bus wiring and degraded-mode
+// accounting — a barrier whose push to an unreachable replica fails
+// leaves it owed and publishes NodeDegraded, and RemovePeer announces
+// the departure as PeerLost and forgives what was owed.
 func TestNodeBusPeerLostAndHealth(t *testing.T) {
 	bus := notify.NewBus()
-	lost := bus.Subscribe(16, notify.PeerLost)
+	events := bus.Subscribe(16, notify.NodeDegraded, notify.PeerLost)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -377,6 +378,8 @@ func TestNodeBusPeerLostAndHealth(t *testing.T) {
 		Local:    store.NewMemBackend(),
 		Listener: ln,
 		Bus:      bus,
+		// The ghost is never dialled: every link refuses at once.
+		Dial: func(string) (net.Conn, error) { return nil, errors.New("ghost unreachable") },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -389,33 +392,47 @@ func TestNodeBusPeerLostAndHealth(t *testing.T) {
 	if h := n.Health(); h != (Health{}) {
 		t.Fatalf("fresh node unhealthy: %+v", h)
 	}
-	bus.Publish(notify.Event{Kind: notify.WritebackFailed, Household: "h00001", Err: "disk gone"})
-	deadline := time.Now().Add(5 * time.Second)
-	for n.Health().WritebackFailures == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("WritebackFailed event never reached Health")
+	name := ""
+	for i := 0; name == ""; i++ {
+		if h := fmt.Sprintf("h%05d", i); n.Owns(h) {
+			name = h
 		}
-		time.Sleep(time.Millisecond)
 	}
+	if err := n.Backend().Put(name, []byte("v1"), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Sync(); err != nil {
+		t.Fatalf("Sync with the replica unreachable = %v, want nil (degraded)", err)
+	}
+	if h, want := n.Health(), (Health{PendingPushes: 1, DegradedPeers: 1}); h != want {
+		t.Fatalf("health after failed push = %+v, want %+v", h, want)
+	}
+	wantEvent(t, events, notify.Event{Kind: notify.NodeDegraded, Addr: ghost, Err: "ghost unreachable"})
 
 	if _, err := n.RemovePeer(ghost); err != nil {
 		t.Fatal(err)
 	}
+	wantEvent(t, events, notify.Event{Kind: notify.PeerLost, Addr: ghost})
+	if h := n.Health(); h != (Health{}) {
+		t.Fatalf("pushes still owed to a peer that left: %+v", h)
+	}
+}
+
+// wantEvent asserts the listener's next buffered event.
+func wantEvent(t *testing.T, l *notify.Listener, want notify.Event) {
+	t.Helper()
 	select {
-	case ev := <-lost.C():
-		if ev.Kind != notify.PeerLost || ev.Addr != ghost {
-			t.Fatalf("bus event = %+v, want PeerLost %s", ev, ghost)
+	case ev := <-l.C():
+		if ev != want {
+			t.Fatalf("bus event = %+v, want %+v", ev, want)
 		}
 	default:
-		t.Fatal("no PeerLost event after RemovePeer")
+		t.Fatalf("no bus event, want %+v", want)
 	}
 }
 
 // Health is the node's degraded-mode snapshot the bus tests assert on.
 type Health struct {
-	// WritebackFailures counts WritebackFailed bus events observed —
-	// local eviction checkpoints that could not be written.
-	WritebackFailures int
 	// PendingPushes counts replica pushes owed to peers from failed
 	// barriers.
 	PendingPushes int
@@ -425,13 +442,9 @@ type Health struct {
 
 // Health snapshots the node's degraded-mode accounting.
 func (n *Node) Health() Health {
-	n.mu.Lock()
-	wf := n.writebackFails
-	n.mu.Unlock()
 	return Health{
-		WritebackFailures: wf,
-		PendingPushes:     n.rb.Pending(),
-		DegradedPeers:     n.rb.DegradedPeers(),
+		PendingPushes: n.rb.Pending(),
+		DegradedPeers: n.rb.DegradedPeers(),
 	}
 }
 

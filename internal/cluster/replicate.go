@@ -20,14 +20,6 @@ type SendFunc func(addr, name string, blob []byte, fsync bool) error
 // without the backend holding a ring.
 type RouteFunc func(name string) []string
 
-// ReplicaStats counts replication outcomes (read under the backend's
-// own lock via Stats).
-type ReplicaStats struct {
-	Replicated int // blob-to-peer pushes that succeeded
-	Failed     int // pushes that exhausted retries this Sync
-	Degraded   int // pushes deferred to a later Sync and then recovered
-}
-
 // ReplicatingBackend wraps a local store.Backend and mirrors its writes
 // to the household's replica peers. Writes land locally immediately;
 // replication happens at Sync barriers, not per write. That batching is
@@ -53,13 +45,11 @@ type ReplicatingBackend struct {
 	// pending[addr][name]: pushes that exhausted retries, owed to the
 	// peer at the next barrier.
 	pending map[string]map[string]bool
-	stats   ReplicaStats
 }
 
-// pushWorkers bounds how many replica pushes run concurrently during a
-// Sync barrier. Each peer link stays strictly serial regardless — every
-// push carries a per-peer permit class capped at one in flight — so the
-// concurrency only overlaps pushes to *different* peers.
+// pushWorkers bounds how many peers a Sync barrier pushes to at once.
+// Each peer's pushes are one job, so a peer link stays strictly serial
+// and the concurrency only overlaps pushes to *different* peers.
 const pushWorkers = 4
 
 // NewReplicatingBackend wraps local so every Put/PutStream-Commit is
@@ -70,9 +60,8 @@ func NewReplicatingBackend(local store.Backend, route RouteFunc, send SendFunc) 
 		send:    send,
 		route:   route,
 		ctl: queue.New(queue.Config{
-			Workers:       pushWorkers,
-			DefaultPermit: 1, // one in-flight push per peer link
-			Stream:        "cluster/replicate",
+			Workers: pushWorkers,
+			Stream:  "cluster/replicate",
 		}),
 		dirty:   make(map[string]bool),
 		pending: make(map[string]map[string]bool),
@@ -129,23 +118,23 @@ func (rb *ReplicatingBackend) markDirty(name string) {
 
 // Sync replicates every blob written since the last barrier (plus any
 // pushes still owed from earlier degraded barriers) to its replica
-// peers. The pushes run as control-queue jobs: up to pushWorkers peers
-// are pushed to concurrently, but each peer link carries at most one
-// push at a time (per-peer permit class), in sorted-name order — the
-// link's conn checkout and jitter stream are consumed in a sequence
-// that is a pure function of the barrier's work set. The barrier state
-// after Sync returns is therefore deterministic even though the
-// wall-clock interleaving across peers is not, and the soak drivers
-// only ever observe completed barriers (a SIGKILLed worker skips its
-// barrier entirely).
+// peers. Each peer gets one control-queue job that pushes its blobs in
+// sorted-name order, and up to pushWorkers peers are pushed to
+// concurrently: a peer link carries one push at a time, and its conn
+// checkout and jitter stream are consumed in a sequence that is a pure
+// function of the barrier's work set, while a slow peer holds back only
+// its own job. The barrier state after Sync returns is therefore
+// deterministic even though the wall-clock interleaving across peers is
+// not, and the soak drivers only ever observe completed barriers (a
+// SIGKILLed worker skips its barrier entirely).
 //
-// A push that fails (send exhausted its retries) is recorded as pending
-// and does not fail the barrier; Sync returns an error only when the
-// local blob cannot be read back.
+// Each push is attempted once per barrier (send retries on its own). A
+// push that fails is recorded as pending and does not fail the barrier;
+// Sync returns an error only when a local blob cannot be read back.
 func (rb *ReplicatingBackend) Sync() error {
 	// Snapshot and clear the dirty set; merge in owed pushes.
 	rb.mu.Lock()
-	work := make(map[string]map[string]bool) // name -> peer set (nil = use route)
+	work := make(map[string]map[string]bool) // name -> owed peers (nil = route only)
 	for name := range rb.dirty {
 		work[name] = nil
 	}
@@ -163,18 +152,15 @@ func (rb *ReplicatingBackend) Sync() error {
 	rb.pending = make(map[string]map[string]bool)
 	rb.mu.Unlock()
 
-	names := make([]string, 0, len(work))
-	for name := range work {
-		names = append(names, name)
+	// Group the blobs by peer; walking the names sorted fills each
+	// peer's list in name order.
+	type push struct {
+		name string
+		blob []byte
 	}
-	sort.Strings(names)
-
-	// failErr records each degraded peer's first push error this barrier
-	// (written only by Done callbacks, which run serially on this
-	// goroutine in dispatch order).
-	failErr := make(map[string]string)
+	perPeer := make(map[string][]push)
 	var firstErr error
-	for _, name := range names {
+	for _, name := range sortedKeys(work) {
 		blob, err := rb.Backend.Get(name, nil)
 		if err != nil {
 			// Local read failure is a real barrier error: the blob was
@@ -185,72 +171,73 @@ func (rb *ReplicatingBackend) Sync() error {
 			continue
 		}
 		peers := rb.route(name)
-		extra := work[name]
-		for addr := range extra {
+		for addr := range work[name] {
 			if !contains(peers, addr) {
 				peers = append(peers, addr)
 			}
 		}
 		for _, addr := range peers {
-			owed := extra[addr]
-			rb.ctl.Enqueue(queue.Job{
-				Class: queue.Class("peer:" + addr),
-				Label: name,
-				Run: func() error {
-					return rb.send(addr, name, blob, true)
-				},
-				Done: func(err error) {
-					if err != nil {
-						rb.mu.Lock()
-						if rb.pending[addr] == nil {
-							rb.pending[addr] = make(map[string]bool)
-						}
-						rb.pending[addr][name] = true
-						rb.stats.Failed++
-						rb.mu.Unlock()
-						if _, seen := failErr[addr]; !seen {
-							failErr[addr] = err.Error()
-						}
-						log.Printf("cluster: replica push %s -> %s failed, degraded: %v", name, addr, err)
-						return
-					}
-					rb.mu.Lock()
-					rb.stats.Replicated++
-					if owed {
-						rb.stats.Degraded++
-					}
-					rb.mu.Unlock()
-				},
-			})
+			perPeer[addr] = append(perPeer[addr], push{name, blob})
 		}
+	}
+
+	for _, addr := range sortedKeys(perPeer) {
+		pushes := perPeer[addr]
+		var failed []string // written by Run, read by Done after the drain
+		rb.ctl.Enqueue(queue.Job{
+			Run: func() error {
+				var first error
+				for _, p := range pushes {
+					if err := rb.send(addr, p.name, p.blob, true); err != nil {
+						failed = append(failed, p.name)
+						if first == nil {
+							first = err
+						}
+					}
+				}
+				return first
+			},
+			Done: func(err error) {
+				if err == nil {
+					return
+				}
+				rb.mu.Lock()
+				if rb.pending[addr] == nil {
+					rb.pending[addr] = make(map[string]bool)
+				}
+				for _, name := range failed {
+					rb.pending[addr][name] = true
+				}
+				rb.mu.Unlock()
+				log.Printf("cluster: %d replica pushes -> %s failed, degraded: %v", len(failed), addr, err)
+				if rb.bus != nil && !owedBefore[addr] {
+					rb.bus.Publish(notify.Event{Kind: notify.NodeDegraded, Addr: addr, Err: err.Error()})
+				}
+			},
+		})
 	}
 	//coreda:vet-ignore droppederr push failures are recorded as pending by each job's Done, not surfaced to the barrier
 	_ = rb.ctl.Drain()
 
 	if rb.bus != nil {
 		rb.mu.Lock()
-		owedAfter := make(map[string]bool, len(rb.pending))
-		for addr := range rb.pending {
-			owedAfter[addr] = true
+		var recovered []string
+		for addr := range owedBefore {
+			if rb.pending[addr] == nil {
+				recovered = append(recovered, addr)
+			}
 		}
 		rb.mu.Unlock()
-		for _, addr := range sortedKeys(owedAfter) {
-			if !owedBefore[addr] {
-				rb.bus.Publish(notify.Event{Kind: notify.NodeDegraded, Addr: addr, Err: failErr[addr]})
-			}
-		}
-		for _, addr := range sortedKeys(owedBefore) {
-			if !owedAfter[addr] {
-				rb.bus.Publish(notify.Event{Kind: notify.NodeRecovered, Addr: addr})
-			}
+		sort.Strings(recovered)
+		for _, addr := range recovered {
+			rb.bus.Publish(notify.Event{Kind: notify.NodeRecovered, Addr: addr})
 		}
 	}
 	return firstErr
 }
 
-// sortedKeys returns a map's keys in sorted order — bus transition
-// events publish in a deterministic sequence.
-func sortedKeys(m map[string]bool) []string {
+// sortedKeys returns a map's keys in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

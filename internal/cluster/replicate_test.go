@@ -17,28 +17,38 @@ import (
 // recordingSend is an injectable SendFunc whose per-peer behaviour tests
 // flip between healthy and failing.
 type recordingSend struct {
-	mu    sync.Mutex
-	sent  []string        // "peer/name" in send order
-	down  map[string]bool // peers currently refusing pushes
-	calls int
+	mu      sync.Mutex
+	sent    []string        // "peer/name" landed, in send order
+	refused []string        // "peer/name" failed, in send order
+	down    map[string]bool // peers currently refusing pushes
 }
 
 func (rs *recordingSend) send(addr, name string, blob []byte, fsync bool) error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	rs.calls++
 	if rs.down[addr] {
+		rs.refused = append(rs.refused, addr+"/"+name)
 		return errors.New("injected: peer down")
 	}
 	rs.sent = append(rs.sent, addr+"/"+name)
 	return nil
 }
 
+// take returns and clears the landed pushes.
 func (rs *recordingSend) take() []string {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	out := rs.sent
 	rs.sent = nil
+	return out
+}
+
+// takeRefused returns and clears the failed pushes.
+func (rs *recordingSend) takeRefused() []string {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	out := rs.refused
+	rs.refused = nil
 	return out
 }
 
@@ -169,9 +179,8 @@ func TestReplicatingBackendOneReplicaDown(t *testing.T) {
 	if rb.DegradedPeers() != 1 {
 		t.Fatalf("DegradedPeers = %d, want 1", rb.DegradedPeers())
 	}
-	st := rb.Stats()
-	if st.Replicated != 1 || st.Failed != 1 {
-		t.Fatalf("stats = %+v, want Replicated 1 Failed 1", st)
+	if got, want := rs.takeRefused(), []string{"peerB/h1"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("refused pushes = %v, want %v (one attempt per barrier)", got, want)
 	}
 	select {
 	case ev := <-events.C():
@@ -196,8 +205,8 @@ func TestReplicatingBackendOneReplicaDown(t *testing.T) {
 	if rb.Pending() != 0 {
 		t.Fatalf("Pending after recovery = %d, want 0", rb.Pending())
 	}
-	if st := rb.Stats(); st.Degraded != 1 {
-		t.Fatalf("stats = %+v, want Degraded 1 (owed push recovered)", st)
+	if got := rs.takeRefused(); len(got) != 0 {
+		t.Fatalf("recovery barrier refused %v", got)
 	}
 	select {
 	case ev := <-events.C():
@@ -242,14 +251,15 @@ func TestReplicatingBackendAllReplicasDown(t *testing.T) {
 
 // TestReplicatingBackendSerializesPerPeer: the barrier's push queue may
 // overlap different peers, but one peer link never carries two pushes at
-// once (the per-peer permit class) — the invariant that keeps the link's
-// conn checkout and retry-jitter stream deterministic.
+// once (one job per peer) — the invariant that keeps the link's conn
+// checkout and retry-jitter stream deterministic.
 func TestReplicatingBackendSerializesPerPeer(t *testing.T) {
 	var (
 		mu       sync.Mutex
 		inflight = map[string]int{}
 		overlap  bool
 	)
+	rs := &recordingSend{}
 	send := func(addr, name string, blob []byte, fsync bool) error {
 		mu.Lock()
 		inflight[addr]++
@@ -261,12 +271,14 @@ func TestReplicatingBackendSerializesPerPeer(t *testing.T) {
 		mu.Lock()
 		inflight[addr]--
 		mu.Unlock()
-		return nil
+		return rs.send(addr, name, blob, fsync)
 	}
 	rb := NewReplicatingBackend(store.NewMemBackend(),
 		func(string) []string { return []string{"peerA", "peerB", "peerC"} }, send)
+	var names []string
 	for i := 0; i < 64; i++ {
-		if err := rb.Put(fmt.Sprintf("h%02d", i), []byte("v"), false); err != nil {
+		names = append(names, fmt.Sprintf("h%02d", i))
+		if err := rb.Put(names[i], []byte("v"), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,8 +288,63 @@ func TestReplicatingBackendSerializesPerPeer(t *testing.T) {
 	if overlap {
 		t.Fatal("two pushes in flight on one peer link")
 	}
-	if st := rb.Stats(); st.Replicated != 64*3 {
-		t.Fatalf("Replicated = %d, want %d", st.Replicated, 64*3)
+	got := perPeer(rs.take())
+	for _, peer := range []string{"peerA", "peerB", "peerC"} {
+		if !reflect.DeepEqual(got[peer], names) {
+			t.Fatalf("peer %s landed %v, want every name once in order", peer, got[peer])
+		}
+	}
+}
+
+// TestReplicatingBackendStalledPeerDoesNotHoldBackOthers: a peer that
+// stalls delays only its own pushes. Every push to peerA waits until
+// peerB has landed all its names, which holds only if peerB's pushes do
+// not queue behind peerA's.
+func TestReplicatingBackendStalledPeerDoesNotHoldBackOthers(t *testing.T) {
+	const n = 8
+	rs := &recordingSend{}
+	landedB := make(chan struct{})
+	var (
+		mu sync.Mutex
+		b  int
+	)
+	send := func(addr, name string, blob []byte, fsync bool) error {
+		if addr == "peerA" {
+			select {
+			case <-landedB:
+			case <-time.After(time.Second):
+				return errors.New("peerA stalled behind peerB")
+			}
+		}
+		if err := rs.send(addr, name, blob, fsync); err != nil {
+			return err
+		}
+		if addr == "peerB" {
+			mu.Lock()
+			b++
+			if b == n {
+				close(landedB)
+			}
+			mu.Unlock()
+		}
+		return nil
+	}
+	rb := NewReplicatingBackend(store.NewMemBackend(),
+		func(string) []string { return []string{"peerA", "peerB"} }, send)
+	for i := 0; i < n; i++ {
+		if err := rb.Put(fmt.Sprintf("h%d", i), []byte("v"), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rb.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if p := rb.Pending(); p != 0 {
+		t.Fatalf("Pending = %d after the barrier: peerA's pushes timed out waiting on peerB", p)
+	}
+	got := perPeer(rs.take())
+	if len(got["peerA"]) != n || len(got["peerB"]) != n {
+		t.Fatalf("landed %v, want %d names on each peer", got, n)
 	}
 }
 
@@ -295,13 +362,6 @@ func TestReplicatingBackendLocalReadFailure(t *testing.T) {
 	if err := rb.Sync(); err == nil {
 		t.Fatal("Sync with unreadable local blob = nil, want error")
 	}
-}
-
-// Stats returns a snapshot of the replication counters.
-func (rb *ReplicatingBackend) Stats() ReplicaStats {
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	return rb.stats
 }
 
 // Pending reports how many (peer, name) pushes are owed from failed

@@ -44,16 +44,6 @@ import (
 	"coreda/internal/wire"
 )
 
-// Control-plane job classes and priorities: eviction writebacks drain
-// before checkpoint writes at a shared boundary (an evicted tenant's
-// file is its final state; a dirty tenant's file will be rewritten).
-const (
-	classEviction   queue.Class = "eviction"
-	classCheckpoint queue.Class = "checkpoint"
-	priEviction                 = 0
-	priCheckpoint               = 1
-)
-
 // ctlRetry is the control-job retry schedule: three attempts with a
 // sub-millisecond backoff, enough to ride out transient filesystem
 // hiccups without stretching a drain boundary.
@@ -91,9 +81,9 @@ type Config struct {
 	// OnLog receives human-readable event lines. Calls are serialized
 	// across shards; may be nil.
 	OnLog func(string)
-	// Bus, if non-nil, receives control-plane events (notify.TenantDirty,
-	// EvictionQueued, CheckpointDone, WritebackFailed). Publishing never
-	// blocks a shard loop; correctness never depends on delivery.
+	// Bus, if non-nil, receives control-plane events
+	// (notify.CheckpointDone, WritebackFailed). Publishing never blocks
+	// a shard loop; correctness never depends on delivery.
 	Bus *notify.Bus
 	// JobInject, if non-nil, supplies each shard's chaos injection hook
 	// for control-queue jobs (see chaos.Plan.JobInjector).
@@ -277,8 +267,8 @@ type shard struct {
 	// ctl is the shard's control-plane queue: eviction writebacks and
 	// checkpoint waves are enqueued on it and drained at batch
 	// boundaries, with retry-with-backoff on failure. Drain is a
-	// synchronization point, and dispatch order is deterministic (stable
-	// priority + FIFO), so the queue decides who runs a write, never
+	// synchronization point, and dispatch order is deterministic
+	// (enqueue order), so the queue decides who runs a write, never
 	// what lands on disk.
 	ctl *queue.Queue
 }
@@ -329,14 +319,10 @@ func New(cfg Config) (*Fleet, error) {
 			free:    make(chan *store.MultiSaver, flushWriters),
 			ctl: queue.New(queue.Config{
 				Workers: flushWriters,
-				Permits: map[queue.Class]int{
-					classEviction:   flushWriters,
-					classCheckpoint: flushWriters,
-				},
-				Retry:  ctlRetry(),
-				Seed:   int64(i),
-				Stream: "fleet/ctl",
-				Inject: inject,
+				Retry:   ctlRetry(),
+				Seed:    int64(i),
+				Stream:  "fleet/ctl",
+				Inject:  inject,
 			}),
 		}
 		for w := 0; w < flushWriters; w++ {
@@ -673,12 +659,12 @@ func (s *shard) handle(ev Event) {
 		u.At = at
 		t.Hub.HandleUsage(u)
 		t.lastEvent = at
-		s.markDirty(t)
+		s.dirty[t.ID] = t
 		s.stats.Events++
 	case EventNodeState:
 		t.Hub.HandleNodeState(ev.Tool, ev.Online)
 		t.lastEvent = at
-		s.markDirty(t)
+		s.dirty[t.ID] = t
 		s.stats.NodeStates++
 	case EventAdvance:
 		// Clock only; the eviction check below does the rest.
@@ -686,19 +672,6 @@ func (s *shard) handle(ev Event) {
 	if !s.maybeEvict(t) {
 		s.refreshDue(t)
 	}
-}
-
-// markDirty records that t has events since its last checkpoint. The
-// first transition (per checkpoint cycle) is published as TenantDirty;
-// repeat events on an already-dirty tenant publish nothing, so the bus
-// sees dirty-set transitions, not traffic.
-func (s *shard) markDirty(t *Tenant) {
-	if bus := s.f.cfg.Bus; bus != nil {
-		if _, ok := s.dirty[t.ID]; !ok {
-			bus.Publish(notify.Event{Kind: notify.TenantDirty, Household: t.ID, Shard: s.idx})
-		}
-	}
-	s.dirty[t.ID] = t
 }
 
 // admit returns the resident tenant, spinning it up from its checkpoint
@@ -773,9 +746,6 @@ func (s *shard) maybeEvict(t *Tenant) bool {
 		// membership moves with it.
 		delete(s.dirty, t.ID)
 		s.evictq = append(s.evictq, t)
-		if bus := s.f.cfg.Bus; bus != nil {
-			bus.Publish(notify.Event{Kind: notify.EvictionQueued, Household: t.ID, Shard: s.idx})
-		}
 		return true
 	}
 	s.f.log("shard %d: evicted %s (idle %v)", s.idx, t.ID, t.Sched.Now()-t.lastEvent)
@@ -798,18 +768,15 @@ func (s *shard) drainEvictions(fsync bool) {
 	s.publishCheckpointDone(s.stats.Checkpoints - pre)
 }
 
-// enqueueEvictions turns the eviction queue into control-queue jobs (at
-// eviction priority, ahead of checkpoint writes sharing the drain) and
-// empties it; the caller owns the Drain. Each job borrows a pooled
+// enqueueEvictions turns the eviction queue into control-queue jobs and
+// empties it (flush enqueues them ahead of the checkpoint writes sharing
+// its drain); the caller owns the Drain. Each job borrows a pooled
 // saver, writes one tenant's final checkpoint, and completes back on
 // the loop goroutine via finishEvict.
 func (s *shard) enqueueEvictions(fsync bool) {
 	for _, t := range s.evictq {
 		t := t
 		s.ctl.Enqueue(queue.Job{
-			Class:    classEviction,
-			Priority: priEviction,
-			Label:    t.ID,
 			Run: func() error {
 				sv := <-s.free
 				err := t.save(s.f.backend, sv, fsync)
@@ -837,15 +804,14 @@ func (s *shard) publishCheckpointDone(n int) {
 		return
 	}
 	if bus := s.f.cfg.Bus; bus != nil {
-		bus.Publish(notify.Event{Kind: notify.CheckpointDone, Shard: s.idx, Count: n})
+		bus.Publish(notify.Event{Kind: notify.CheckpointDone, Shard: s.idx})
 	}
 }
 
 // finishEvict completes one queued eviction after its checkpoint write
 // returned. On failure the tenant is resurrected — it never left memory
 // — and the failure counts as a writeback failure and is published on
-// the bus, where the cluster layer folds it into degraded-mode
-// accounting (notify.WritebackFailed).
+// the bus (notify.WritebackFailed), where coreda-fleet logs it.
 func (s *shard) finishEvict(t *Tenant, err error) {
 	if err != nil {
 		s.f.log("shard %d: evict %s: %v", s.idx, t.ID, err)
@@ -1065,10 +1031,10 @@ func (s *shard) dueSwap(i, j int) {
 
 // flush checkpoints every dirty tenant (batch per-shard checkpointing)
 // as one control-queue drain: pending eviction writebacks are enqueued
-// at eviction priority and the dirty set, sorted for a deterministic
-// write order, at checkpoint priority. Walking the dirty set rather than
-// the resident map makes a periodic flush scale with how many
-// households actually changed.
+// first (an evicted tenant's file is its final state), then the dirty
+// set, sorted for a deterministic write order. Walking the dirty set
+// rather than the resident map makes a periodic flush scale with how
+// many households actually changed.
 func (s *shard) flush(fsync bool) {
 	if len(s.evictq) == 0 && len(s.dirty) == 0 {
 		return
@@ -1085,9 +1051,6 @@ func (s *shard) flush(fsync bool) {
 	for _, id := range s.flushIDs {
 		id, t := id, s.dirty[id]
 		s.ctl.Enqueue(queue.Job{
-			Class:    classCheckpoint,
-			Priority: priCheckpoint,
-			Label:    id,
 			Run: func() error {
 				sv := <-s.free
 				err := t.save(s.f.backend, sv, fsync)

@@ -1,9 +1,9 @@
 // Package notify is CoReDA's control-plane event bus: a broadcaster/
 // listener pub/sub fabric the fleet and cluster layers publish
-// lifecycle events on (tenant dirtied, eviction queued, checkpoint wave
-// done, writeback failed, node degraded, peer lost) and background
-// consumers — report regenerators, degraded-mode accounting, operator
-// logs — subscribe to without ever holding a shard lock.
+// lifecycle events on (checkpoint wave done, writeback failed, node
+// degraded or recovered, peer lost) and background consumers — the
+// operator log, benchmark counters — subscribe to without ever holding
+// a shard lock.
 //
 // Delivery contract: Publish never blocks. Each listener has a bounded
 // buffer; an event that does not fit is counted as dropped for that
@@ -27,24 +27,19 @@ import (
 // Kind identifies what happened. The zero Kind is invalid.
 type Kind uint8
 
-// The event catalogue (see README's control-plane events table).
+// The event catalogue: each constant says when it is published and
+// which Event fields it fills.
 const (
-	// TenantDirty: a household took its first event since its last
-	// checkpoint (one event per dirty transition, not per event).
-	TenantDirty Kind = iota + 1
-	// EvictionQueued: an idle tenant left the resident map; its final
-	// checkpoint write is queued for the next drain boundary.
-	EvictionQueued
-	// CheckpointDone: a shard finished a checkpoint wave (flush or
-	// eviction drain); Count carries how many files were written.
-	CheckpointDone
-	// WritebackFailed: a queued eviction writeback exhausted its
-	// retries; the tenant was resurrected and the failure surfaces in
-	// degraded-mode accounting (Err carries the cause).
+	// CheckpointDone: a shard (Shard) finished a checkpoint wave (flush
+	// or eviction drain) that wrote at least one file.
+	CheckpointDone Kind = iota + 1
+	// WritebackFailed: a queued eviction writeback of a household
+	// (Household, Shard) exhausted its retries; the tenant was
+	// resurrected, and Err carries the cause.
 	WritebackFailed
 	// NodeDegraded: a replica push exhausted its retries and is owed to
-	// the peer (Addr) at a later barrier — the node entered or stayed
-	// in degraded mode.
+	// the peer (Addr) at a later barrier — the node entered degraded
+	// mode for that peer (Err carries the first failure).
 	NodeDegraded
 	// NodeRecovered: an owed push landed and the peer (Addr) is owed
 	// nothing — the node left degraded mode for that peer.
@@ -57,10 +52,6 @@ const (
 // String names the kind for logs.
 func (k Kind) String() string {
 	switch k {
-	case TenantDirty:
-		return "tenant-dirty"
-	case EvictionQueued:
-		return "eviction-queued"
 	case CheckpointDone:
 		return "checkpoint-done"
 	case WritebackFailed:
@@ -87,34 +78,21 @@ type Event struct {
 	Shard int
 	// Addr is the peer address (cluster events).
 	Addr string
-	// Count carries a magnitude (files written for CheckpointDone,
-	// owed pushes for NodeDegraded).
-	Count int
 	// Err is the failure text (events about failures); a string, not an
 	// error, so events stay comparable values.
 	Err string
-	// Seq is the bus-assigned publish sequence number (monotonic per
-	// bus, shared across kinds) — lets a consumer order events from
-	// different listeners.
-	Seq uint64
 }
 
 // Stats counts bus activity. Snapshot via Bus.Stats.
 type Stats struct {
-	// Published counts Publish calls; Delivered counts per-listener
-	// enqueues; Dropped counts events a full listener buffer rejected.
-	Published uint64
-	Delivered uint64
-	Dropped   uint64
-	// Listeners is the number of open subscriptions at snapshot time.
-	Listeners int
+	// Dropped counts events a full listener buffer rejected.
+	Dropped uint64
 }
 
 // Bus is a broadcaster. The zero value is unusable; create with NewBus.
 type Bus struct {
 	mu    sync.Mutex
 	subs  map[*Listener]struct{}
-	seq   uint64
 	stats Stats
 }
 
@@ -145,7 +123,6 @@ func (b *Bus) Subscribe(buf int, kinds ...Kind) *Listener {
 	}
 	b.mu.Lock()
 	b.subs[l] = struct{}{}
-	b.stats.Listeners = len(b.subs)
 	b.mu.Unlock()
 	return l
 }
@@ -165,7 +142,6 @@ func (l *Listener) Close() {
 	}
 	l.closed = true
 	delete(b.subs, l)
-	b.stats.Listeners = len(b.subs)
 	close(l.ch)
 }
 
@@ -174,23 +150,19 @@ func (l *Listener) wants(k Kind) bool {
 	return l.mask == 0 || l.mask&(1<<uint(k)) != 0
 }
 
-// Publish broadcasts ev (stamping ev.Seq) to every matching listener.
+// Publish broadcasts ev to every matching listener.
 // It never blocks: a listener whose buffer is full loses the event and
 // the bus counts the drop. Safe from any goroutine, including shard
 // event loops.
 func (b *Bus) Publish(ev Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.seq++
-	ev.Seq = b.seq
-	b.stats.Published++
 	for l := range b.subs {
 		if !l.wants(ev.Kind) {
 			continue
 		}
 		select {
 		case l.ch <- ev:
-			b.stats.Delivered++
 		default:
 			b.stats.Dropped++
 		}

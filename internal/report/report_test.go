@@ -124,3 +124,33 @@ func TestRender(t *testing.T) {
 		t.Error("empty trend")
 	}
 }
+
+// TestIdlesAndToolLoadOrder: idle records count per session, tools with
+// equal reminder load rank by tool ID, and Render lists the top three.
+func TestIdlesAndToolLoadOrder(t *testing.T) {
+	records := []trace.Record{
+		{Kind: trace.KindSessionStart, Session: 1, Activity: "tea-making"},
+		{Kind: trace.KindIdle, Session: 1},
+		{Kind: trace.KindIdle, Session: 1},
+	}
+	for _, tool := range []uint16{5, 3, 4, 2} {
+		records = append(records, trace.Record{Kind: trace.KindReminder, Session: 1, Tool: tool, Level: "minimal"})
+	}
+	records = append(records, trace.Record{Kind: trace.KindSessionEnd, Session: 1, T: 60})
+
+	r := Build("Mr. Tanaka", records, nil)
+	if len(r.Sessions) != 1 || r.Sessions[0].Idles != 2 {
+		t.Fatalf("sessions = %+v, want one with 2 idles", r.Sessions)
+	}
+	var order []uint16
+	for _, tl := range r.ToolLoads {
+		order = append(order, tl.Tool)
+	}
+	if len(order) != 4 || order[0] != 2 || order[1] != 3 || order[2] != 4 || order[3] != 5 {
+		t.Fatalf("tool order = %v, want [2 3 4 5]", order)
+	}
+	out := r.Render(nil)
+	if !strings.Contains(out, "tool 4") || strings.Contains(out, "tool 5") {
+		t.Fatalf("Render should list the top three tools only:\n%s", out)
+	}
+}

@@ -61,9 +61,6 @@ type QLambda struct {
 	cfg    Config
 	table  *QTable
 	traces *Traces
-
-	// lastDelta is |δ| of the most recent update, a convergence signal.
-	lastDelta float64
 }
 
 // NewQLambda creates a learner updating the given table in place.
@@ -91,7 +88,6 @@ func (l *QLambda) Observe(s State, a Action, r float64, next State, terminal, gr
 		target += l.cfg.Gamma * l.table.BestValue(next)
 	}
 	delta := target - l.table.Get(s, a)
-	l.lastDelta = abs(delta)
 
 	l.traces.Visit(s, a)
 	alpha := l.cfg.Alpha
@@ -115,8 +111,6 @@ type SARSALambda struct {
 	cfg    Config
 	table  *QTable
 	traces *Traces
-
-	lastDelta float64
 }
 
 // NewSARSALambda creates a SARSA(λ) learner updating table in place.
@@ -142,7 +136,6 @@ func (l *SARSALambda) Observe(s State, a Action, r float64, next State, nextA Ac
 		target += l.cfg.Gamma * l.table.Get(next, nextA)
 	}
 	delta := target - l.table.Get(s, a)
-	l.lastDelta = abs(delta)
 
 	l.traces.Visit(s, a)
 	alpha := l.cfg.Alpha

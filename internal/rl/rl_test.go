@@ -471,6 +471,31 @@ func TestStochasticMDPValueIteration(t *testing.T) {
 	}
 }
 
+// TestValueIterationNegativeRewardAndMissingAction: a cost-only MDP
+// converges from above (values fall during the sweeps), and an action
+// without transitions is skipped rather than valued.
+func TestValueIterationNegativeRewardAndMissingAction(t *testing.T) {
+	m := NewMDP(2, 2)
+	m.AddTransition(0, 0, 1, 1, -1) // action 1 has no transitions
+	m.SetTerminal(1)
+	q := m.ValueIteration(0.9, 1e-10, 0)
+	if got := q.Get(0, 0); math.Abs(got+1) > 1e-9 {
+		t.Errorf("Q(0,0) = %v, want -1", got)
+	}
+	if got := q.Get(0, 1); got != 0 {
+		t.Errorf("Q(0,1) = %v, want the untouched 0", got)
+	}
+}
+
+func TestNewMDPRejectsInvalidShape(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewMDP(0, 1) did not panic")
+		}
+	}()
+	NewMDP(0, 1)
+}
+
 func TestLearningNeverProducesNaN(t *testing.T) {
 	f := func(seed int64) bool {
 		cfg := Config{Alpha: 0.9, Gamma: 0.99, Lambda: 0.95, Traces: AccumulatingTraces}
@@ -507,6 +532,7 @@ func TestTrainerEpisodeResultAndDecay(t *testing.T) {
 		Policy:  policy,
 		RNG:     rand.New(rand.NewSource(3)),
 	}
+	before := table.Clone()
 	res := tr.RunEpisode()
 	if res.Steps == 0 || res.Return != 1 {
 		t.Errorf("result = %+v", res)
@@ -514,8 +540,8 @@ func TestTrainerEpisodeResultAndDecay(t *testing.T) {
 	if policy.Epsilon != 0.45 {
 		t.Errorf("epsilon after one episode = %v, want 0.45", policy.Epsilon)
 	}
-	if res.MaxDelta <= 0 {
-		t.Error("MaxDelta should be positive after learning from reward")
+	if table.MaxAbsDiff(before) == 0 {
+		t.Error("Q-table unchanged after learning from reward")
 	}
 }
 
@@ -588,9 +614,8 @@ type Trainer struct {
 
 // EpisodeResult summarizes one training episode.
 type EpisodeResult struct {
-	Steps    int
-	Return   float64 // undiscounted sum of rewards
-	MaxDelta float64 // largest |δ| seen during the episode
+	Steps  int
+	Return float64 // undiscounted sum of rewards
 }
 
 // RunEpisode plays one episode to termination (or MaxSteps).
@@ -609,9 +634,6 @@ func (t *Trainer) RunEpisode() EpisodeResult {
 		t.Learner.Observe(s, a, r, next, done, a == greedyA)
 		res.Steps++
 		res.Return += r
-		if d := t.Learner.LastDelta(); d > res.MaxDelta {
-			res.MaxDelta = d
-		}
 		if done {
 			break
 		}
@@ -625,9 +647,6 @@ func (t *Trainer) RunEpisode() EpisodeResult {
 
 // Table returns the table being learned.
 func (l *QLambda) Table() *QTable { return l.table }
-
-// LastDelta returns |δ| of the most recent observation.
-func (l *QLambda) LastDelta() float64 { return l.lastDelta }
 
 // Policy selects actions from a Q-table.
 type Policy interface {

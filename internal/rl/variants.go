@@ -15,8 +15,6 @@ type ExpectedSARSA struct {
 	// expectation is bootstrapped. Keep it in sync with the acting
 	// policy.
 	Epsilon float64
-
-	lastDelta float64
 }
 
 // NewExpectedSARSA creates a learner updating table in place.
@@ -54,7 +52,6 @@ func (l *ExpectedSARSA) Observe(s State, a Action, r float64, next State, termin
 		target += l.cfg.Gamma * l.expectedValue(next)
 	}
 	delta := target - l.table.Get(s, a)
-	l.lastDelta = abs(delta)
 
 	l.traces.Visit(s, a)
 	alpha := l.cfg.Alpha
@@ -76,8 +73,6 @@ type DoubleQ struct {
 	a   *QTable
 	b   *QTable
 	rng *rand.Rand
-
-	lastDelta float64
 }
 
 // NewDoubleQ allocates both tables with the given shape.
@@ -130,6 +125,5 @@ func (l *DoubleQ) Observe(s State, a Action, r float64, next State, terminal boo
 		target += l.cfg.Gamma * other.Get(next, argmax)
 	}
 	delta := target - update.Get(s, a)
-	l.lastDelta = abs(delta)
 	update.Add(s, a, l.cfg.Alpha*delta)
 }

@@ -90,7 +90,6 @@ type Gateway struct {
 	lastSeq map[uint16]uint16
 	seq     uint16
 	pending map[uint16]*pendingTx
-	battery map[uint16]uint8 // last reported battery percent per node
 
 	// Liveness supervision state.
 	watched     []uint16 // sorted; determinism of the check sweep
@@ -112,7 +111,6 @@ func NewGateway(sched *sim.Scheduler, medium *Medium, handler func(UsageEvent)) 
 		handler:  handler,
 		lastSeq:  make(map[uint16]uint16),
 		pending:  make(map[uint16]*pendingTx),
-		battery:  make(map[uint16]uint8),
 		lastSeen: make(map[uint16]time.Duration),
 		offline:  make(map[uint16]bool),
 	}
@@ -258,7 +256,6 @@ func (g *Gateway) receive(frame []byte) {
 	case *wire.Heartbeat:
 		g.touch(pkt.UID)
 		g.Stats.Heartbeats++
-		g.battery[pkt.UID] = pkt.Battery
 	case *wire.Ack:
 		g.touch(pkt.UID)
 		if tx, ok := g.pending[pkt.Seq]; ok {

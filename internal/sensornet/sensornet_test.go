@@ -431,8 +431,11 @@ func TestBatteryDrainsAndNodeDies(t *testing.T) {
 	if n.Dead() {
 		t.Fatalf("node died early; battery %d%%", n.BatteryPercent())
 	}
-	if b, ok := g.Battery(17); !ok || b >= 100 {
-		t.Errorf("gateway battery view = %d, %v", b, ok)
+	if b := n.BatteryPercent(); b >= 100 {
+		t.Errorf("battery at %d%% after 100 s of sampling", b)
+	}
+	if g.Stats.Heartbeats == 0 {
+		t.Error("no heartbeat reached the gateway")
 	}
 	sched.RunUntil(1000 * time.Second)
 	if !n.Dead() {
@@ -446,25 +449,6 @@ func TestBatteryDrainsAndNodeDies(t *testing.T) {
 	sched.RunUntil(2000 * time.Second)
 	if g.Stats.Heartbeats != beats {
 		t.Error("dead node still heartbeating")
-	}
-}
-
-func TestLowBatteryNodesFlagged(t *testing.T) {
-	sched := sim.New()
-	m := perfectMedium(sched)
-	g := NewGateway(sched, m, nil)
-	// Deplete quickly: tiny budget, frequent heartbeats.
-	n := NewNode(NodeConfig{
-		UID:             18,
-		Sensor:          adl.SensorAccelerometer,
-		Heartbeat:       5 * time.Second,
-		BatteryCapacity: 5 * EnergyTX,
-	}, sched, m, NewSliceSource(nil, 0, nil))
-	n.Start()
-	sched.RunUntil(21 * time.Second)
-	low := g.LowBatteryNodes()
-	if len(low) != 1 || low[0] != 18 {
-		t.Errorf("LowBatteryNodes = %v (last report %v)", low, func() uint8 { b, _ := g.Battery(18); return b }())
 	}
 }
 
@@ -490,29 +474,6 @@ func (g *Gateway) OfflineNodes() []uint16 {
 	var out []uint16
 	for _, uid := range g.watched {
 		if g.offline[uid] {
-			out = append(out, uid)
-		}
-	}
-	return out
-}
-
-// Battery returns the last battery percentage a node reported via
-// heartbeat (ok false before the first heartbeat).
-func (g *Gateway) Battery(uid uint16) (uint8, bool) {
-	b, ok := g.battery[uid]
-	return b, ok
-}
-
-// LowBatteryPercent is the threshold at or below which LowBatteryNodes
-// flags a node for maintenance.
-const LowBatteryPercent = 20
-
-// LowBatteryNodes lists nodes whose last report is at or below
-// LowBatteryPercent — the gateway's maintenance signal for caregivers.
-func (g *Gateway) LowBatteryNodes() []uint16 {
-	var out []uint16
-	for uid, b := range g.battery {
-		if b <= LowBatteryPercent {
 			out = append(out, uid)
 		}
 	}

@@ -98,8 +98,8 @@ echo "$sraw"
 
 echo "wrote $sout"
 
-# Control plane: the work queue's drain throughput (dispatch + permits
-# + Done callbacks over a worker pool) and the event bus's publish fan-
+# Control plane: the work queue's drain throughput (FIFO dispatch over
+# a worker pool, then Done callbacks) and the event bus's publish fan-
 # out. Neither sits on the per-event serving path — jobs and events are
 # per checkpoint wave — so these bound how fine-grained control work
 # can get before the queue itself shows up in a drain.

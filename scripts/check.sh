@@ -32,6 +32,15 @@ go run ./cmd/coreda-vet -skip hotalloc ./...
 echo "== go build"
 go build ./...
 
+# The benchmark is a module of its own (perfbench/go.mod), so ./...
+# above does not reach it: build, vet and test it against this tree's
+# internal packages, so an API change that breaks it fails here rather
+# than when the benchmark next runs.
+echo "== perfbench module (build, vet, test)"
+go build -C perfbench -o "$tmp/" ./...
+go vet -C perfbench ./...
+go test -C perfbench ./...
+
 # The race run also measures per-package statement coverage, gated
 # against the committed golden: deleting code must never delete
 # coverage. A package may not fall more than 0.5 points below its
