@@ -27,7 +27,7 @@ type fleetBenchResult struct {
 	Cpus     int `json:"cpus"`
 	HostCPUs int `json:"host_cpus"`
 	// JobFail is the chaos job-failure probability and JobRetries the
-	// control-queue retries it forced. Neither may move any other field
+	// checkpoint-write retries it forced. Neither may move any other field
 	// except ElapsedSec/EventsPerSec.
 	JobFail         float64 `json:"job_fail,omitempty"`
 	JobRetries      int     `json:"job_retries,omitempty"`

@@ -47,7 +47,7 @@ func main() {
 	fleetShards := flag.Int("fleet-shards", 0, "fleet shard count (0 = GOMAXPROCS; stdout is identical at any value)")
 	fleetSessions := flag.Int("fleet-sessions", 4, "sessions per household for the fleet workload")
 	fleetJSON := flag.String("fleet-json", "", "write fleet throughput (events/sec, households/shard) to this JSON file")
-	fleetJobFail := flag.Float64("fleet-jobfail", 0, "chaos job-failure probability for control-queue jobs (stdout is identical at any value)")
+	fleetJobFail := flag.Float64("fleet-jobfail", 0, "chaos job-failure probability for checkpoint writes (stdout is identical at any value)")
 	idleActive := flag.Int("idle-active", 100, "mid-session households for the fleetidle workload (the rest are fully idle)")
 	idleTicks := flag.Int("idle-ticks", 5000, "clock-pump ticks for the fleetidle workload")
 	clusterHouseholds := flag.Int("cluster-households", 24, "simulated households for the cluster workload")

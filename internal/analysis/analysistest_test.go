@@ -41,10 +41,8 @@ func TestAnalyzers(t *testing.T) {
 		// "chaosnet" shares the "chaos" prefix as a string but is not a
 		// subpackage; the scope match must not swallow it.
 		{"nondeterminism/chaosnet-allowlisted", Nondeterminism, "nondet_allowed", "coreda/internal/chaosnet", true, nil},
-		// The control-plane queue and bus joined the simulation scope:
-		// dispatch order and event flow must not read the wall clock or
-		// the global rand source.
-		{"nondeterminism/queue-scoped", Nondeterminism, "nondet", "coreda/internal/queue", false, nil},
+		// The control-plane bus joined the simulation scope: event flow
+		// must not read the wall clock or the global rand source.
 		{"nondeterminism/notify-scoped", Nondeterminism, "nondet", "coreda/internal/notify", false, nil},
 		{"rewardconst", RewardConst, "rewardconst", "coreda/internal/experiments", false, nil},
 		{"rewardconst/core-canonical", RewardConst, "rewardcore", "coreda/internal/core", true, nil},
@@ -68,18 +66,15 @@ func TestAnalyzers(t *testing.T) {
 		// The cluster package joined the shard scope with the peer ring:
 		// only (*Node).Start and its acceptLoop may spawn there.
 		{"shardaffinity/cluster-scoped", ShardAffinity, "shardaffinity_cluster", "coreda/internal/cluster", false, nil},
-		// The control queue joined the shard scope with the control-plane
-		// refactor: its drain dispatch is the only sanctioned spawner.
-		{"shardaffinity/queue-scoped", ShardAffinity, "shardaffinity_queue", "coreda/internal/queue", false, nil},
 		{"lockheld", LockHeld, "lockheld", "coreda/internal/rtbridge", false, nil},
 		{"lockheld/out-of-scope", LockHeld, "lockheld", "coreda/internal/stats", true, nil},
 		// The cluster package joined the lock-discipline scope with peer
 		// replication: no node mutex across peer socket I/O or the
 		// conn-checkout channel.
 		{"lockheld/cluster-scoped", LockHeld, "lockheld_cluster", "coreda/internal/cluster", false, nil},
-		// Drain is a blocking synchronization point: no shard mutex may
-		// be held across it. The bus joined the lock scope too.
-		{"lockheld/queue-drain", LockHeld, "lockheld_queue", "coreda/internal/fleet", false, nil},
+		// parrun.Map is a blocking synchronization point: no shard mutex
+		// may be held across a wave. The bus joined the lock scope too.
+		{"lockheld/parrun-map", LockHeld, "lockheld_parrun", "coreda/internal/fleet", false, nil},
 		{"lockheld/notify-scoped", LockHeld, "lockheld", "coreda/internal/notify", false, nil},
 		// The store joined the lock-discipline scope with the backend
 		// refactor; inside it the blanket store-is-blocking rule defers to

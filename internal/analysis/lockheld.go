@@ -47,17 +47,16 @@ var LockHeld = &Analyzer{
 // package is in scope because its peer links carry replication fan-out:
 // a node mutex held across a peer socket write would couple every
 // household's flush to the slowest replica's TCP window (peer-conn
-// exclusivity uses a capacity-1 channel checkout instead). The queue
-// and notify packages are in scope because every shard loop and Sync
-// barrier runs through them: a queue mutex held across a channel
-// handoff or a bus mutex held across anything blocking would stall the
-// entire control plane (the bus's Publish holds its mutex only across
-// non-blocking try-sends, the one sanctioned select-with-default
-// shape).
+// exclusivity uses a capacity-1 channel checkout instead). The notify
+// package is in scope because every shard loop and Sync barrier
+// publishes through it: a bus mutex held across anything blocking would
+// stall the entire control plane (the bus's Publish holds its mutex
+// only across non-blocking try-sends, the one sanctioned
+// select-with-default shape).
 var lockScoped = []string{
 	"coreda/internal/fleet", "coreda/internal/rtbridge",
 	"coreda/internal/store", "coreda/internal/cluster",
-	"coreda/internal/queue", "coreda/internal/notify",
+	"coreda/internal/notify",
 }
 
 // lockBlockingNames maps package path → function/method names treated as
@@ -71,11 +70,10 @@ var lockBlockingNames = map[string]map[string]bool{
 	"time":  set("Sleep"),
 	"sync":  set("Wait"),
 
-	"coreda/internal/wire":   set("Flush", "WritePacket", "ReadFrame"),
+	"coreda/internal/wire": set("Flush", "WritePacket", "ReadFrame"),
+	// Map blocks until every index has run — a checkpoint wave or a
+	// replication barrier, never to be reached with a mutex held.
 	"coreda/internal/parrun": set("Map"),
-	// Drain blocks until every control job and Done callback has run —
-	// a synchronization point, never to be reached with a mutex held.
-	"coreda/internal/queue": set("Drain"),
 }
 
 // lockBlockingPkgs are packages whose entire API is blocking (checkpoint

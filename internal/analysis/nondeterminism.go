@@ -23,12 +23,9 @@ import (
 // directive, so any new undirected use of the wall clock in the package
 // is an error.
 //
-// internal/queue and internal/notify are scoped: the control queue's
-// dispatch order and retry outcomes must be a pure function of the
-// enqueued work (drain latency comes from an injected Clock, jitter
-// from named sim.RNG streams), and the bus must stay a passive fabric —
-// a wall-clock read or global rand draw in either would leak
-// scheduling noise into every digest the fleet gates on.
+// internal/notify is scoped: the bus must stay a passive fabric — a
+// wall-clock read or global rand draw there would leak scheduling noise
+// into every digest the fleet gates on.
 var simScoped = []string{
 	"coreda/internal/core",
 	"coreda/internal/sim",
@@ -39,7 +36,6 @@ var simScoped = []string{
 	"coreda/internal/persona",
 	"coreda/internal/baseline",
 	"coreda/internal/fleet",
-	"coreda/internal/queue",
 	"coreda/internal/notify",
 }
 

@@ -8,30 +8,25 @@ import (
 // ShardAffinity enforces internal/fleet's ownership model: a Tenant (and
 // everything hanging off it — Hub, System, scheduler) belongs to exactly
 // one shard event loop and must never be reached from another goroutine.
-// Five rules, scoped to the fleet, cluster, queue and notify packages:
+// Four rules, scoped to the fleet, cluster and notify packages:
 //
 //  1. Goroutines may only be spawned by the sanctioned lifecycle points
 //     (*Fleet).Start (the shard loops), (*Server).Serve (per-conn
-//     handlers), in internal/cluster (*Node).Start plus its acceptLoop
-//     (the peer listener and its per-conn handlers), and in
-//     internal/queue (*Queue).dispatch (the drain's bounded worker
-//     pool). A `go` statement anywhere else — a shard
-//     drain, a flush, a handler — is a handoff the ownership model
-//     cannot see.
+//     handlers), and in internal/cluster (*Node).Start plus its
+//     acceptLoop (the peer listener and its per-conn handlers). A `go`
+//     statement anywhere else — a shard drain, a flush, a handler — is a
+//     handoff the ownership model cannot see; bounded fan-out goes
+//     through parrun.Map instead.
 //  2. No goroutine launch may capture or receive a *Tenant.
-//  3. Inside a parrun.Map worker closure, the only sanctioned tenant
-//     access is a direct `<tenant-expr>.save(saver, fsync)` call — the
-//     batched checkpoint pattern where the loop blocks until every write
-//     returns. Binding a tenant to a variable, passing it elsewhere, or
+//  3. Inside a parrun.Map worker closure, including the retry closures
+//     nested in it, the only sanctioned tenant access is a direct
+//     `<tenant-expr>.save(saver, fsync)` call — the checkpoint-wave
+//     pattern where the loop blocks until every write returns and then
+//     applies the outcomes itself. Binding a tenant to a variable, passing it elsewhere, or
 //     touching any other field/method off-loop is flagged.
 //  4. A *Tenant must never be sent over a channel: handing a live tenant
 //     to another goroutine transfers state without transferring the
 //     shard's ownership guarantees.
-//  5. Inside a queue.Job Run closure — which executes on a drain worker
-//     goroutine — the same save-only discipline as rule 3 applies:
-//     anything else a control job needs from a tenant must be captured
-//     by value at enqueue time or updated in Done, which runs back on
-//     the draining goroutine.
 var ShardAffinity = &Analyzer{
 	Name:       "shardaffinity",
 	Doc:        "tenant/Hub/System state must only be reached from the owning shard loop",
@@ -42,21 +37,16 @@ var ShardAffinity = &Analyzer{
 // shardScoped is where the tenant-ownership model applies. The cluster
 // package is in scope because its peer handlers sit next to the fleet's
 // tenants: a stray goroutine there could reach shard state through the
-// replication or handoff hooks. The queue and notify packages are in
-// scope because they ARE the sanctioned off-loop surface — the control
-// queue's workers and the bus's subscribers are the only goroutines
-// shard work is ever handed to, so an unsanctioned spawn inside either
-// would widen that surface invisibly.
+// replicating backend the fleet checkpoints into. The notify package is
+// in scope because its subscribers are the goroutines shard events are
+// handed to, so an unsanctioned spawn inside it would widen that
+// surface invisibly.
 var shardScoped = []string{
 	"coreda/internal/fleet", "coreda/internal/cluster",
-	"coreda/internal/queue", "coreda/internal/notify",
+	"coreda/internal/notify",
 }
 
 const parrunPath = "coreda/internal/parrun"
-
-// queuePath is the control-plane queue package; its Job composite
-// literals carry the Run closures rule 5 checks.
-const queuePath = "coreda/internal/queue"
 
 func runShardAffinity(pass *Pass) {
 	if !pathInScope(pass.ImportPath, shardScoped) {
@@ -73,7 +63,7 @@ func runShardAffinity(pass *Pass) {
 				switch n := n.(type) {
 				case *ast.GoStmt:
 					if !sanctioned {
-						pass.Reportf(n.Pos(), "goroutine spawned in %s: shard state is confined to the shard loop; only the sanctioned lifecycle points (fleet start/serve, node accept and watch loops, queue dispatch) may spawn", funcTitle(fd))
+						pass.Reportf(n.Pos(), "goroutine spawned in %s: shard state is confined to the shard loop; only the sanctioned lifecycle points (fleet start/serve, node start and accept loop) may spawn", funcTitle(fd))
 					}
 					reportTenantUses(pass, n.Call, nil,
 						"tenant captured by a spawned goroutine: tenants are owned by their shard loop")
@@ -90,22 +80,6 @@ func runShardAffinity(pass *Pass) {
 							}
 						}
 					}
-				case *ast.CompositeLit:
-					if isQueueJob(pass, n) {
-						for _, el := range n.Elts {
-							kv, ok := el.(*ast.KeyValueExpr)
-							if !ok {
-								continue
-							}
-							if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "Run" {
-								continue
-							}
-							if fl, ok := kv.Value.(*ast.FuncLit); ok {
-								reportTenantUses(pass, fl.Body, saveReceivers(pass, fl.Body),
-									"tenant reached inside a queue.Job Run closure: Run executes on a drain worker; only a direct t.save(saver, fsync) call may touch a tenant there (update producer state in Done)")
-							}
-						}
-					}
 				}
 				return true
 			})
@@ -115,17 +89,14 @@ func runShardAffinity(pass *Pass) {
 
 // sanctionedSpawner reports whether fd is one of the lifecycle methods
 // allowed to start goroutines: the fleet's shard-loop launch and
-// per-conn serve, the cluster node's peer accept loop (Start spawns
-// acceptLoop, acceptLoop spawns one serveConn per peer link), and the
-// control queue's worker-pool launch (dispatch, the only place drained
-// jobs leave the calling goroutine).
+// per-conn serve, and the cluster node's peer accept loop (Start spawns
+// acceptLoop, acceptLoop spawns one serveConn per peer link).
 func sanctionedSpawner(fd *ast.FuncDecl) bool {
 	recv := recvTypeName(fd)
 	return fd.Name.Name == "Start" && recv == "Fleet" ||
 		fd.Name.Name == "Serve" && recv == "Server" ||
 		fd.Name.Name == "Start" && recv == "Node" ||
-		fd.Name.Name == "acceptLoop" && recv == "Node" ||
-		fd.Name.Name == "dispatch" && recv == "Queue"
+		fd.Name.Name == "acceptLoop" && recv == "Node"
 }
 
 func recvTypeName(fd *ast.FuncDecl) string {
@@ -161,21 +132,6 @@ func isParrunMap(pass *Pass, call *ast.CallExpr) bool {
 	}
 	pkg, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
 	return ok && pkg.Imported().Path() == parrunPath
-}
-
-// isQueueJob reports whether lit is a composite literal of the control
-// queue's Job type.
-func isQueueJob(pass *Pass, lit *ast.CompositeLit) bool {
-	tv, ok := pass.TypesInfo.Types[lit]
-	if !ok {
-		return false
-	}
-	named, ok := tv.Type.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Job" && obj.Pkg() != nil && obj.Pkg().Path() == queuePath
 }
 
 // saveReceivers collects the receiver expressions of direct

@@ -1,14 +1,11 @@
 // Fixture for the shardaffinity analyzer, type-checked as
 // coreda/internal/fleet: tenants belong to their shard loop, goroutines
 // belong to the two sanctioned spawners, and the only off-loop tenant
-// use is the direct save call inside a parrun.Map worker or a
-// queue.Job Run closure.
+// use is the direct save call inside a parrun.Map worker, retry
+// closures nested in it included.
 package fleet
 
-import (
-	"coreda/internal/parrun"
-	"coreda/internal/queue"
-)
+import "coreda/internal/parrun"
 
 // Tenant mirrors the fleet tenant: the analyzer matches the type by
 // name and defining package.
@@ -23,6 +20,19 @@ type Saver struct{}
 func (t *Tenant) save(sv *Saver, fsync bool) error { return nil }
 
 func (t *Tenant) work() {}
+
+// policy stands in for the retry schedule a wave write runs under.
+type policy struct{ attempts int }
+
+func (p policy) Do(op func(attempt int) error) error {
+	var err error
+	for n := 1; n <= p.attempts; n++ {
+		if err = op(n); err == nil {
+			return nil
+		}
+	}
+	return err
+}
 
 type shard struct {
 	evictq []*Tenant
@@ -72,32 +82,29 @@ func (s *shard) drainBad(fsync bool) {
 	})
 }
 
-// enqueueGood is the sanctioned control-job pattern: the Run closure
-// touches its tenant only through the direct save call, and the Done
-// callback — which runs back on the draining goroutine — updates the
-// tenant freely.
-func (s *shard) enqueueGood(ctl *queue.Queue, sv *Saver, fsync bool) {
-	for _, t := range s.evictq {
-		t := t
-		ctl.Enqueue(queue.Job{
-			Run:  func() error { return t.save(sv, fsync) },
-			Done: func(error) { t.lastEvent = 0 },
-		})
+// waveGood is the sanctioned checkpoint-wave pattern: the retry closure
+// nested in the worker still touches its tenant only through the
+// direct save call, and the outcomes are applied back on the loop.
+func (s *shard) waveGood(pol policy, sv *Saver, fsync bool) {
+	errs, _ := parrun.Map(len(s.evictq), 4, func(i int) (error, error) {
+		return pol.Do(func(int) error { return s.evictq[i].save(sv, fsync) }), nil
+	})
+	for i, err := range errs {
+		if err == nil {
+			s.evictq[i].lastEvent = 0
+		}
 	}
 }
 
-// enqueueBad touches tenant state inside Run — a drain worker mutating
-// loop-owned state.
-func (s *shard) enqueueBad(ctl *queue.Queue) {
-	for _, t := range s.evictq {
-		t := t
-		ctl.Enqueue(queue.Job{
-			Run: func() error {
-				t.lastEvent = 0 // want `tenant reached inside a queue\.Job Run closure`
-				return nil
-			},
-		})
-	}
+// waveBad touches tenant state inside the nested retry closure — a
+// writer goroutine mutating loop-owned state.
+func (s *shard) waveBad(pol policy, sv *Saver, fsync bool) {
+	_, _ = parrun.Map(len(s.evictq), 4, func(i int) (error, error) {
+		return pol.Do(func(attempt int) error {
+			s.evictq[i].lastEvent = attempt // want `tenant reached inside a parrun\.Map worker`
+			return s.evictq[i].save(sv, fsync)
+		}), nil
+	})
 }
 
 // spawnInDrain launches a goroutine outside the sanctioned spawners.

@@ -16,7 +16,6 @@ import (
 	"math/rand"
 	"time"
 
-	"coreda/internal/queue"
 	"coreda/internal/sensornet"
 	"coreda/internal/sim"
 )
@@ -267,15 +266,16 @@ func (inj *Injector) OnFrame(now time.Duration, toGateway bool, uid uint16, fram
 	return act
 }
 
-// JobInjector adapts the plan's JobFail probability to a queue
-// injection hook. Exactly one rng draw per enqueued job — a fixed
-// consumption pattern on the caller-provided stream (conventionally
-// sim.RNG(seed, "chaos/jobs/<shard>")), so the fault sequence is a pure
-// function of plan, seed and enqueue order, at any worker count. A hit
-// fails the job's first attempt; the queue's cap below the attempt
-// budget guarantees the job still completes, so injection perturbs only
+// JobInjector adapts the plan's JobFail probability to the fleet's
+// checkpoint-write injection hook (fleet.Config.JobInject). Exactly one
+// rng draw per write — a fixed consumption pattern on the
+// caller-provided stream (conventionally sim.RNG(seed,
+// "chaos/jobs/<shard>")), so the fault sequence is a pure function of
+// plan, seed and write order, at any writer count. A hit fails the
+// write's first attempt; the fleet caps injection below its retry
+// budget, so the write still completes and injection perturbs only
 // retry counters and backoff timing — never a policy file.
-func (p *Plan) JobInjector(rng *rand.Rand) queue.InjectFunc {
+func (p *Plan) JobInjector(rng *rand.Rand) func() int {
 	return func() int {
 		if rng.Float64() < p.JobFail {
 			return 1

@@ -7,7 +7,7 @@ import (
 	"sync"
 
 	"coreda/internal/notify"
-	"coreda/internal/queue"
+	"coreda/internal/parrun"
 	"coreda/internal/store"
 )
 
@@ -37,8 +37,7 @@ type ReplicatingBackend struct {
 
 	send  SendFunc
 	route RouteFunc
-	ctl   *queue.Queue // per-barrier push fan-out, drained by Sync
-	bus   *notify.Bus  // degraded-mode transitions (nil = silent)
+	bus   *notify.Bus // degraded-mode transitions (nil = silent)
 
 	mu    sync.Mutex
 	dirty map[string]bool // names written since the last Sync
@@ -48,8 +47,9 @@ type ReplicatingBackend struct {
 }
 
 // pushWorkers bounds how many peers a Sync barrier pushes to at once.
-// Each peer's pushes are one job, so a peer link stays strictly serial
-// and the concurrency only overlaps pushes to *different* peers.
+// Each peer's pushes are one parrun.Map index, so a peer link stays
+// strictly serial and the concurrency only overlaps pushes to
+// *different* peers.
 const pushWorkers = 4
 
 // NewReplicatingBackend wraps local so every Put/PutStream-Commit is
@@ -59,10 +59,6 @@ func NewReplicatingBackend(local store.Backend, route RouteFunc, send SendFunc) 
 		Backend: local,
 		send:    send,
 		route:   route,
-		ctl: queue.New(queue.Config{
-			Workers: pushWorkers,
-			Stream:  "cluster/replicate",
-		}),
 		dirty:   make(map[string]bool),
 		pending: make(map[string]map[string]bool),
 	}
@@ -118,12 +114,13 @@ func (rb *ReplicatingBackend) markDirty(name string) {
 
 // Sync replicates every blob written since the last barrier (plus any
 // pushes still owed from earlier degraded barriers) to its replica
-// peers. Each peer gets one control-queue job that pushes its blobs in
+// peers. Each peer is one parrun.Map index that pushes its blobs in
 // sorted-name order, and up to pushWorkers peers are pushed to
 // concurrently: a peer link carries one push at a time, and its conn
 // checkout and jitter stream are consumed in a sequence that is a pure
 // function of the barrier's work set, while a slow peer holds back only
-// its own job. The barrier state after Sync returns is therefore
+// its own pushes. Failures are then recorded on the calling goroutine,
+// in peer order. The barrier state after Sync returns is therefore
 // deterministic even though the wall-clock interleaving across peers is
 // not, and the soak drivers only ever observe completed barriers (a
 // SIGKILLed worker skips its barrier entirely).
@@ -181,43 +178,39 @@ func (rb *ReplicatingBackend) Sync() error {
 		}
 	}
 
-	for _, addr := range sortedKeys(perPeer) {
-		pushes := perPeer[addr]
-		var failed []string // written by Run, read by Done after the drain
-		rb.ctl.Enqueue(queue.Job{
-			Run: func() error {
-				var first error
-				for _, p := range pushes {
-					if err := rb.send(addr, p.name, p.blob, true); err != nil {
-						failed = append(failed, p.name)
-						if first == nil {
-							first = err
-						}
-					}
+	peers := sortedKeys(perPeer)
+	failed := make([][]string, len(peers)) // written by peer i's worker
+	//coreda:vet-ignore droppederr fn never fails: each index returns its error as its value
+	errs, _ := parrun.Map(len(peers), pushWorkers, func(i int) (error, error) {
+		var first error
+		for _, p := range perPeer[peers[i]] {
+			if err := rb.send(peers[i], p.name, p.blob, true); err != nil {
+				failed[i] = append(failed[i], p.name)
+				if first == nil {
+					first = err
 				}
-				return first
-			},
-			Done: func(err error) {
-				if err == nil {
-					return
-				}
-				rb.mu.Lock()
-				if rb.pending[addr] == nil {
-					rb.pending[addr] = make(map[string]bool)
-				}
-				for _, name := range failed {
-					rb.pending[addr][name] = true
-				}
-				rb.mu.Unlock()
-				log.Printf("cluster: %d replica pushes -> %s failed, degraded: %v", len(failed), addr, err)
-				if rb.bus != nil && !owedBefore[addr] {
-					rb.bus.Publish(notify.Event{Kind: notify.NodeDegraded, Addr: addr, Err: err.Error()})
-				}
-			},
-		})
+			}
+		}
+		return first, nil
+	})
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		addr := peers[i]
+		rb.mu.Lock()
+		if rb.pending[addr] == nil {
+			rb.pending[addr] = make(map[string]bool)
+		}
+		for _, name := range failed[i] {
+			rb.pending[addr][name] = true
+		}
+		rb.mu.Unlock()
+		log.Printf("cluster: %d replica pushes -> %s failed, degraded: %v", len(failed[i]), addr, err)
+		if rb.bus != nil && !owedBefore[addr] {
+			rb.bus.Publish(notify.Event{Kind: notify.NodeDegraded, Addr: addr, Err: err.Error()})
+		}
 	}
-	//coreda:vet-ignore droppederr push failures are recorded as pending by each job's Done, not surfaced to the barrier
-	_ = rb.ctl.Drain()
 
 	if rb.bus != nil {
 		rb.mu.Lock()

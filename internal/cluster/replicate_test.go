@@ -100,7 +100,7 @@ func TestReplicatingBackendFansOutAtSync(t *testing.T) {
 	if err := rb.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Pushes to different peers overlap (queue workers), so the global
+	// Pushes to different peers overlap (parrun workers), so the global
 	// send order interleaves — but each peer's link must see its names
 	// in sorted order, and the barrier must cover the full fan-out.
 	got := rs.take()
@@ -249,10 +249,10 @@ func TestReplicatingBackendAllReplicasDown(t *testing.T) {
 	}
 }
 
-// TestReplicatingBackendSerializesPerPeer: the barrier's push queue may
+// TestReplicatingBackendSerializesPerPeer: the barrier's pushes may
 // overlap different peers, but one peer link never carries two pushes at
-// once (one job per peer) — the invariant that keeps the link's conn
-// checkout and retry-jitter stream deterministic.
+// once (one parrun index per peer) — the invariant that keeps the link's
+// conn checkout and retry-jitter stream deterministic.
 func TestReplicatingBackendSerializesPerPeer(t *testing.T) {
 	var (
 		mu       sync.Mutex

@@ -1,6 +1,6 @@
 package fleet
 
-// Tests for the queue-backed control plane: a pinned soak digest,
+// Tests for the checkpoint write path: a pinned soak digest,
 // deterministic chaos job-failure injection, writeback failure
 // surfacing on the bus, and shard-loop immunity to slow bus
 // subscribers.
@@ -15,14 +15,17 @@ import (
 	"coreda/internal/store"
 )
 
-// TestSoakControlParity pins what the queue-backed control plane
-// writes: a soak that pushes every household through eviction, queued
-// writeback and re-admission must reproduce the policy digest and
-// counters captured when control writes still ran inline on the drain
-// loop, before that path was retired.
+// controlDigest is the policy digest of the Seed 11, 48-household,
+// 4-session soak, at any shard count and any injected fault rate.
+const controlDigest = "3dcb9e5891dd1d71b66fdb1f346b1d1bc172d1c39798f3f605d50cfa2ab92822"
+
+// TestSoakControlParity pins what the checkpoint waves write: a soak
+// that pushes every household through eviction, batched writeback and
+// re-admission must reproduce the policy digest and counters captured
+// when control writes still ran inline on the drain loop, before that
+// path was retired.
 func TestSoakControlParity(t *testing.T) {
 	t.Parallel()
-	const wantDigest = "3dcb9e5891dd1d71b66fdb1f346b1d1bc172d1c39798f3f605d50cfa2ab92822"
 	wantStats := Stats{Events: 1536, Admissions: 96, Recovered: 48, Evictions: 48, Checkpoints: 96, Resident: 48}
 	res, err := Soak(SoakConfig{
 		Seed:       11,
@@ -34,8 +37,8 @@ func TestSoakControlParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Digest != wantDigest {
-		t.Errorf("digest %s, want %s", res.Digest, wantDigest)
+	if res.Digest != controlDigest {
+		t.Errorf("digest %s, want %s", res.Digest, controlDigest)
 	}
 	if res.Stats != wantStats {
 		t.Errorf("stats %+v, want %+v", res.Stats, wantStats)
@@ -76,6 +79,72 @@ func TestSoakJobFailDigestStable(t *testing.T) {
 	faultyStats.JobRetries = clean.Stats.JobRetries
 	if clean.Stats != faultyStats {
 		t.Errorf("injection changed outcomes:\n clean  %+v\n faulty %+v", clean.Stats, faulty.Stats)
+	}
+}
+
+// TestJobRetriesDeterministic: every checkpoint write, evictions
+// included, draws its injection in wave order and goes through the
+// retry path, so JobRetries is a pure function of seed and fault rate.
+// With every first attempt failed, each checkpoint costs exactly one
+// retry; at a partial rate, repeated runs count the same retries however
+// the shard loop's batches fell. An injection asking for more failures
+// than the retry budget holds is capped below it, so every write still
+// lands and only the retry counter moves.
+func TestJobRetriesDeterministic(t *testing.T) {
+	t.Parallel()
+	run := func(jobFail float64) SoakResult {
+		res, err := Soak(SoakConfig{
+			Seed:       11,
+			Households: 48,
+			Sessions:   4,
+			Shards:     1,
+			Dir:        t.TempDir(),
+			JobFail:    jobFail,
+		})
+		if err != nil {
+			t.Fatalf("soak (jobfail=%v): %v", jobFail, err)
+		}
+		return res
+	}
+	all := run(1.0)
+	if all.Digest != controlDigest {
+		t.Errorf("JobFail=1 digest %s, want %s", all.Digest, controlDigest)
+	}
+	if all.Stats.JobRetries != all.Stats.Checkpoints || all.Stats.Checkpoints == 0 {
+		t.Errorf("JobFail=1: JobRetries %d, want one per checkpoint (%d)", all.Stats.JobRetries, all.Stats.Checkpoints)
+	}
+	want := run(0.5).Stats.JobRetries
+	if want == 0 {
+		t.Fatal("JobFail=0.5 never exercised a retry")
+	}
+	for i := 1; i < 5; i++ {
+		if got := run(0.5).Stats.JobRetries; got != want {
+			t.Fatalf("JobFail=0.5 run %d: JobRetries %d, want %d as in run 0", i, got, want)
+		}
+	}
+
+	cfg := testConfig(t.TempDir())
+	cfg.IdleEvict = time.Minute
+	cfg.JobInject = func(int) func() int { return func() int { return 5 } }
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	defer f.Stop()
+	end := deliverSession(t, f, "sato", 0)
+	deliverSession(t, f, "kato", 0)
+	// sato goes idle and is evicted; kato stays resident and dirty.
+	if err := f.Deliver(Event{Household: "sato", At: end + 2*time.Minute, Kind: EventAdvance}); err != nil {
+		t.Fatal(err)
+	}
+	f.Flush()
+	st := f.Stats()
+	if st.Checkpoints != 2 || st.Evictions != 1 || st.WritebackFailures != 0 {
+		t.Fatalf("over-budget injection changed an outcome: %+v", st)
+	}
+	if budget := ctlRetry().Attempts; st.JobRetries != 2*(budget-1) {
+		t.Fatalf("over-budget injection: JobRetries %d, want %d per write", st.JobRetries, budget-1)
 	}
 }
 

@@ -28,28 +28,34 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"coreda"
 	"coreda/internal/notify"
-	"coreda/internal/queue"
+	"coreda/internal/parrun"
 	"coreda/internal/reminding"
 	"coreda/internal/retry"
+	"coreda/internal/sim"
 	"coreda/internal/store"
 	"coreda/internal/wire"
 )
 
-// ctlRetry is the control-job retry schedule: three attempts with a
-// sub-millisecond backoff, enough to ride out transient filesystem
-// hiccups without stretching a drain boundary.
+// ctlRetry is the checkpoint-write retry schedule: three attempts with
+// a sub-millisecond backoff, enough to ride out transient filesystem
+// hiccups without stretching a wave.
 func ctlRetry() retry.Policy {
 	return retry.Policy{Attempts: 3, Base: 250 * time.Microsecond, Cap: time.Millisecond, Jitter: 0.5}
 }
+
+// errInjected is the error a chaos-injected write attempt fails with.
+var errInjected = errors.New("fleet: injected fault")
 
 // Config parameterizes a Fleet.
 type Config struct {
@@ -86,8 +92,12 @@ type Config struct {
 	// a shard loop; correctness never depends on delivery.
 	Bus *notify.Bus
 	// JobInject, if non-nil, supplies each shard's chaos injection hook
-	// for control-queue jobs (see chaos.Plan.JobInjector).
-	JobInject func(shard int) queue.InjectFunc
+	// for checkpoint writes (see chaos.Plan.JobInjector). The hook is
+	// called once per write of a wave, in wave order on the shard loop,
+	// and returns how many of the write's first attempts fail; the count
+	// is capped below the retry budget, so injection moves only
+	// Stats.JobRetries, never an outcome.
+	JobInject func(shard int) func() int
 }
 
 // EventKind says what a fleet event carries.
@@ -145,11 +155,11 @@ type Stats struct {
 	// Dropped counts events discarded because their household ID was
 	// invalid or admission failed.
 	Dropped int
-	// WritebackFailures counts queued eviction writebacks that failed
-	// after retries; each resurrected its tenant and published a
+	// WritebackFailures counts eviction writebacks that failed after
+	// retries; each resurrected its tenant and published a
 	// notify.WritebackFailed event.
 	WritebackFailures int
-	// JobRetries counts extra control-job attempts beyond the first
+	// JobRetries counts extra checkpoint-write attempts beyond the first
 	// (real failures plus chaos-injected ones).
 	JobRetries int
 }
@@ -219,7 +229,7 @@ type shard struct {
 	// instead of sweeping every resident. Invariant: a tenant is in dirty
 	// iff its on-disk policy is behind its in-memory one.
 	dirty map[string]*Tenant
-	// flushIDs is the reusable scratch for flush's deterministic
+	// flushIDs is the reusable scratch for writeWave's deterministic
 	// (sorted) checkpoint order.
 	flushIDs []string
 	// due is the due-time tenant index: an intrusive min-heap over the
@@ -245,7 +255,7 @@ type shard struct {
 	tickAt  time.Duration
 	// evictq holds tenants already removed from the resident map whose
 	// final checkpoint write is still pending: eviction writes are
-	// batched at drain-batch boundaries (drainEvictions) so a sweep of
+	// batched at drain-batch boundaries (writeWave) so a sweep of
 	// idle tenants pays one parallel write wave instead of one blocking
 	// file rotation per event.
 	evictq []*Tenant
@@ -257,20 +267,30 @@ type shard struct {
 	// while running (the same single-writer assumption the crash-safe
 	// rotation already relies on), so the set cannot go stale.
 	known map[string]bool
-	// saver holds the reusable checkpoint encode buffers the loop
-	// goroutine's own (unqueued) writes share.
+	// saver holds the reusable checkpoint encode buffers of the loop
+	// goroutine's own write (evictNow's fsynced checkpoint).
 	saver store.MultiSaver
-	// free holds one saver per control-queue worker; jobs check a saver
-	// out for the duration of a write and return it before Drain
-	// completes, so the pool is full between waves.
+	// free holds one saver per wave writer; a write checks a saver out
+	// for its attempts and returns it before the wave completes, so the
+	// pool is full between waves.
 	free chan *store.MultiSaver
-	// ctl is the shard's control-plane queue: eviction writebacks and
-	// checkpoint waves are enqueued on it and drained at batch
-	// boundaries, with retry-with-backoff on failure. Drain is a
-	// synchronization point, and dispatch order is deterministic
-	// (enqueue order), so the queue decides who runs a write, never
-	// what lands on disk.
-	ctl *queue.Queue
+	// wave is the reusable scratch of writeWave's writes.
+	wave []waveWrite
+	// inject is the chaos hook from Config.JobInject (nil injects
+	// nothing).
+	inject func() int
+}
+
+// waveWrite is one checkpoint write of a wave.
+type waveWrite struct {
+	t     *Tenant
+	evict bool // the tenant's final write before eviction
+	// failN is how many of the first attempts chaos injection fails,
+	// already capped below the retry budget.
+	failN int
+	// attempts is how many attempts the write took; a writer goroutine
+	// sets it and the loop reads it after the wave.
+	attempts int
 }
 
 // flushWriters is how many checkpoint files a batch flush writes
@@ -279,7 +299,7 @@ type shard struct {
 const flushWriters = 8
 
 // maxBatch bounds how many work items a shard loop dispatches before it
-// services the eviction write queue. Without the cap a sustained
+// writes the pending evictions. Without the cap a sustained
 // producer would keep the drain loop spinning and defer queued eviction
 // checkpoints indefinitely.
 const maxBatch = 128
@@ -304,10 +324,6 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{cfg: cfg, backend: cfg.Backend}
 	for i := 0; i < cfg.Shards; i++ {
-		var inject queue.InjectFunc
-		if cfg.JobInject != nil {
-			inject = cfg.JobInject(i)
-		}
 		s := &shard{
 			f:       f,
 			idx:     i,
@@ -317,13 +333,9 @@ func New(cfg Config) (*Fleet, error) {
 			dirty:   make(map[string]*Tenant),
 			known:   make(map[string]bool),
 			free:    make(chan *store.MultiSaver, flushWriters),
-			ctl: queue.New(queue.Config{
-				Workers: flushWriters,
-				Retry:   ctlRetry(),
-				Seed:    int64(i),
-				Stream:  "fleet/ctl",
-				Inject:  inject,
-			}),
+		}
+		if cfg.JobInject != nil {
+			s.inject = cfg.JobInject(i)
 		}
 		for w := 0; w < flushWriters; w++ {
 			s.free <- new(store.MultiSaver)
@@ -440,12 +452,10 @@ func (f *Fleet) EvictNow(household string) error {
 }
 
 // evictNow force-evicts one household on the loop goroutine, fsyncing
-// its final checkpoint. A pending queued eviction write is completed
-// first, so the on-disk blob is the tenant's final state either way.
+// its final checkpoint. It runs as a control closure, after dispatch
+// wrote the pending evictions, so a household evicted earlier already
+// has its final state on disk.
 func (s *shard) evictNow(household string) error {
-	if len(s.evictq) > 0 {
-		s.writebackEvicted(household)
-	}
 	t, ok := s.tenants[household]
 	if !ok {
 		return nil
@@ -517,7 +527,7 @@ func (f *Fleet) Flush() {
 	if f.state.Load() != fleetStarted {
 		return
 	}
-	f.barrier(func(s *shard) { s.flush(false) })
+	f.barrier(func(s *shard) { s.writeWave(false, true) })
 }
 
 // Stats snapshots the aggregated counters (a barrier across shards).
@@ -540,12 +550,10 @@ func (f *Fleet) Stats() Stats {
 	return out
 }
 
-// snapshot is one shard's counter view, folding in the control queue's
-// retry count (the drain-level counters live in the queue).
+// snapshot is one shard's counter view.
 func (s *shard) snapshot() Stats {
 	st := s.stats
 	st.Resident = len(s.tenants)
-	st.JobRetries = s.ctl.Stats().Retried
 	return st
 }
 
@@ -558,7 +566,7 @@ func (f *Fleet) Stop() {
 	}
 	for _, s := range f.shards {
 		s.in <- msg{fn: func(s *shard) {
-			s.flush(true)
+			s.writeWave(true, true)
 			s.quit = true
 		}}
 	}
@@ -595,7 +603,7 @@ func (s *shard) run() {
 				break drain
 			}
 		}
-		s.drainEvictions(false)
+		s.writeWave(false, false)
 	}
 }
 
@@ -606,7 +614,7 @@ func (s *shard) run() {
 // disk.
 func (s *shard) dispatch(m msg) {
 	if m.fn != nil {
-		s.drainEvictions(false)
+		s.writeWave(false, false)
 		m.fn(s)
 		return
 	}
@@ -615,7 +623,7 @@ func (s *shard) dispatch(m msg) {
 		// closures it is a drain point, so eviction checkpoints cannot be
 		// deferred past a tick. Deliver rejects empty households, so the
 		// encoding cannot collide with tenant traffic.
-		s.drainEvictions(false)
+		s.writeWave(false, false)
 		s.advanceAll(m.ev.At)
 		return
 	}
@@ -680,10 +688,18 @@ func (s *shard) admit(household string) (*Tenant, error) {
 	if t, ok := s.tenants[household]; ok {
 		return t, nil
 	}
-	if len(s.evictq) > 0 {
-		if t := s.writebackEvicted(household); t != nil {
+	for _, t := range s.evictq {
+		if t.ID != household {
+			continue
+		}
+		// Its final checkpoint is still pending: write the eviction wave
+		// first. A failed write resurrected the tenant; otherwise it is
+		// re-admitted below from the file just written.
+		s.writeWave(false, false)
+		if t, ok := s.tenants[household]; ok {
 			return t, nil
 		}
+		break
 	}
 	cfg, err := s.f.cfg.NewSystem(household)
 	if err != nil {
@@ -752,51 +768,6 @@ func (s *shard) maybeEvict(t *Tenant) bool {
 	return true
 }
 
-// drainEvictions writes the final checkpoints of tenants evicted since
-// the last drain as control-queue jobs (retried with backoff, consumed
-// by the shared writer pool), in eviction order. The shard loop blocks
-// until every write returned, and a tenant whose write fails is
-// re-admitted instead of losing its learning.
-func (s *shard) drainEvictions(fsync bool) {
-	if len(s.evictq) == 0 {
-		return
-	}
-	pre := s.stats.Checkpoints
-	s.enqueueEvictions(fsync)
-	//coreda:vet-ignore droppederr per-job errors are handled by each job's Done (finishEvict)
-	_ = s.ctl.Drain()
-	s.publishCheckpointDone(s.stats.Checkpoints - pre)
-}
-
-// enqueueEvictions turns the eviction queue into control-queue jobs and
-// empties it (flush enqueues them ahead of the checkpoint writes sharing
-// its drain); the caller owns the Drain. Each job borrows a pooled
-// saver, writes one tenant's final checkpoint, and completes back on
-// the loop goroutine via finishEvict.
-func (s *shard) enqueueEvictions(fsync bool) {
-	for _, t := range s.evictq {
-		t := t
-		s.ctl.Enqueue(queue.Job{
-			Run: func() error {
-				sv := <-s.free
-				err := t.save(s.f.backend, sv, fsync)
-				s.free <- sv
-				return err
-			},
-			Done: func(err error) { s.finishEvict(t, err) },
-		})
-	}
-	s.clearEvictq()
-}
-
-// clearEvictq empties the eviction queue without dropping its capacity.
-func (s *shard) clearEvictq() {
-	for i := range s.evictq {
-		s.evictq[i] = nil
-	}
-	s.evictq = s.evictq[:0]
-}
-
 // publishCheckpointDone announces a finished checkpoint wave of n files
 // on the bus (no-op when nothing was written or no bus is wired).
 func (s *shard) publishCheckpointDone(n int) {
@@ -808,7 +779,7 @@ func (s *shard) publishCheckpointDone(n int) {
 	}
 }
 
-// finishEvict completes one queued eviction after its checkpoint write
+// finishEvict completes one pending eviction after its checkpoint write
 // returned. On failure the tenant is resurrected — it never left memory
 // — and the failure counts as a writeback failure and is published on
 // the bus (notify.WritebackFailed), where coreda-fleet logs it.
@@ -828,28 +799,6 @@ func (s *shard) finishEvict(t *Tenant, err error) {
 	s.known[t.ID] = true
 	s.stats.Checkpoints++
 	s.f.log("shard %d: evicted %s (idle %v)", s.idx, t.ID, t.Sched.Now()-t.lastEvent)
-}
-
-// writebackEvicted force-completes a queued eviction write for one
-// household (an event for it arrived before the batch boundary). It
-// returns the tenant if the write failed and the tenant was resurrected
-// as resident; otherwise nil, and the caller re-admits from the
-// just-written file — byte-identical to the batched path.
-func (s *shard) writebackEvicted(household string) *Tenant {
-	for i, t := range s.evictq {
-		if t.ID != household {
-			continue
-		}
-		s.evictq = append(s.evictq[:i], s.evictq[i+1:]...)
-		pre := s.stats.Checkpoints
-		s.finishEvict(t, t.save(s.f.backend, &s.saver, false))
-		s.publishCheckpointDone(s.stats.Checkpoints - pre)
-		if rt, ok := s.tenants[household]; ok {
-			return rt
-		}
-		return nil
-	}
-	return nil
 }
 
 // advanceAll pumps due tenants' clocks to `to`, firing their timers and
@@ -1029,47 +978,87 @@ func (s *shard) dueSwap(i, j int) {
 	s.due[j].dueIdx = int32(j)
 }
 
-// flush checkpoints every dirty tenant (batch per-shard checkpointing)
-// as one control-queue drain: pending eviction writebacks are enqueued
-// first (an evicted tenant's file is its final state), then the dirty
-// set, sorted for a deterministic write order. Walking the dirty set
+// writeWave writes one checkpoint wave: the pending evictions in
+// eviction order, then, if dirty is set, every dirty tenant sorted by
+// household (batch per-shard checkpointing; walking the dirty set
 // rather than the resident map makes a periodic flush scale with how
-// many households actually changed.
-func (s *shard) flush(fsync bool) {
-	if len(s.evictq) == 0 && len(s.dirty) == 0 {
+// many households actually changed). The writes' chaos injections are
+// drawn first, in wave order on the loop goroutine; parrun.Map then
+// runs the writes on up to flushWriters goroutines, each under ctlRetry
+// with a pooled saver; and the outcomes are applied back on the loop, in
+// wave order. The loop blocks until every write returned, so who ran a
+// write never decides what lands on disk or in the counters. A tenant
+// whose eviction write fails is resurrected instead of losing its
+// learning.
+func (s *shard) writeWave(fsync, dirty bool) {
+	w := s.wave[:0]
+	for i, t := range s.evictq {
+		w = append(w, waveWrite{t: t, evict: true})
+		s.evictq[i] = nil
+	}
+	s.evictq = s.evictq[:0]
+	if dirty && len(s.dirty) > 0 {
+		s.flushIDs = s.flushIDs[:0]
+		for id := range s.dirty {
+			s.flushIDs = append(s.flushIDs, id)
+		}
+		sort.Strings(s.flushIDs)
+		for _, id := range s.flushIDs {
+			w = append(w, waveWrite{t: s.dirty[id]})
+		}
+	}
+	s.wave = w
+	if len(w) == 0 {
 		return
 	}
-	pre := s.stats.Checkpoints
-	if len(s.evictq) > 0 {
-		s.enqueueEvictions(fsync)
+	pol := ctlRetry()
+	if s.inject != nil {
+		for i := range w {
+			w[i].failN = min(max(s.inject(), 0), pol.Attempts-1)
+		}
 	}
-	s.flushIDs = s.flushIDs[:0]
-	for id := range s.dirty {
-		s.flushIDs = append(s.flushIDs, id)
-	}
-	sort.Strings(s.flushIDs)
-	for _, id := range s.flushIDs {
-		id, t := id, s.dirty[id]
-		s.ctl.Enqueue(queue.Job{
-			Run: func() error {
-				sv := <-s.free
-				err := t.save(s.f.backend, sv, fsync)
-				s.free <- sv
-				return err
-			},
-			Done: func(err error) {
-				if err != nil {
-					s.f.log("shard %d: checkpoint %s: %v", s.idx, id, err)
-					return
+	//coreda:vet-ignore droppederr fn never fails: each index returns its error as its value
+	errs, _ := parrun.Map(len(w), flushWriters, func(i int) (error, error) {
+		sv := <-s.free
+		save := func(attempt int) error {
+			w[i].attempts = attempt
+			if attempt <= w[i].failN {
+				return errInjected
+			}
+			return w[i].t.save(s.f.backend, sv, fsync)
+		}
+		err := save(1)
+		if err != nil {
+			// Only a failed first attempt builds the write's jitter
+			// stream, so a clean wave allocates none.
+			first := err
+			rng := sim.RNG(int64(s.idx), "fleet/ctl/job/"+strconv.Itoa(i))
+			err = pol.Do(rng, func(attempt int) error {
+				if attempt == 1 {
+					return first
 				}
-				delete(s.dirty, id)
-				s.known[id] = true
-				s.stats.Checkpoints++
-			},
-		})
+				return save(attempt)
+			})
+		}
+		s.free <- sv
+		return err, nil
+	})
+	pre := s.stats.Checkpoints
+	for i := range w {
+		t, err := w[i].t, errs[i]
+		s.stats.JobRetries += w[i].attempts - 1
+		switch {
+		case w[i].evict:
+			s.finishEvict(t, err)
+		case err != nil:
+			s.f.log("shard %d: checkpoint %s: %v", s.idx, t.ID, err)
+		default:
+			delete(s.dirty, t.ID)
+			s.known[t.ID] = true
+			s.stats.Checkpoints++
+		}
+		w[i] = waveWrite{}
 	}
-	//coreda:vet-ignore droppederr per-job errors are handled by each job's Done callback
-	_ = s.ctl.Drain()
 	s.publishCheckpointDone(s.stats.Checkpoints - pre)
 }
 

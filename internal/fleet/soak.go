@@ -13,7 +13,6 @@ import (
 	"coreda/internal/chaos"
 	"coreda/internal/notify"
 	"coreda/internal/parrun"
-	"coreda/internal/queue"
 	"coreda/internal/sim"
 	"coreda/internal/store"
 )
@@ -45,8 +44,8 @@ type SoakConfig struct {
 	OnLog func(string)
 	// Bus, if non-nil, receives the fleet's control-plane events.
 	Bus *notify.Bus
-	// JobFail is the chaos job-failure probability: each control-queue
-	// job fails injected attempts with this probability, drawn on the
+	// JobFail is the chaos job-failure probability: each checkpoint
+	// write fails its first attempt with this probability, drawn on the
 	// per-shard "chaos/jobs/<shard>" stream, exercising retry/backoff
 	// without changing any outcome (or the digest). Zero injects
 	// nothing.
@@ -111,7 +110,7 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 		if err := plan.Validate(); err != nil {
 			return SoakResult{}, err
 		}
-		fcfg.JobInject = func(shard int) queue.InjectFunc {
+		fcfg.JobInject = func(shard int) func() int {
 			return plan.JobInjector(sim.RNG(cfg.Seed, "chaos/jobs/"+strconv.Itoa(shard)))
 		}
 	}

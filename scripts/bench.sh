@@ -98,28 +98,26 @@ echo "$sraw"
 
 echo "wrote $sout"
 
-# Control plane: the work queue's drain throughput (FIFO dispatch over
-# a worker pool, then Done callbacks) and the event bus's publish fan-
-# out. Neither sits on the per-event serving path — jobs and events are
-# per checkpoint wave — so these bound how fine-grained control work
-# can get before the queue itself shows up in a drain.
-qout=BENCH_queue.json
-qpattern='BenchmarkQueueThroughput|BenchmarkBusPublish'
-qraw=$(go test -run '^$' -bench "$qpattern" -benchmem -count 1 ./internal/queue/ ./internal/notify/)
-echo "$qraw"
+# Control plane: the event bus's publish fan-out. It does not sit on
+# the per-event serving path — events are per checkpoint wave — so this
+# bounds how fine-grained control announcements can get before the bus
+# itself shows up in a wave.
+nout=BENCH_notify.json
+nraw=$(go test -run '^$' -bench 'BenchmarkBusPublish' -benchmem -count 1 ./internal/notify/)
+echo "$nraw"
 
 {
     echo '{'
     echo "  \"go\": \"$(go env GOVERSION)\","
     echo "  \"cpus\": $(getconf _NPROCESSORS_ONLN),"
-    echo '  "note": "Control-plane fabric: one trivial job enqueued+drained per op at the fleet worker count (queue), and one event published per op with a single drained listener (bus). Dispatch order and digests are identical at every worker count; only wall-clock throughput moves.",'
+    echo '  "note": "Control-plane bus: one event published per op with a single drained listener. Publish never blocks, so a slow listener costs dropped events, never shard-loop throughput.",'
     echo '  "benchmarks": ['
-    echo "$qraw" | bench_rows
+    echo "$nraw" | bench_rows
     echo '  ]'
     echo '}'
-} > "$qout"
+} > "$nout"
 
-echo "wrote $qout"
+echo "wrote $nout"
 
 # Fleet throughput matrix: 1000 households through the sharded runtime
 # at GOMAXPROCS×shards = 1/2/4/8. Each row records the parallelism it

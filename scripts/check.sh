@@ -104,7 +104,7 @@ diff "$tmp/chaos-w1.txt" "$tmp/chaos-w4.txt"
 # that shifts every digest the same way. Stdout deliberately omits the
 # shard count and the job-failure rate, so the 1000-household fleet soak
 # is held to one golden whether its tenants share one shard event loop
-# or are spread across eight, and with a fifth of its control-queue jobs
+# or are spread across eight, and with a fifth of its checkpoint writes
 # failing injected attempts (the retry budget must absorb them). A
 # change meant to alter what households learn regenerates the goldens
 # with `make golden` and says why.
