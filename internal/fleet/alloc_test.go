@@ -340,8 +340,8 @@ func liveHeap() uint64 {
 // live heap: a tenant admitted from its checkpoint through Fleet.Do,
 // idle, with no random draw yet. Its system, planner, Q-table, hub and
 // scheduler fit the budget (its activity is the fleet's shared copy); a
-// random stream's generator state (~4.9 kB, seeded on first draw) does
-// not, so a stream seeded at admission fails it.
+// random stream's generator state (~4.9 kB, built by its 274th draw)
+// does not, so a stream seeded at admission fails it.
 func TestAdmitHeapAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
@@ -376,5 +376,61 @@ func TestAdmitHeapAllocBudget(t *testing.T) {
 	t.Logf("admitted household: %.0f B live heap over %d tenants", perTenant, tenants)
 	if perTenant > budget {
 		t.Errorf("admitted household holds %.0f B live heap over %d tenants, budget %d B", perTenant, tenants, budget)
+	}
+}
+
+// TestLearningHeapAllocBudget bounds what a learning household costs in
+// live heap: a soak household that has run one tea-making session, so
+// its planner has explored from its random stream. A stream computes
+// its first draws from its seed and builds no generator state for
+// them; one that builds the ~4.9 kB state on its first draw fails this.
+func TestLearningHeapAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
+	}
+	const tenants = 2000
+	soak := SoakConfig{Seed: 1, Sessions: 1}
+	ids := make([]string, tenants)
+	sessions := make([][]Event, tenants)
+	for i := range ids {
+		ids[i] = SoakHousehold(i)
+		sessions[i] = SoakSessions(soak, ids[i])[0]
+	}
+	cfg := testConfig("")
+	cfg.Backend = store.NewMemBackend()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	defer f.Stop()
+
+	before := liveHeap()
+	for _, session := range sessions {
+		for _, ev := range session {
+			if err := f.Deliver(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	episodes := 0
+	for _, id := range ids {
+		if err := f.Do(id, func(tn *Tenant) error {
+			episodes += tn.System.Planner().Episodes
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := liveHeap()
+	if st := f.Stats(); st.Resident != tenants || episodes != tenants {
+		t.Fatalf("%d resident after %d learned episodes; want %d of each", st.Resident, episodes, tenants)
+	}
+
+	perTenant := float64(int64(after)-int64(before)) / tenants
+	const budget = 7 << 10
+	t.Logf("learning household: %.0f B live heap over %d tenants", perTenant, tenants)
+	if perTenant > budget {
+		t.Errorf("learning household holds %.0f B live heap over %d tenants, budget %d B", perTenant, tenants, budget)
 	}
 }

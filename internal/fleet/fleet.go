@@ -432,11 +432,10 @@ func (f *Fleet) MarkKnown(household string) error {
 	return nil
 }
 
-// EvictNow checkpoints and releases one resident tenant immediately —
-// the sending half of a cluster handoff, which must flush the tenant's
-// final state to the backend before shipping the blob to the new owner.
-// A household that is not resident is a no-op (its checkpoint, if any,
-// is already on disk).
+// EvictNow forces one resident tenant out immediately: it writes the
+// tenant's final checkpoint with an fsync, then releases the tenant, so
+// its next event re-admits it from that checkpoint. A household that is
+// not resident is a no-op (its checkpoint, if any, is already on disk).
 func (f *Fleet) EvictNow(household string) error {
 	if !ValidHousehold(household) {
 		return fmt.Errorf("fleet: invalid household ID %q", household)
@@ -473,7 +472,7 @@ func (s *shard) evictNow(household string) error {
 		s.lastID, s.lastT = "", nil
 	}
 	s.stats.Evictions++
-	s.f.log("shard %d: evicted %s (handoff)", s.idx, household)
+	s.f.log("shard %d: evicted %s (forced, fsynced)", s.idx, household)
 	return nil
 }
 

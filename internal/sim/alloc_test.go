@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"coreda/internal/testutil"
 )
@@ -113,12 +114,16 @@ func TestPendingAllocFreeAndO1(t *testing.T) {
 // them, so the allocation tests below measure what a caller pays.
 var rngSink *rand.Rand
 
-// TestRNGAllocBudget pins the lazily seeded stream: building one costs a
-// couple of small objects, not the ~4.9 kB generator state, and the first
-// draw builds that state exactly once.
+// TestRNGAllocBudget pins what a stream costs: building one is a
+// couple of small objects, its first alfgTap draws allocate nothing,
+// draw alfgTap+1 builds the generator state as exactly one object, and
+// later draws allocate nothing again.
 func TestRNGAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
+	}
+	if size := unsafe.Sizeof(lazySource{}); size > 24 {
+		t.Errorf("lazySource is %d B, budget 24 B: every resident stream carries it", size)
 	}
 	const n = 1000
 	var before, after runtime.MemStats
@@ -134,27 +139,39 @@ func TestRNGAllocBudget(t *testing.T) {
 		t.Errorf("RNG costs %.2f allocs and %.0f B per stream, budget 3 allocs and < 128 B", allocs, bytes)
 	}
 
-	build := testing.AllocsPerRun(n, func() { rngSink = RNG(1, "planner") })
-	first := testing.AllocsPerRun(n, func() {
-		rngSink = RNG(1, "planner")
-		rngSink.Int63()
-	})
-	if first-build != 1 {
-		t.Errorf("first draw allocates %.1f objects, want 1 (the generator state)", first-build)
+	// drawn builds a stream and draws from it k times; AllocsPerRun
+	// reports what the draws add to the build.
+	drawn := func(k int) float64 {
+		return testing.AllocsPerRun(100, func() {
+			rngSink = RNG(1, "planner")
+			for i := 0; i < k; i++ {
+				rngSink.Uint64()
+			}
+		})
+	}
+	build := drawn(0)
+	if got := drawn(alfgTap) - build; got != 0 {
+		t.Errorf("draws 1-%d allocate %.1f objects, want 0", alfgTap, got)
+	}
+	if got := drawn(alfgTap+1) - build; got != 1 {
+		t.Errorf("draw %d allocates %.1f objects, want 1 (the generator state)", alfgTap+1, got)
 	}
 	if got := testing.AllocsPerRun(n, func() { rngSink.Int63() }); got != 0 {
 		t.Errorf("later draws allocate %.1f/op, want 0", got)
 	}
 
-	l := &lazySource{seed: 1}
+	l := &lazySource{x0: lehmerSeed(1)}
 	r := rand.New(l)
+	for i := 0; i < alfgTap; i++ {
+		r.Int63()
+	}
 	if l.src != nil {
-		t.Fatal("rand.New built the generator before any draw")
+		t.Fatalf("%d draws built the generator", alfgTap)
 	}
 	r.Float64()
 	src := l.src
 	if src == nil {
-		t.Fatal("first draw did not build the generator")
+		t.Fatalf("draw %d did not build the generator", alfgTap+1)
 	}
 	r.Uint64()
 	r.Intn(10)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -55,5 +56,33 @@ func BenchmarkSchedulerCancelChurn(b *testing.B) {
 		tm.Cancel()
 		s.After(time.Millisecond, fn)
 		s.Step()
+	}
+}
+
+// benchRNG keeps each benchmark's stream reachable, as a household
+// keeps its planner's stream.
+var benchRNG *rand.Rand
+
+// BenchmarkRNGFirstDraw measures building a stream and drawing once:
+// what a household that explores once after admission pays. The draw
+// comes from the seed's closed form, so no generator state is built.
+func BenchmarkRNGFirstDraw(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchRNG = RNG(int64(i), "planner")
+		benchRNG.Int63()
+	}
+}
+
+// BenchmarkRNGMaterialize measures building a stream and drawing
+// alfgTap+1 times: the closed-form draws, then the one that builds the
+// 4.9 kB generator state.
+func BenchmarkRNGMaterialize(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchRNG = RNG(int64(i), "planner")
+		for k := 0; k <= alfgTap; k++ {
+			benchRNG.Int63()
+		}
 	}
 }

@@ -136,10 +136,14 @@ func TestStreamSeedPinned(t *testing.T) {
 	}
 }
 
-// TestRNGMatchesEagerSource holds the lazily seeded stream to the one it
-// stands in for: rand.New(rand.NewSource(s)) on the FNV-1a seed of
+// TestRNGMatchesEagerSource holds the stream to the one it stands in
+// for: rand.New(rand.NewSource(s)) on the FNV-1a seed of
 // "<seed>/<stream>", through every rand.Rand method the repo draws with,
-// and across Seed calls both before the first draw and mid-stream.
+// across Seed calls before the first draw, mid-stream and after the
+// generator state is built, after draw counts on both sides of every
+// boundary of the generator (the closed form's alfgTap draws, the feed
+// index wrapping at alfgFeed, the state cycling at alfgLen and twice
+// that), and for seeds on every branch of the seed reduction.
 func TestRNGMatchesEagerSource(t *testing.T) {
 	t.Parallel()
 	eager := func(seed int64, stream string) *rand.Rand {
@@ -179,4 +183,62 @@ func TestRNGMatchesEagerSource(t *testing.T) {
 			})
 		}
 	}
+	// skip draws n values from both streams and fails on the first
+	// that differs.
+	skip := func(t *testing.T, n int, got, want *rand.Rand) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("draw %d = %#x, want %#x", i, g, w)
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 272, 273, 274, 275, 333, 334, 335, 606, 607, 608, 1213, 1214, 1215} {
+		t.Run(fmt.Sprintf("after %d draws", n), func(t *testing.T) {
+			got, want := RNG(7, "planner"), eager(7, "planner")
+			skip(t, n, got, want)
+			same(t, "drawn on", got, want)
+
+			got.Seed(int64(n))
+			want.Seed(int64(n))
+			same(t, "re-seeded", got, want)
+		})
+	}
+	for _, seed := range []int64{0, 1, -1, -2, math.MinInt64, math.MaxInt64, math.MinInt64 + 1,
+		lehmerMod, -lehmerMod, 2 * lehmerMod, 89482311 * lehmerMod, lehmerMod - 1, lehmerMod + 1,
+		-(lehmerMod - 1), 89482311, (math.MaxInt64 / lehmerMod) * lehmerMod} {
+		t.Run(fmt.Sprintf("seed %d", seed), func(t *testing.T) {
+			got, want := rand.New(&lazySource{x0: lehmerSeed(seed)}), rand.New(rand.NewSource(seed))
+			skip(t, 2*alfgLen+1, got, want)
+			same(t, "direct", got, want)
+
+			got, want = RNG(seed, "x"), eager(seed, "x")
+			got.Seed(seed)
+			want.Seed(seed)
+			same(t, "through Seed", got, want)
+		})
+	}
+}
+
+// FuzzRNGMatchesStdlib checks n draws of a stream seeded with seed
+// against math/rand's own source. Plain go test runs the f.Add seeds and
+// the committed corpus in testdata/fuzz/FuzzRNGMatchesStdlib.
+func FuzzRNGMatchesStdlib(f *testing.F) {
+	f.Add(int64(0), uint16(alfgTap))
+	f.Add(int64(1), uint16(alfgTap+1))
+	f.Add(int64(-1), uint16(alfgFeed+1))
+	f.Add(int64(lehmerMod), uint16(alfgLen+1))
+	f.Add(int64(math.MinInt64), uint16(2*alfgLen+1))
+	f.Add(int64(math.MaxInt64), uint16(3000))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
+		got, want := rand.New(&lazySource{x0: lehmerSeed(seed)}), rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < int(n); i++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d: draw %d = %#x, want %#x", seed, i, g, w)
+			}
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("seed %d: Int63 after %d draws = %d, want %d", seed, n, g, w)
+		}
+	})
 }

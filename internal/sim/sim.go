@@ -5,9 +5,11 @@
 // Every CoReDA experiment runs on this kernel instead of wall-clock time,
 // so results are reproducible bit-for-bit from a seed.
 //
-// Random streams (RNG) are seeded on first draw: a stream costs a few
-// dozen bytes until something draws from it, which keeps a resident
-// household that makes no random choice small.
+// Random streams (RNG) draw exactly what math/rand's default source
+// draws, but compute their first 273 draws straight from the seed: a
+// stream costs a few dozen bytes, and only one drawn 274 times or more
+// builds the 4.9 kB generator state. That keeps a resident household
+// small whether or not it explores.
 //
 // The timer core is allocation-free at steady state: event records live
 // in a per-scheduler free list and are recycled as timers fire, the heap
@@ -401,13 +403,13 @@ func (s *Scheduler) swap(i, j int) {
 // name. Distinct names yield decorrelated streams, so adding a new
 // consumer of randomness does not perturb existing ones.
 //
-// The stream is seeded on first draw: the generator state behind it
-// (about 4.9 kB, and most of the cost of building one) is only built
-// when something first draws from the stream, so a consumer that never
-// draws pays for neither. The draws are exactly those of
-// rand.New(rand.NewSource(s)) for the stream's derived seed s.
+// The draws are exactly those of rand.New(rand.NewSource(s)) for the
+// stream's derived seed s, but the stream holds no generator state
+// until its 274th draw: the first alfgTap draws are computed straight
+// from the seed (see lazySource). Building a stream costs two small
+// objects; only a stream drawn past alfgTap builds the 4.9 kB state.
 func RNG(seed int64, stream string) *rand.Rand {
-	return rand.New(&lazySource{seed: streamSeed(seed, stream)})
+	return rand.New(&lazySource{x0: lehmerSeed(streamSeed(seed, stream))})
 }
 
 // streamSeed is the FNV-1a hash of "<seed>/<stream>", the stream's seed
@@ -423,27 +425,160 @@ func streamSeed(seed int64, stream string) int64 {
 	return int64(h.Sum64())
 }
 
-// lazySource is a rand.Source64 that builds its rand.NewSource generator
-// on the first draw and delegates to it from then on.
-type lazySource struct {
-	seed int64
-	src  rand.Source64
-}
+// math/rand's generator is an additive lagged Fibonacci generator over
+// alfgLen words: each draw adds the word at the feed index to the word
+// at the tap index, alfgTap behind it, and stores the sum at the feed.
+// Seeding fills the words from a Lehmer sequence x(n) = 48271ⁿ·x₀ mod
+// 2³¹−1 that starts alfgSkip steps in, three values per word, XORed
+// with a fixed table (cooked):
+//
+//	v₀[i] = x(21+3i)<<40 ^ x(22+3i)<<20 ^ x(23+3i) ^ cooked[i]
+//
+// Draw k < alfgTap reads v₀[alfgFeed-1-k] and v₀[alfgLen-1-k], neither
+// yet overwritten, so it is a closed form of the seed.
+const (
+	alfgLen   = 607
+	alfgTap   = 273
+	alfgFeed  = alfgLen - alfgTap // the feed index's start
+	alfgSkip  = 20                // Lehmer steps seeding discards
+	lehmerMod = 1<<31 - 1
+	lehmerMul = 48271
+)
 
-func (l *lazySource) source() rand.Source64 {
-	if l.src == nil {
-		l.src = rand.NewSource(l.seed).(rand.Source64)
+var (
+	// lehmerPow[n] is 48271ⁿ mod 2³¹−1, the factor that takes x₀ to
+	// x(n): every seeded word is three independent multiplications.
+	lehmerPow [alfgSkip + 1 + 3*alfgLen]uint64
+	// cooked is math/rand's seeding table, recovered from its output.
+	cooked [alfgLen]uint64
+)
+
+func init() {
+	p := uint64(1)
+	for n := range lehmerPow {
+		lehmerPow[n] = p
+		p = p * lehmerMul % lehmerMod
 	}
-	return l.src
+	// Recover cooked from the first alfgLen draws of seed 1 (x₀ = 1).
+	// Draw k >= alfgTap adds a still-seeded feed word to the sum draw
+	// k-alfgTap stored, so it gives that word as a difference. Those
+	// are the words the first alfgTap draws read at their tap, so each
+	// of those draws then gives its feed word.
+	src := rand.NewSource(1).(rand.Source64)
+	var d, v [alfgLen]uint64
+	for k := range d {
+		d[k] = src.Uint64()
+	}
+	for k := alfgTap; k < alfgLen; k++ {
+		v[(alfgFeed-1-k+alfgLen)%alfgLen] = d[k] - d[k-alfgTap]
+	}
+	for k := 0; k < alfgTap; k++ {
+		v[alfgFeed-1-k] = d[k] - v[alfgLen-1-k]
+	}
+	for i := range cooked {
+		cooked[i] = v[i] ^ seedWord(1, i)
+	}
 }
 
-func (l *lazySource) Int63() int64   { return l.source().Int63() }
-func (l *lazySource) Uint64() uint64 { return l.source().Uint64() }
+// lehmerSeed reduces a seed to x₀, the start of seedrand's sequence,
+// exactly as rand.NewSource does.
+func lehmerSeed(seed int64) uint32 {
+	seed %= lehmerMod
+	if seed < 0 {
+		seed += lehmerMod
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	return uint32(seed)
+}
 
-// Seed re-seeds the stream; the generator is rebuilt on the next draw.
+// lehmer returns x(n) for start x0: one multiplication and two
+// Mersenne folds, without a branch. The first fold leaves at most
+// 2·(2³¹−1), the second at most 2³¹−1, which only a product divisible
+// by the prime 2³¹−1 folds to; x0 and 48271ⁿ are not, so the result is
+// reduced.
+func lehmer(x0 uint32, n int) uint64 {
+	p := lehmerPow[n] * uint64(x0)
+	p = p&lehmerMod + p>>31
+	return p&lehmerMod + p>>31
+}
+
+// seedWord returns v₀[i], word i of the generator seeded from x0,
+// without seeding the others.
+func seedWord(x0 uint32, i int) uint64 {
+	n := alfgSkip + 1 + 3*i
+	return lehmer(x0, n)<<40 ^ lehmer(x0, n+1)<<20 ^ lehmer(x0, n+2) ^ cooked[i]
+}
+
+// alfg is the materialised generator, stepped as math/rand's rngSource
+// steps: both indices move down one word per draw, wrapping at alfgLen.
+type alfg struct {
+	vec  [alfgLen]uint64
+	tap  int32
+	feed int32
+}
+
+func (g *alfg) next() uint64 {
+	g.tap--
+	if g.tap < 0 {
+		g.tap += alfgLen
+	}
+	g.feed--
+	if g.feed < 0 {
+		g.feed += alfgLen
+	}
+	x := g.vec[g.feed] + g.vec[g.tap]
+	g.vec[g.feed] = x
+	return x
+}
+
+// lazySource is a rand.Source64 drawing exactly what rand.NewSource's
+// generator would. Its first alfgTap draws are computed from x0 alone;
+// the 274th builds the generator state, and every later draw steps it.
+type lazySource struct {
+	x0  uint32 // the seed reduced to seedrand's start, see lehmerSeed
+	k   uint32 // draws taken from the closed form, at most alfgTap
+	src *alfg  // the generator, nil until draw alfgTap+1
+}
+
+// Uint64 returns the next draw.
+//
+//coreda:hotpath
+func (l *lazySource) Uint64() uint64 {
+	if k := int(l.k); k < alfgTap {
+		l.k++
+		return seedWord(l.x0, alfgFeed-1-k) + seedWord(l.x0, alfgLen-1-k)
+	}
+	if l.src == nil {
+		l.src = materialize(l.x0)
+	}
+	return l.src.next()
+}
+
+func (l *lazySource) Int63() int64 { return int64(l.Uint64() & (1<<63 - 1)) }
+
+// Seed re-seeds the stream and returns it to the closed form.
 func (l *lazySource) Seed(seed int64) {
-	l.seed = seed
-	l.src = nil
+	*l = lazySource{x0: lehmerSeed(seed)}
+}
+
+// materialize builds the generator a stream past its closed-form draws
+// runs on: the seeded words, advanced by the alfgTap draws already
+// taken. It is the only place a stream allocates, kept out of line so
+// the allocation is not attributed to Uint64 by inlining (the hotalloc
+// gate judges escapes by position).
+//
+//go:noinline
+func materialize(x0 uint32) *alfg {
+	g := &alfg{feed: alfgFeed}
+	for i := range g.vec {
+		g.vec[i] = seedWord(x0, i)
+	}
+	for i := 0; i < alfgTap; i++ {
+		g.next()
+	}
+	return g
 }
 
 // TimelineEntry is one recorded event of a simulated session.

@@ -37,8 +37,11 @@ echo "$raw"
 # Timer core: the virtual clock's schedule/fire/re-arm/cancel cycles.
 # Every row must stay at 0 allocs/op (TestSchedulerAllocBudgets in the
 # no-race pass of scripts/check.sh locks the budgets; this records the
-# time).
-simraw=$(go test -run '^$' -bench 'BenchmarkSchedulerAt|BenchmarkSchedulerReschedule|BenchmarkSchedulerCancelChurn' -benchmem -count 1 ./internal/sim/)
+# time). Random streams: building one and drawing once (closed form, 2
+# allocs) and building one and drawing 274 times (the last draw builds
+# the generator state, 1 more alloc); TestRNGAllocBudget locks the
+# counts.
+simraw=$(go test -run '^$' -bench 'BenchmarkSchedulerAt|BenchmarkSchedulerReschedule|BenchmarkSchedulerCancelChurn|BenchmarkRNGFirstDraw|BenchmarkRNGMaterialize' -benchmem -count 1 ./internal/sim/)
 echo "$simraw"
 raw="$raw
 $simraw"
