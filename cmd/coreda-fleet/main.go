@@ -21,16 +21,17 @@
 // process's households can be adopted by the survivors.
 //
 // Households are admitted lazily on their first event, recovering their
-// learned policy from <dir>/<household>.ckpt when one exists (legacy
-// .json checkpoints load transparently and are upgraded in place); idle
-// households are checkpointed and evicted after -evict of virtual
-// inactivity, and every dirty household is batch-checkpointed each
-// -checkpoint of wall time. Nodes that never send a hello are served as
-// -default-household (empty drops their traffic), so legacy nodes keep
-// working. A policy trained by cmd/coreda-train preloads a household
-// when saved as its checkpoint: coreda-train -o fleet-policies/home.ckpt
-// serves it to hello-less nodes. On SIGINT/SIGTERM every household is
-// checkpointed before exit.
+// learned policy from <dir>/<household>.ckpt when one exists; a -dir
+// holding pre-CKPT <household>.json checkpoints is refused at startup,
+// naming the file, since those are no longer read. Idle households are
+// checkpointed and evicted after -evict of virtual inactivity, and
+// every dirty household is batch-checkpointed each -checkpoint of wall
+// time. Nodes that never send a hello are served as -default-household
+// (empty drops their traffic), so legacy nodes keep working. A policy
+// trained by cmd/coreda-train preloads a household when saved as its
+// checkpoint: coreda-train -o fleet-policies/home.ckpt serves it to
+// hello-less nodes. On SIGINT/SIGTERM every household is checkpointed
+// before exit.
 //
 // -supervise arms node-liveness supervision in virtual time: a node
 // silent for more than three intervals is declared offline to its

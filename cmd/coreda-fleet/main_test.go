@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -66,6 +65,14 @@ func awaitAddr(t *testing.T, out *procOutput) string {
 	}
 	t.Fatalf("no listening line in output:\n%s", out.String())
 	return ""
+}
+
+// loadCheckpoint reads a household's checkpoint file, with the same
+// fallback to its rotated backup the fleet's own loads take.
+func loadCheckpoint(path string) (store.Checkpoint, error) {
+	var c store.Checkpoint
+	err := store.LoadFile(path, &c)
+	return c, err
 }
 
 func buildFleet(t *testing.T) string {
@@ -153,7 +160,7 @@ func TestFleetServesAndCheckpointsHouseholds(t *testing.T) {
 	awaitOutput(t, out, "fleet stopped")
 
 	for _, hh := range []string{"tanaka-42", "suzuki-7"} {
-		f, _, _, err := store.LoadMultiPolicy(filepath.Join(dir, hh+".ckpt"))
+		f, err := loadCheckpoint(filepath.Join(dir, hh+".ckpt"))
 		if err != nil {
 			t.Fatalf("household %s checkpoint: %v", hh, err)
 		}
@@ -176,7 +183,7 @@ func TestFleetServesAndCheckpointsHouseholds(t *testing.T) {
 	if err := cmd2.Wait(); err != nil {
 		t.Fatalf("restarted fleet exited uncleanly: %v\n%s", err, out2.String())
 	}
-	f, _, _, err := store.LoadMultiPolicy(filepath.Join(dir, "tanaka-42.ckpt"))
+	f, err := loadCheckpoint(filepath.Join(dir, "tanaka-42.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,74 +192,36 @@ func TestFleetServesAndCheckpointsHouseholds(t *testing.T) {
 	}
 }
 
-// TestFleetMigratesLegacyJSONCheckpoint pins the upgrade story end to
-// end: a checkpoint directory left behind by a pre-binary fleet (bare
-// <household>.json files) is recovered from on the first event, and the
-// next checkpoint transparently rewrites it in the current era — .ckpt
-// appears, .json disappears, learning continues where it left off.
-func TestFleetMigratesLegacyJSONCheckpoint(t *testing.T) {
+// TestFleetRefusesLegacyJSONCheckpoint pins the stated decision that
+// pre-CKPT checkpoint directories are unsupported: a -dir holding a
+// <household>.json checkpoint from before the CKPT format makes the
+// process exit non-zero at startup, naming the file, and leaves the file
+// as it was — a household's learned routine is never dropped silently.
+func TestFleetRefusesLegacyJSONCheckpoint(t *testing.T) {
 	bin := buildFleet(t)
 	dir := t.TempDir()
-	args := []string{
-		"-addr", "127.0.0.1:0", "-speed", "200", "-shards", "2",
-		"-dir", dir, "-checkpoint", "-1s",
-	}
-
-	// First run produces a learned checkpoint the normal way...
-	cmd, out := startFleetProc(t, bin, args...)
-	driveSession(t, awaitAddr(t, out), "ito-3")
-	awaitOutput(t, out, `activity "tea-making" completed`)
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	legacy := filepath.Join(dir, "ito-3.json")
+	js := []byte(`{"version":1,"user":"ito-3","activity":"tea-making","routines":[[1,2]],"policies":[]}`)
+	if err := os.WriteFile(legacy, js, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("fleet exited uncleanly: %v\n%s", err, out.String())
-	}
-
-	// ...which we rewrite as the legacy layout: the MultiPolicyFile
-	// schema as JSON in a bare .json file, no current-era blobs at all.
-	ckpt := filepath.Join(dir, "ito-3.ckpt")
-	f, _, _, err := store.LoadMultiPolicy(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	episodes := f.Policies[0].Episodes
-	js, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "ito-3.json"), js, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{ckpt, ckpt + store.BackupSuffix} {
-		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-			t.Fatal(err)
+	cmd, out := startFleetProc(t, bin, "-addr", "127.0.0.1:0", "-dir", dir)
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+			t.Fatalf("fleet exit = %v, want a non-zero exit\n%s", err, out.String())
 		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("fleet kept running on a pre-CKPT directory:\n%s", out.String())
 	}
-
-	// The restarted fleet admits from the legacy file and upgrades it.
-	cmd2, out2 := startFleetProc(t, bin, args...)
-	driveSession(t, awaitAddr(t, out2), "ito-3")
-	awaitOutput(t, out2, "admitted ito-3 from checkpoint")
-	awaitOutput(t, out2, `activity "tea-making" completed`)
-	if err := cmd2.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(out.String(), "ito-3.json") {
+		t.Errorf("error does not name the legacy file:\n%s", out.String())
 	}
-	if err := cmd2.Wait(); err != nil {
-		t.Fatalf("restarted fleet exited uncleanly: %v\n%s", err, out2.String())
-	}
-
-	f2, _, _, err := store.LoadMultiPolicy(ckpt)
-	if err != nil {
-		t.Fatalf("no current-era checkpoint after migration: %v", err)
-	}
-	if f2.Policies[0].Episodes <= episodes {
-		t.Errorf("episodes after migration = %d, want > %d (learning must have resumed)", f2.Policies[0].Episodes, episodes)
-	}
-	for _, stale := range []string{"ito-3.json", "ito-3.json" + store.BackupSuffix} {
-		if _, err := os.Stat(filepath.Join(dir, stale)); !os.IsNotExist(err) {
-			t.Errorf("legacy file %s survived migration", stale)
-		}
+	if data, err := os.ReadFile(legacy); err != nil || !bytes.Equal(data, js) {
+		t.Errorf("legacy file disturbed: %q, %v", data, err)
 	}
 }
 
@@ -289,7 +258,7 @@ func TestFleetRecoversAfterSIGKILLDuringCheckpointChurn(t *testing.T) {
 	// generation, torn primary — the load path must produce a complete
 	// checkpoint.
 	ckpt := filepath.Join(dir, "kill-9.ckpt")
-	f, _, _, err := store.LoadMultiPolicy(ckpt)
+	f, err := loadCheckpoint(ckpt)
 	if err != nil {
 		t.Fatalf("checkpoint unusable after SIGKILL: %v", err)
 	}
@@ -453,7 +422,7 @@ func TestFleetClusterRedirectsAndReplicates(t *testing.T) {
 	}
 
 	for i, dir := range dirs {
-		f, _, _, err := store.LoadMultiPolicy(filepath.Join(dir, household+".ckpt"))
+		f, err := loadCheckpoint(filepath.Join(dir, household+".ckpt"))
 		if err != nil {
 			t.Fatalf("dir %d: checkpoint for %s: %v", i, household, err)
 		}
@@ -489,7 +458,7 @@ func TestFleetDefaultHousehold(t *testing.T) {
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("fleet exited uncleanly: %v\n%s", err, out.String())
 	}
-	if _, _, _, err := store.LoadMultiPolicy(filepath.Join(dir, "legacy.ckpt")); err != nil {
+	if _, err := loadCheckpoint(filepath.Join(dir, "legacy.ckpt")); err != nil {
 		t.Errorf("default household checkpoint: %v", err)
 	}
 }

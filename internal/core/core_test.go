@@ -10,6 +10,7 @@ import (
 	"coreda/internal/adl"
 	"coreda/internal/rl"
 	"coreda/internal/sim"
+	"coreda/internal/store"
 )
 
 func TestLevelString(t *testing.T) {
@@ -712,7 +713,7 @@ func TestMultiPlannerPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("trained precision = %v", want)
 	}
 
-	path := filepath.Join(t.TempDir(), "multi.json")
+	path := filepath.Join(t.TempDir(), "multi.ckpt")
 	if err := m.SavePolicies(path, "u"); err != nil {
 		t.Fatal(err)
 	}
@@ -730,6 +731,48 @@ func TestMultiPlannerPersistenceRoundTrip(t *testing.T) {
 	// Wrong activity rejected.
 	if _, err := LoadMultiPlanner(path, adl.TeaMaking(), Config{}, sim.RNG(32, "persist3")); err == nil {
 		t.Error("tea-making accepted a dressing multi-policy")
+	}
+}
+
+// TestPlannerRestoreCheckpoint pins the one path from a checkpoint to a
+// planner: a policy of the wrong shape is rejected without touching the
+// planner, and an accepted one brings its Q-values (copied, not
+// aliased), its episode count and its exploration rate.
+func TestPlannerRestoreCheckpoint(t *testing.T) {
+	p, err := NewPlanner(adl.TeaMaking(), Config{}, sim.RNG(33, "restore"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ac := p.Table().NumStates(), p.Table().NumActions()
+	q := make([]float64, st*ac)
+	for i := range q {
+		q[i] = float64(i)
+	}
+	for name, bad := range map[string]store.CheckpointPolicy{
+		"states":  {States: st + 1, Actions: ac, Episodes: 9, Epsilon: 0.2, Q: make([]float64, (st+1)*ac)},
+		"actions": {States: st, Actions: ac - 1, Episodes: 9, Epsilon: 0.2, Q: make([]float64, st*(ac-1))},
+		"values":  {States: st, Actions: ac, Episodes: 9, Epsilon: 0.2, Q: q[:1]},
+	} {
+		if err := p.RestoreCheckpoint(&bad); err == nil {
+			t.Errorf("%s mismatch accepted", name)
+		}
+	}
+	if p.Episodes != 0 || p.Epsilon() != 1 || p.Table().Get(1, 1) != 0 {
+		t.Fatalf("rejected restores changed the planner: %d episodes, epsilon %v", p.Episodes, p.Epsilon())
+	}
+
+	if err := p.RestoreCheckpoint(&store.CheckpointPolicy{States: st, Actions: ac, Episodes: 120, Epsilon: 0.05, Q: q}); err != nil {
+		t.Fatal(err)
+	}
+	if p.Episodes != 120 || p.Epsilon() != 0.05 {
+		t.Errorf("restored %d episodes, epsilon %v; want 120, 0.05", p.Episodes, p.Epsilon())
+	}
+	if !slices.Equal(p.Table().Values(), q) {
+		t.Error("restored Q-values differ from the checkpoint")
+	}
+	q[0] = -1
+	if p.Table().Get(0, 0) == -1 {
+		t.Error("planner aliases the checkpoint's Q slice")
 	}
 }
 

@@ -141,27 +141,21 @@ func (m *MultiPlanner) SavePolicies(path, user string) error {
 //
 //coreda:vet-ignore testonly reads back what the public coreda.MultiPlanner.SavePolicies writes
 func LoadMultiPlanner(path string, a *adl.Activity, cfg Config, rng *rand.Rand) (*MultiPlanner, error) {
-	f, routines, tables, err := store.LoadMultiPolicy(path)
+	var c store.Checkpoint
+	if err := store.LoadFile(path, &c); err != nil {
+		return nil, err
+	}
+	if c.Activity != a.Name {
+		return nil, fmt.Errorf("core: multi-policy is for activity %q, want %q", c.Activity, a.Name)
+	}
+	m, err := NewMultiPlanner(a, cfg, rng, store.DecodeRoutines(c.Routines))
 	if err != nil {
 		return nil, err
 	}
-	if f.Activity != a.Name {
-		return nil, fmt.Errorf("core: multi-policy is for activity %q, want %q", f.Activity, a.Name)
-	}
-	m, err := NewMultiPlanner(a, cfg, rng, routines)
-	if err != nil {
-		return nil, err
-	}
-	for i, t := range tables {
-		own := m.planners[i].Table()
-		if own.NumStates() != t.NumStates() || own.NumActions() != t.NumActions() {
-			return nil, fmt.Errorf("core: multi-policy %d shape %dx%d does not match activity", i, t.NumStates(), t.NumActions())
+	for i, p := range m.planners {
+		if err := p.RestoreCheckpoint(&c.Policies[i]); err != nil {
+			return nil, fmt.Errorf("core: multi-policy %d: %w", i, err)
 		}
-		if err := own.SetValues(t.Values()); err != nil {
-			return nil, err
-		}
-		// Resume the annealing schedule where the checkpoint left it.
-		m.planners[i].Restore(f.Policies[i].Episodes, f.Policies[i].Epsilon)
 	}
 	return m, nil
 }

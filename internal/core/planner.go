@@ -7,6 +7,7 @@ import (
 	"coreda/internal/adl"
 	"coreda/internal/rl"
 	"coreda/internal/stats"
+	"coreda/internal/store"
 )
 
 // Config parameterizes a Planner.
@@ -141,6 +142,22 @@ func (p *Planner) Restore(episodes int, epsilon float64) {
 	if epsilon > 0 {
 		p.policy.Epsilon = epsilon
 	}
+}
+
+// RestoreCheckpoint loads one checkpointed policy into the planner: its
+// Q-values, copied into the planner's own table, and its training
+// progress (see Restore). It is the one path from a checkpoint to a
+// planner; the policy must have the activity's state/action shape.
+func (p *Planner) RestoreCheckpoint(cp *store.CheckpointPolicy) error {
+	if cp.States != p.table.NumStates() || cp.Actions != p.table.NumActions() {
+		return fmt.Errorf("core: checkpoint policy shape %dx%d does not match activity (%dx%d)",
+			cp.States, cp.Actions, p.table.NumStates(), p.table.NumActions())
+	}
+	if err := p.table.SetValues(cp.Q); err != nil {
+		return err
+	}
+	p.Restore(cp.Episodes, cp.Epsilon)
+	return nil
 }
 
 // TrainEpisode learns from one complete performance of the activity (the

@@ -63,9 +63,9 @@ type Config struct {
 	// households are hashed across. Zero means runtime.GOMAXPROCS(0).
 	Shards int
 	// Dir is the checkpoint directory: each household persists to
-	// <Dir>/<household>.ckpt via the store's crash-safe rotation
-	// (pre-binary <household>.json checkpoints load and migrate
-	// transparently). Ignored when Backend is set.
+	// <Dir>/<household>.ckpt via the store's crash-safe rotation. A
+	// directory holding pre-CKPT <household>.json checkpoints is refused
+	// at New (see store.NewDirBackend). Ignored when Backend is set.
 	Dir string
 	// Backend overrides where checkpoints live. Nil means the local-dir
 	// backend rooted at Dir.
@@ -270,6 +270,9 @@ type shard struct {
 	// saver holds the reusable checkpoint encode buffers of the loop
 	// goroutine's own write (evictNow's fsynced checkpoint).
 	saver store.MultiSaver
+	// ckpt is admission's decode scratch: every checkpoint this shard
+	// restores is decoded into it, reusing its slices (see Tenant.load).
+	ckpt store.Checkpoint
 	// free holds one saver per wave writer; a write checks a saver out
 	// for its attempts and returns it before the wave completes, so the
 	// pool is full between waves.
@@ -707,7 +710,11 @@ func (s *shard) admit(household string) (*Tenant, error) {
 	if cfg.LEDs == nil && s.f.cfg.LEDs != nil {
 		cfg.LEDs = s.f.cfg.LEDs(household)
 	}
-	t, recovered, err := newTenant(household, cfg, &s.f.acts, s.f.backend, s.known[household])
+	var scratch *store.Checkpoint
+	if s.known[household] {
+		scratch = &s.ckpt
+	}
+	t, recovered, err := newTenant(household, cfg, &s.f.acts, s.f.backend, scratch)
 	if err != nil {
 		return nil, err
 	}

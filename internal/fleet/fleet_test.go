@@ -210,24 +210,36 @@ func TestDegradedTenantIsNotEvicted(t *testing.T) {
 	}
 }
 
+// TestCorruptCheckpointStartsFresh pins what an unusable checkpoint
+// costs: the household starts fresh and the fleet counts one recovery
+// error, whether the blob is torn or holds bytes of another format — a
+// pre-CKPT JSON checkpoint copied under the .ckpt name is garbage to the
+// decoder like any other.
 func TestCorruptCheckpointStartsFresh(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "ito.json"), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := New(testConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Start()
-	deliverSession(t, f, "ito", 0)
-	f.Stop()
-	st := f.Stats()
-	if st.RecoveryErrors != 1 || st.Recovered != 0 || st.Admissions != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-	if st.Events != 8 {
-		t.Errorf("events = %d, want 8 (traffic must flow despite the bad file)", st.Events)
+	for name, data := range map[string][]byte{
+		"torn": []byte("CKPT\x01torn"),
+		"json": []byte(`{"version":1,"user":"ito","activity":"tea-making","states":1,"actions":1,"q":[0]}`),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "ito.ckpt"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f, err := New(testConfig(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Start()
+			deliverSession(t, f, "ito", 0)
+			f.Stop()
+			st := f.Stats()
+			if st.RecoveryErrors != 1 || st.Recovered != 0 || st.Admissions != 1 {
+				t.Errorf("stats = %+v", st)
+			}
+			if st.Events != 8 {
+				t.Errorf("events = %d, want 8 (traffic must flow despite the bad file)", st.Events)
+			}
+		})
 	}
 }
 

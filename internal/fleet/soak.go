@@ -236,10 +236,10 @@ func soakStream(cfg SoakConfig, household string) []Event {
 // SHA-256. Each blob is decoded and hashed in its canonical binary
 // re-encoding, so the digest is a function of what the tenants learned,
 // not of how the bytes happen to be stored: two fleets that learned the
-// same policies produce the same digest at any shard count, and a
-// legacy JSON checkpoint hashes the same as its CKPT migration (JSON
-// float64s round-trip bit-exactly). This is the comparator behind the
-// shard-count parity gate and the committed soak goldens.
+// same policies produce the same digest at any shard count, and a blob
+// the decoder accepts with non-minimal varints hashes as its canonical
+// form. This is the comparator behind the shard-count parity gate and
+// the committed soak goldens.
 func Digest(b store.Backend) (string, error) {
 	var names []string
 	if err := b.Enumerate(func(name string) { names = append(names, name) }); err != nil {

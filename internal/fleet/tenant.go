@@ -135,11 +135,11 @@ func (t *activityTable) add(e *sharedActivity) *sharedActivity {
 }
 
 // newTenant builds the household stack on the activity interned in acts
-// and restores its checkpoint from the backend if one exists. tryLoad
-// false skips the restore outright — the caller (the shard's
-// known-checkpoint set) already knows no blob exists, so a first-contact
-// admission costs zero storage probes.
-func newTenant(id string, cfg coreda.SystemConfig, acts *activityTable, b store.Backend, tryLoad bool) (*Tenant, recovery, error) {
+// and restores its checkpoint from the backend, decoding it into
+// scratch. A nil scratch skips the restore outright — the caller (the
+// shard's known-checkpoint set) already knows no blob exists, so a
+// first-contact admission costs zero storage probes.
+func newTenant(id string, cfg coreda.SystemConfig, acts *activityTable, b store.Backend, scratch *store.Checkpoint) (*Tenant, recovery, error) {
 	if cfg.Activity == nil {
 		return nil, 0, fmt.Errorf("fleet: NewSystem config for %q has no activity", id)
 	}
@@ -162,10 +162,10 @@ func newTenant(id string, cfg coreda.SystemConfig, acts *activityTable, b store.
 		act:    act,
 		dueIdx: -1,
 	}
-	if !tryLoad {
+	if scratch == nil {
 		return t, recoveredFresh, nil
 	}
-	switch err := t.load(b); {
+	switch err := t.load(b, scratch); {
 	case err == nil:
 		return t, recoveredCheckpoint, nil
 	case errors.Is(err, store.ErrNoCheckpoint):
@@ -180,12 +180,11 @@ func newTenant(id string, cfg coreda.SystemConfig, acts *activityTable, b store.
 }
 
 // load restores the learned policy and training progress from a
-// checkpoint written by save, decoding straight into the planner's own
-// Q-table — no intermediate table is materialized on the admission
-// path.
-func (t *Tenant) load(b store.Backend) error {
-	var c store.Checkpoint
-	if err := store.LoadCheckpoint(b, t.ID, &c); err != nil {
+// checkpoint written by save. It decodes into c, the shard's reused
+// scratch, and Planner.RestoreCheckpoint copies the Q-values out into
+// the planner's own table, so nothing of c outlives the call.
+func (t *Tenant) load(b store.Backend, c *store.Checkpoint) error {
+	if err := store.LoadCheckpoint(b, t.ID, c); err != nil {
 		return err
 	}
 	if c.Activity != t.act.activity.Name {
@@ -194,16 +193,9 @@ func (t *Tenant) load(b store.Backend) error {
 	if len(c.Policies) != 1 {
 		return fmt.Errorf("fleet: checkpoint %s has %d policies, want 1", t.ID, len(c.Policies))
 	}
-	cp := &c.Policies[0]
-	p := t.System.Planner()
-	own := p.Table()
-	if own.NumStates() != cp.States || own.NumActions() != cp.Actions {
-		return fmt.Errorf("fleet: checkpoint %s shape %dx%d does not match activity", t.ID, cp.States, cp.Actions)
+	if err := t.System.Planner().RestoreCheckpoint(&c.Policies[0]); err != nil {
+		return fmt.Errorf("fleet: checkpoint %s: %w", t.ID, err)
 	}
-	if err := own.SetValues(cp.Q); err != nil {
-		return err
-	}
-	p.Restore(cp.Episodes, cp.Epsilon)
 	return nil
 }
 

@@ -6,12 +6,12 @@ import (
 )
 
 // ErrNoCheckpoint is returned by checkpoint loads when no generation of
-// the blob exists — neither a primary nor a rotated backup, in any
-// format. It lets callers distinguish "fresh start" from "a checkpoint
-// existed but is unusable" without a separate existence probe. A torn
-// primary with no backup is deliberately NOT ErrNoCheckpoint — a
-// checkpoint existed and was lost, and callers must be able to tell
-// that apart from a genuine fresh start.
+// the blob exists — neither a primary nor a rotated backup. It lets
+// callers distinguish "fresh start" from "a checkpoint existed but is
+// unusable" without a separate existence probe. A torn primary with no
+// backup is deliberately NOT ErrNoCheckpoint — a checkpoint existed and
+// was lost, and callers must be able to tell that apart from a genuine
+// fresh start.
 var ErrNoCheckpoint = errors.New("store: no checkpoint")
 
 // PutChunk is the write granularity of streamed checkpoint uploads:
@@ -33,8 +33,8 @@ type BlobWriter interface {
 
 // Backend is a checkpoint blob store: named, versioned-by-one blobs
 // with atomic replacement. The fleet persists each household under its
-// ID; what the bytes mean (CKPT binary, legacy JSON) is the codec's
-// business, not the backend's.
+// ID; what the bytes mean is the CKPT codec's business, not the
+// backend's.
 //
 // The contract every implementation must honor:
 //

@@ -3,6 +3,8 @@ package store
 import (
 	"errors"
 	"testing"
+
+	"coreda/internal/rl"
 )
 
 // TestBlobWriterAbortCommitEdges pins the BlobWriter lifecycle corners
@@ -141,5 +143,74 @@ func TestMemBackendOverlappingStreams(t *testing.T) {
 	}
 	if got, err := b.Get("h", nil); err != nil || string(got) != "second" {
 		t.Fatalf("Get after zombie writer = %q, %v; want second", got, err)
+	}
+}
+
+// faultyWriter is a BlobWriter whose Write fails once failAfter writes
+// have succeeded (never, when failAfter is negative), and which records
+// whether Commit and Abort ran.
+type faultyWriter struct {
+	failAfter, writes  int
+	committed, aborted bool
+}
+
+var errWriteFault = errors.New("injected write fault")
+
+func (w *faultyWriter) Write(p []byte) (int, error) {
+	if w.writes == w.failAfter {
+		return 0, errWriteFault
+	}
+	w.writes++
+	return len(p), nil
+}
+
+func (w *faultyWriter) Commit() error { w.committed = true; return nil }
+func (w *faultyWriter) Abort()        { w.aborted = true }
+
+// faultyBackend hands its one faultyWriter to every PutStream.
+type faultyBackend struct {
+	discardBackend
+	w *faultyWriter
+}
+
+func (b *faultyBackend) PutStream(string, bool) (BlobWriter, error) { return b.w, nil }
+
+// TestWriteFailureAborts pins the abort paths of a checkpoint write: a
+// chunk write that fails (putChunked) and a checkpoint the encoder
+// rejects (MultiSaver.writeTo) must both return the error, Abort the
+// writer and never Commit it.
+func TestWriteFailureAborts(t *testing.T) {
+	t.Parallel()
+	big := make([]byte, 2*PutChunk+1)
+	tables := []*rl.QTable{rl.NewQTable(2, 2, 0)}
+	routines := EncodedRoutines{{1, 2}}
+	for name, tc := range map[string]struct {
+		failAfter int
+		write     func(w *faultyWriter) error
+		wantErr   error
+	}{
+		"first chunk": {0, func(w *faultyWriter) error { return putChunked(w, big) }, errWriteFault},
+		"last chunk":  {2, func(w *faultyWriter) error { return putChunked(w, big) }, errWriteFault},
+		"saver write": {0, func(w *faultyWriter) error {
+			var sv MultiSaver
+			return sv.Save(&faultyBackend{w: w}, "h", "u", "a", routines, tables, nil, false)
+		}, errWriteFault},
+		"saver encode": {-1, func(w *faultyWriter) error {
+			var sv MultiSaver
+			return sv.Save(&faultyBackend{w: w}, "h", "u", "a", nil, nil, nil, false)
+		}, nil},
+	} {
+		tc := tc
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			w := &faultyWriter{failAfter: tc.failAfter}
+			err := tc.write(w)
+			if err == nil || (tc.wantErr != nil && !errors.Is(err, tc.wantErr)) {
+				t.Fatalf("write = %v, want an error (%v)", err, tc.wantErr)
+			}
+			if !w.aborted || w.committed {
+				t.Fatalf("aborted %v, committed %v; want Abort and no Commit", w.aborted, w.committed)
+			}
+		})
 	}
 }

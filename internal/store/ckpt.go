@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -160,7 +159,7 @@ var errCkpt = fmt.Errorf("store: malformed CKPT checkpoint")
 
 // updateString returns s when it already equals b (string/byte
 // comparison does not allocate), else a fresh copy. It is the one
-// allocation site of a steady-state binary decode, kept out of the
+// allocation site of a steady-state decode, kept out of the
 // annotated hot function — noinline, or the escape would be attributed
 // to the caller's line and trip the hotalloc gate for an allocation
 // that only happens when the tenant's name actually changed.
@@ -173,15 +172,17 @@ func updateString(s string, b []byte) string {
 	return string(b)
 }
 
-// decodeCkptBinary decodes a CKPT blob into c, reusing c's slices.
-// Counts are validated against the bytes actually remaining (every
-// element costs at least one byte), so a hostile header cannot make the
-// decoder allocate more than the input's own size. The CRC is verified
-// before any field is touched; on error c is left in an unspecified
-// state.
+// DecodeCheckpoint decodes a CKPT blob into c, reusing c's slices
+// (steady-state re-decode of the same tenant allocates nothing). CKPT is
+// the only checkpoint format: any other bytes — torn, garbage or a
+// pre-CKPT JSON file — are rejected like a corrupt blob. Counts are
+// validated against the bytes actually remaining (every element costs
+// at least one byte), so a hostile header cannot make the decoder
+// allocate more than the input's own size. The CRC is verified before
+// any field is touched; on error c is left in an unspecified state.
 //
 //coreda:hotpath
-func decodeCkptBinary(c *Checkpoint, data []byte) error {
+func DecodeCheckpoint(c *Checkpoint, data []byte) error {
 	if len(data) < ckptMinSize || string(data[:4]) != ckptMagic {
 		return errCkpt
 	}
@@ -284,102 +285,5 @@ func decodeCkptBinary(c *Checkpoint, data []byte) error {
 	if off != len(body) {
 		return fmt.Errorf("store: CKPT checkpoint has %d trailing bytes", len(body)-off)
 	}
-	return nil
-}
-
-// SniffFormat reports the encoding of a checkpoint blob. Every writer
-// emits the binary CKPT format; JSON is only ever read, from checkpoints
-// written before the format existed. The CKPT magic means binary
-// (legacyJSON false), a leading '{' (after optional whitespace) means
-// legacy JSON. ok is false for anything else — including a blob too
-// torn to tell.
-func SniffFormat(data []byte) (legacyJSON, ok bool) {
-	if len(data) >= len(ckptMagic) && string(data[:4]) == ckptMagic {
-		return false, true
-	}
-	for _, b := range data {
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		case '{':
-			return true, true
-		default:
-			return false, false
-		}
-	}
-	return false, false
-}
-
-// DecodeCheckpoint decodes a checkpoint blob of either format into c.
-// Binary blobs reuse c's slices (steady-state re-decode of the same
-// tenant allocates nothing); JSON blobs — legacy multi-policy or
-// single-policy files — take the allocating path, which only runs once
-// per migration since the next save rewrites the blob as CKPT.
-func DecodeCheckpoint(c *Checkpoint, data []byte) error {
-	legacyJSON, ok := SniffFormat(data)
-	if !ok {
-		return fmt.Errorf("store: unrecognized checkpoint format")
-	}
-	if legacyJSON {
-		return decodeJSONCheckpoint(c, data)
-	}
-	return decodeCkptBinary(c, data)
-}
-
-// decodeJSONCheckpoint loads a legacy JSON checkpoint — a
-// MultiPolicyFile or a single PolicyFile — into c, applying the same
-// validation the JSON loaders always had.
-func decodeJSONCheckpoint(c *Checkpoint, data []byte) error {
-	var mf MultiPolicyFile
-	if err := json.Unmarshal(data, &mf); err != nil {
-		return fmt.Errorf("store: parse checkpoint: %w", err)
-	}
-	if len(mf.Policies) > 0 {
-		if mf.Version != multiPolicyVersion {
-			return fmt.Errorf("store: multi-policy checkpoint has version %d, want %d", mf.Version, multiPolicyVersion)
-		}
-		if len(mf.Routines) != len(mf.Policies) {
-			return fmt.Errorf("store: multi-policy checkpoint has %d routines and %d policies", len(mf.Routines), len(mf.Policies))
-		}
-		c.User, c.Activity = mf.User, mf.Activity
-		c.Routines = mf.Routines
-		c.Policies = c.Policies[:0]
-		for i := range mf.Policies {
-			p := &mf.Policies[i]
-			if p.States <= 0 || p.Actions <= 0 || len(p.Q) != p.States*p.Actions {
-				return fmt.Errorf("store: multi-policy checkpoint: policy %d malformed", i)
-			}
-			c.Policies = append(c.Policies, CheckpointPolicy{
-				States:   p.States,
-				Actions:  p.Actions,
-				Episodes: p.Episodes,
-				Epsilon:  p.Epsilon,
-				Q:        p.Q,
-			})
-		}
-		return nil
-	}
-	var pf PolicyFile
-	if err := json.Unmarshal(data, &pf); err != nil {
-		return fmt.Errorf("store: parse checkpoint: %w", err)
-	}
-	if pf.States == 0 && pf.Actions == 0 && pf.Q == nil {
-		return fmt.Errorf("store: checkpoint is neither a policy nor a multi-policy file")
-	}
-	if pf.Version != policyVersion {
-		return fmt.Errorf("store: policy checkpoint has version %d, want %d", pf.Version, policyVersion)
-	}
-	if pf.States <= 0 || pf.Actions <= 0 || len(pf.Q) != pf.States*pf.Actions {
-		return fmt.Errorf("store: policy checkpoint is malformed (%dx%d, %d values)", pf.States, pf.Actions, len(pf.Q))
-	}
-	c.User, c.Activity = pf.User, pf.Activity
-	c.Routines = nil
-	c.Policies = append(c.Policies[:0], CheckpointPolicy{
-		States:   pf.States,
-		Actions:  pf.Actions,
-		Episodes: pf.Episodes,
-		Epsilon:  pf.Epsilon,
-		Q:        pf.Q,
-	})
 	return nil
 }

@@ -86,30 +86,22 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 }
 
 func BenchmarkCheckpointDecode(b *testing.B) {
-	c := benchCheckpoint()
-	bin, err := AppendCheckpoint(nil, c)
+	data, err := AppendCheckpoint(nil, benchCheckpoint())
 	if err != nil {
 		b.Fatal(err)
 	}
-	js := mustJSON(b, c)
-	for _, tc := range []struct {
-		name string
-		data []byte
-	}{{"binary", bin}, {"json", js}} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			var dec Checkpoint
-			if err := DecodeCheckpoint(&dec, tc.data); err != nil {
+	b.Run("binary", func(b *testing.B) {
+		var dec Checkpoint
+		if err := DecodeCheckpoint(&dec, data); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := DecodeCheckpoint(&dec, data); err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(int64(len(tc.data)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := DecodeCheckpoint(&dec, tc.data); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -4,8 +4,8 @@ import (
 	"testing"
 )
 
-// FuzzCheckpointDecode throws hostile bytes at the binary decoder. The
-// invariants: never panic, never accept a blob whose canonical
+// FuzzCheckpointDecode throws hostile bytes at the decoder. The
+// invariants: never panic, reject a pre-CKPT JSON checkpoint, never accept a blob whose canonical
 // re-encoding fails, and round-trip any accepted blob to a semantically
 // identical checkpoint. Byte-identity of accepted inputs is NOT
 // required — binary.Uvarint tolerates overlong varint encodings, so two
@@ -23,7 +23,12 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("CKPT"))
 	f.Add([]byte("CKPT\x01"))
-	f.Add([]byte(`{"version":1,"states":1,"actions":1,"q":[0]}`))
+	// A pre-CKPT JSON checkpoint is hostile input like any other.
+	legacyJSON := []byte(`{"version":1,"states":1,"actions":1,"q":[0]}`)
+	if err := DecodeCheckpoint(new(Checkpoint), legacyJSON); err == nil {
+		f.Fatal("decoder accepted a JSON checkpoint")
+	}
+	f.Add(legacyJSON)
 	// Hostile frames: count bombs with valid checksums.
 	f.Add(appendCkptCRC([]byte("CKPT\x01\xff\xff\xff\x7f")))
 	f.Add(appendCkptCRC([]byte("CKPT\x01\x00\x00\xff\xff\x7f")))
@@ -34,7 +39,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c Checkpoint
-		if err := decodeCkptBinary(&c, data); err != nil {
+		if err := DecodeCheckpoint(&c, data); err != nil {
 			return
 		}
 		// Accepted: the decode must satisfy the encoder's invariants and

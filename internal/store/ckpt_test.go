@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -88,9 +87,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if legacyJSON, ok := SniffFormat(data); !ok || legacyJSON {
-				t.Fatalf("SniffFormat = %v, %v; want binary", legacyJSON, ok)
-			}
 			var got Checkpoint
 			if err := DecodeCheckpoint(&got, data); err != nil {
 				t.Fatal(err)
@@ -107,87 +103,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				t.Fatalf("re-decode mismatch: %+v", &got)
 			}
 		})
-	}
-}
-
-// TestCheckpointBinarySmallerThanJSON pins the point of the format: a
-// young Q-table's checkpoint must shrink by a lot, not marginally.
-func TestCheckpointBinarySmallerThanJSON(t *testing.T) {
-	t.Parallel()
-	c := testCheckpoint()
-	bin, err := AppendCheckpoint(nil, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jf := MultiPolicyFile{Version: multiPolicyVersion, User: c.User, Activity: c.Activity, Routines: c.Routines}
-	for _, p := range c.Policies {
-		jf.Policies = append(jf.Policies, PolicyFile{
-			Version: policyVersion, User: c.User, Activity: c.Activity,
-			States: p.States, Actions: p.Actions, Episodes: p.Episodes, Epsilon: p.Epsilon, Q: p.Q,
-		})
-	}
-	js, err := json.Marshal(jf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bin)*2 > len(js) {
-		t.Fatalf("binary %d bytes vs JSON %d: want at least 2x smaller", len(bin), len(js))
-	}
-}
-
-func TestCheckpointJSONInterop(t *testing.T) {
-	t.Parallel()
-	c := testCheckpoint()
-
-	jf := MultiPolicyFile{Version: multiPolicyVersion, User: c.User, Activity: c.Activity, Routines: c.Routines}
-	for _, p := range c.Policies {
-		jf.Policies = append(jf.Policies, PolicyFile{
-			Version: policyVersion, User: c.User, Activity: c.Activity,
-			States: p.States, Actions: p.Actions, Episodes: p.Episodes, Epsilon: p.Epsilon, Q: p.Q,
-		})
-	}
-	js, err := json.MarshalIndent(jf, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacyJSON, ok := SniffFormat(js); !ok || !legacyJSON {
-		t.Fatalf("SniffFormat = %v, %v; want json", legacyJSON, ok)
-	}
-	var got Checkpoint
-	if err := DecodeCheckpoint(&got, js); err != nil {
-		t.Fatal(err)
-	}
-	if !checkpointsEqual(c, &got) {
-		t.Fatalf("JSON decode mismatch:\n in %+v\nout %+v", c, &got)
-	}
-
-	// A single-policy legacy file decodes to a routine-less checkpoint.
-	pf := PolicyFile{Version: policyVersion, User: "u", Activity: "a", States: 2, Actions: 2, Episodes: 5, Epsilon: 0.1, Q: []float64{1, 2, 3, 4}}
-	pjs, err := json.Marshal(pf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var single Checkpoint
-	if err := DecodeCheckpoint(&single, pjs); err != nil {
-		t.Fatal(err)
-	}
-	if len(single.Routines) != 0 || len(single.Policies) != 1 || single.Policies[0].Episodes != 5 {
-		t.Fatalf("single-policy decode: %+v", &single)
-	}
-
-	// The canonical re-encoding of the JSON decode matches the binary
-	// encoding of the original exactly: the invariant the fleet digest's
-	// format independence rests on.
-	bin, err := AppendCheckpoint(nil, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	canon, err := AppendCheckpoint(nil, &got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(bin) != string(canon) {
-		t.Fatal("canonical re-encoding of JSON decode differs from binary encoding")
 	}
 }
 
@@ -283,100 +198,52 @@ func TestCheckpointEncodeRejects(t *testing.T) {
 	}
 }
 
-func TestSniffFormat(t *testing.T) {
+// TestNewDirBackendRefusesPreCKPT pins the stated decision that
+// pre-CKPT checkpoint directories are unsupported: a <name>.json file or
+// its .json.1 backup makes the backend refuse the directory, naming the
+// file, instead of serving that household fresh. A household whose own
+// name ends in ".json" is an ordinary current-era blob.
+func TestNewDirBackendRefusesPreCKPT(t *testing.T) {
 	t.Parallel()
-	for _, torn := range []string{"  \n\tgarbage", "", "CKP"} {
-		if _, ok := SniffFormat([]byte(torn)); ok {
-			t.Fatalf("SniffFormat accepted %q", torn)
-		}
-	}
-	if legacyJSON, ok := SniffFormat([]byte("  \n\t{\"version\":1}")); !ok || !legacyJSON {
-		t.Fatal("SniffFormat missed whitespace-prefixed JSON")
-	}
-	if legacyJSON, ok := SniffFormat([]byte("CKPT\x01")); !ok || legacyJSON {
-		t.Fatal("SniffFormat missed the CKPT magic")
-	}
-}
-
-// TestDirBackendMigration is the transparent JSON→binary migration
-// end-to-end at the backend level: a legacy .json checkpoint loads, the
-// next Put writes the current-era blob and removes the legacy files,
-// and the content-canonical digest is unchanged throughout.
-func TestDirBackendMigration(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	c := testCheckpoint()
-
-	// A legacy fleet wrote <name>.json (plus a rotated backup).
-	js := mustJSON(t, c)
-	legacy := filepath.Join(dir, "tanaka.json")
-	if err := os.WriteFile(legacy, js, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(legacy+BackupSuffix, js, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	b, err := NewDirBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Checkpoint
-	if err := LoadCheckpoint(b, "tanaka", &got); err != nil {
-		t.Fatal(err)
-	}
-	if !checkpointsEqual(c, &got) {
-		t.Fatalf("legacy load mismatch: %+v", &got)
-	}
-	before, err := AppendCheckpoint(nil, &got)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The next save upgrades: .ckpt appears, legacy files disappear.
-	bin, err := AppendCheckpoint(nil, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put("tanaka", bin, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "tanaka.ckpt")); err != nil {
-		t.Fatalf("no current-era blob after migration: %v", err)
-	}
-	for _, stale := range []string{legacy, legacy + BackupSuffix} {
-		if _, err := os.Stat(stale); !os.IsNotExist(err) {
-			t.Fatalf("legacy file %s survived migration", stale)
-		}
-	}
-
-	var after Checkpoint
-	if err := LoadCheckpoint(b, "tanaka", &after); err != nil {
-		t.Fatal(err)
-	}
-	canon, err := AppendCheckpoint(nil, &after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(before) != string(canon) {
-		t.Fatal("canonical content changed across JSON→binary migration")
-	}
-}
-
-func mustJSON(t testing.TB, c *Checkpoint) []byte {
-	t.Helper()
-	jf := MultiPolicyFile{Version: multiPolicyVersion, User: c.User, Activity: c.Activity, Routines: c.Routines}
-	for _, p := range c.Policies {
-		jf.Policies = append(jf.Policies, PolicyFile{
-			Version: policyVersion, User: c.User, Activity: c.Activity,
-			States: p.States, Actions: p.Actions, Episodes: p.Episodes, Epsilon: p.Epsilon, Q: p.Q,
+	for _, tc := range []struct {
+		file   string
+		refuse bool
+	}{
+		{"x.json", true},
+		{"x.json" + BackupSuffix, true},
+		{"h.json" + ckptExt, false},
+		{"h.json" + ckptExt + BackupSuffix, false},
+	} {
+		tc := tc
+		t.Run(tc.file, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			writeFiles(t, dir, map[string][]byte{tc.file: []byte("{}")})
+			b, err := NewDirBackend(dir)
+			if !tc.refuse {
+				if err != nil {
+					t.Fatalf("NewDirBackend refused %s: %v", tc.file, err)
+				}
+				var names []string
+				if err := b.Enumerate(func(n string) { names = append(names, n) }); err != nil {
+					t.Fatal(err)
+				}
+				if len(names) != 1 || names[0] != "h.json" {
+					t.Fatalf("Enumerate = %v, want [h.json]", names)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("NewDirBackend accepted a directory holding %s", tc.file)
+			}
+			if !strings.Contains(err.Error(), filepath.Join(dir, tc.file)) {
+				t.Fatalf("error %q does not name %s", err, tc.file)
+			}
+			if data, rerr := os.ReadFile(filepath.Join(dir, tc.file)); rerr != nil || string(data) != "{}" {
+				t.Fatalf("refused file was disturbed: %q, %v", data, rerr)
+			}
 		})
 	}
-	js, err := json.Marshal(jf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return js
 }
 
 // TestBackendContract runs the shared Backend semantics over both
@@ -632,5 +499,28 @@ func writeFiles(t *testing.T, dir string, files map[string][]byte) {
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestLoadCheckpoint pins LoadCheckpoint's two outcomes over a backend:
+// a stored blob decodes into c, and a name with no generation at all is
+// ErrNoCheckpoint.
+func TestLoadCheckpoint(t *testing.T) {
+	t.Parallel()
+	b := NewMemBackend()
+	want := testCheckpoint()
+	data, err := AppendCheckpoint(nil, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put("h", data, false); err != nil {
+		t.Fatal(err)
+	}
+	var got Checkpoint
+	if err := LoadCheckpoint(b, "h", &got); err != nil || !checkpointsEqual(want, &got) {
+		t.Fatalf("LoadCheckpoint = %+v, %v", &got, err)
+	}
+	if err := LoadCheckpoint(b, "absent", &got); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("LoadCheckpoint(absent) = %v, want ErrNoCheckpoint", err)
 	}
 }

@@ -7,17 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 )
 
-// File extensions of the local-dir backend. The extension names the
-// era, not the encoding: current-era blobs live in .ckpt files whatever
-// their format (content sniffing decides), legacy pre-backend
-// checkpoints in .json files, and either may have a rotated .1 backup.
-const (
-	ckptExt   = ".ckpt"
-	legacyExt = ".json"
-)
+// ckptExt is the local-dir backend's file extension: every blob is
+// <name>.ckpt, with its rotated previous generation at <name>.ckpt.1.
+const ckptExt = ".ckpt"
 
 // fileBlobWriter is the local filesystem's BlobWriter and the single
 // home of the store's crash-safety protocol: stream into a fixed
@@ -35,9 +29,6 @@ type fileBlobWriter struct {
 	f         *os.File
 	fsync     bool
 	done      bool
-	// onCommit, if non-nil, runs after the rename (DirBackend hooks
-	// legacy-file cleanup here).
-	onCommit func() error
 }
 
 func newFileBlobWriter(path string, fsync bool) (*fileBlobWriter, error) {
@@ -75,9 +66,6 @@ func (w *fileBlobWriter) Commit() (err error) {
 	}
 	if err := os.Rename(w.tmp, w.path); err != nil {
 		return fmt.Errorf("store: rename: %w", err)
-	}
-	if w.onCommit != nil {
-		return w.onCommit()
 	}
 	return nil
 }
@@ -127,26 +115,17 @@ func loadBlobFile(path string, check func([]byte) error) ([]byte, error) {
 
 // DirBackend is the local-directory Backend: each blob is
 // <dir>/<name>.ckpt with the crash-safe rotation fileBlobWriter
-// implements, and checkpoints from before the backend era
-// (<name>.json, plus its .1 backup) remain loadable as a last-resort
-// generation. The legacy set is scanned once at construction and
-// consulted from memory, so a Get for a never-persisted name costs
-// exactly two failed opens and a Put never stats for stale files it
-// does not need to clean. A successful Put removes the name's legacy
-// files — the transparent JSON→binary migration: old checkpoint loads,
-// next save upgrades, nothing is left behind.
+// implements.
 type DirBackend struct {
 	dir string
-
-	mu sync.Mutex
-	// legacy is the set of names with pre-backend .json-era files still
-	// on disk. Guarded by mu; the flag is read before any I/O and
-	// cleared after it, so the lock is never held across a syscall.
-	legacy map[string]bool
 }
 
-// NewDirBackend creates dir if needed and scans it once for legacy
-// checkpoint files.
+// NewDirBackend creates dir if needed. It refuses a directory that holds
+// a pre-CKPT checkpoint (<name>.json or its .json.1 backup, written
+// before the binary format existed), naming the file: such a file is a
+// household's learned routine in a format the store no longer reads,
+// and serving on would start that household fresh without a word.
+// Pre-CKPT checkpoint directories are unsupported.
 func NewDirBackend(dir string) (*DirBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating checkpoint dir: %w", err)
@@ -155,48 +134,24 @@ func NewDirBackend(dir string) (*DirBackend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: listing checkpoint dir: %w", err)
 	}
-	b := &DirBackend{dir: dir, legacy: make(map[string]bool)}
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
-		if name, ok := strings.CutSuffix(strings.TrimSuffix(e.Name(), BackupSuffix), legacyExt); ok && name != "" {
-			b.legacy[name] = true
+		if name, ok := strings.CutSuffix(strings.TrimSuffix(e.Name(), BackupSuffix), ".json"); ok && name != "" {
+			return nil, fmt.Errorf("store: %s is a pre-CKPT checkpoint; pre-CKPT checkpoint directories are unsupported",
+				filepath.Join(dir, e.Name()))
 		}
 	}
-	return b, nil
+	return &DirBackend{dir: dir}, nil
 }
 
 func (d *DirBackend) path(name string) string { return filepath.Join(d.dir, name+ckptExt) }
 
-func (d *DirBackend) hasLegacy(name string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.legacy[name]
-}
-
-// Get implements the Backend fallback chain: current-era primary, its
-// rotated backup, then — only for names the construction scan saw
-// legacy files for — the .json-era pair.
+// Get reads the primary and falls back to its rotated backup (see
+// loadBlobFile).
 func (d *DirBackend) Get(name string, check func([]byte) error) ([]byte, error) {
-	data, err := loadBlobFile(d.path(name), check)
-	if err == nil {
-		return data, nil
-	}
-	if !d.hasLegacy(name) {
-		return nil, err
-	}
-	data, lerr := loadBlobFile(filepath.Join(d.dir, name+legacyExt), check)
-	if lerr == nil {
-		return data, nil
-	}
-	switch {
-	case errors.Is(err, ErrNoCheckpoint):
-		return nil, lerr
-	case errors.Is(lerr, ErrNoCheckpoint):
-		return nil, err
-	}
-	return nil, fmt.Errorf("%w (legacy: %v)", err, lerr)
+	return loadBlobFile(d.path(name), check)
 }
 
 func (d *DirBackend) Put(name string, data []byte, fsync bool) error {
@@ -212,34 +167,11 @@ func (d *DirBackend) PutStream(name string, fsync bool) (BlobWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.hasLegacy(name) {
-		w.onCommit = func() error { return d.removeLegacy(name) }
-	}
 	return w, nil
 }
 
-// removeLegacy deletes a name's .json-era files after a current-era
-// blob has been committed (the upgrade leg of the transparent
-// migration). If a removal fails the legacy flag stays set, so loads
-// keep consulting the files and the next Put retries the cleanup.
-func (d *DirBackend) removeLegacy(name string) error {
-	p := filepath.Join(d.dir, name+legacyExt)
-	err := os.Remove(p)
-	if berr := os.Remove(p + BackupSuffix); err == nil || os.IsNotExist(err) {
-		err = berr
-	}
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: removing legacy checkpoint: %w", err)
-	}
-	d.mu.Lock()
-	delete(d.legacy, name)
-	d.mu.Unlock()
-	return nil
-}
-
-// Enumerate lists blob names: any file of either era, backups included,
-// counts; the variants of one name (extensions, eras, backups) are
-// deduped to a single visit.
+// Enumerate lists blob names: a primary or a rotated backup counts, and
+// the two generations of one name are deduped to a single visit.
 func (d *DirBackend) Enumerate(fn func(name string)) error {
 	entries, err := os.ReadDir(d.dir)
 	if err != nil {
@@ -250,11 +182,7 @@ func (d *DirBackend) Enumerate(fn func(name string)) error {
 		if e.IsDir() {
 			continue
 		}
-		base := strings.TrimSuffix(e.Name(), BackupSuffix)
-		name, ok := strings.CutSuffix(base, ckptExt)
-		if !ok {
-			name, ok = strings.CutSuffix(base, legacyExt)
-		}
+		name, ok := strings.CutSuffix(strings.TrimSuffix(e.Name(), BackupSuffix), ckptExt)
 		if !ok || name == "" || seen[name] {
 			continue
 		}
@@ -264,19 +192,13 @@ func (d *DirBackend) Enumerate(fn func(name string)) error {
 	return nil
 }
 
-// Delete removes every generation of the blob, both eras.
+// Delete removes both generations of the blob.
 func (d *DirBackend) Delete(name string) error {
 	var first error
-	for _, p := range [4]string{
-		d.path(name), d.path(name) + BackupSuffix,
-		filepath.Join(d.dir, name+legacyExt), filepath.Join(d.dir, name+legacyExt) + BackupSuffix,
-	} {
+	for _, p := range [2]string{d.path(name), d.path(name) + BackupSuffix} {
 		if err := os.Remove(p); err != nil && !os.IsNotExist(err) && first == nil {
 			first = fmt.Errorf("store: delete %s: %w", p, err)
 		}
 	}
-	d.mu.Lock()
-	delete(d.legacy, name)
-	d.mu.Unlock()
 	return first
 }

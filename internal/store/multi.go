@@ -7,21 +7,6 @@ import (
 	"coreda/internal/rl"
 )
 
-// multiPolicyVersion is the current MultiPolicyFile schema version.
-const multiPolicyVersion = 1
-
-// MultiPolicyFile serializes a multi-routine policy: the routine set and
-// one Q-table per routine. It is the legacy JSON schema (decoded by
-// DecodeCheckpoint) and the compatibility view LoadMultiPolicy returns
-// whatever the on-disk encoding was.
-type MultiPolicyFile struct {
-	Version  int          `json:"version"`
-	User     string       `json:"user"`
-	Activity string       `json:"activity"`
-	Routines [][]uint16   `json:"routines"`
-	Policies []PolicyFile `json:"policies"`
-}
-
 // TrainState is the training progress persisted alongside each policy of
 // a multi-policy checkpoint, so a planner restored from checkpoint
 // resumes its annealing schedule instead of restarting exploration from
@@ -48,6 +33,20 @@ func EncodeRoutines(routines []adl.Routine) EncodedRoutines {
 		enc[i] = steps
 	}
 	return enc
+}
+
+// DecodeRoutines converts an on-disk routine set back to routines: the
+// inverse of EncodeRoutines.
+func DecodeRoutines(enc EncodedRoutines) []adl.Routine {
+	routines := make([]adl.Routine, len(enc))
+	for i, steps := range enc {
+		r := make(adl.Routine, len(steps))
+		for j, s := range steps {
+			r[j] = adl.StepID(s)
+		}
+		routines[i] = r
+	}
+	return routines
 }
 
 // MultiSaver writes multi-routine policy checkpoints with reusable
@@ -151,69 +150,4 @@ func (s *MultiSaver) writeTo(w BlobWriter) error {
 func SaveMultiPolicy(path, user, activity string, routines []adl.Routine, tables []*rl.QTable, states []TrainState) error {
 	var s MultiSaver
 	return s.SavePath(path, user, activity, EncodeRoutines(routines), tables, states, true)
-}
-
-// LoadMultiPolicy reads and validates a multi-routine policy of either
-// format (the content is sniffed, so pre-binary JSON checkpoints load
-// transparently). If the primary file is unreadable or malformed, the
-// rotated backup (path+BackupSuffix) is tried before giving up; the
-// returned error then covers both attempts, except that two missing
-// files collapse to ErrNoCheckpoint. A torn primary with no backup is
-// deliberately NOT ErrNoCheckpoint — a checkpoint existed and was lost,
-// and callers must be able to tell that apart from a genuine fresh
-// start. Per-policy training progress is in the returned file's
-// Policies[i].Episodes/Epsilon.
-func LoadMultiPolicy(path string) (MultiPolicyFile, []adl.Routine, []*rl.QTable, error) {
-	var c Checkpoint
-	if _, err := loadBlobFile(path, func(data []byte) error { return DecodeCheckpoint(&c, data) }); err != nil {
-		return MultiPolicyFile{}, nil, nil, err
-	}
-	f, routines, tables, err := checkpointToMulti(&c)
-	if err != nil {
-		return MultiPolicyFile{}, nil, nil, fmt.Errorf("store: multi-policy %s: %w", path, err)
-	}
-	return f, routines, tables, nil
-}
-
-// checkpointToMulti converts a decoded Checkpoint into the
-// MultiPolicyFile compatibility view plus materialized routines and
-// Q-tables.
-func checkpointToMulti(c *Checkpoint) (MultiPolicyFile, []adl.Routine, []*rl.QTable, error) {
-	if len(c.Routines) != len(c.Policies) || len(c.Routines) == 0 {
-		return MultiPolicyFile{}, nil, nil, fmt.Errorf("%d routines and %d policies", len(c.Routines), len(c.Policies))
-	}
-	f := MultiPolicyFile{
-		Version:  multiPolicyVersion,
-		User:     c.User,
-		Activity: c.Activity,
-		Routines: c.Routines,
-		Policies: make([]PolicyFile, len(c.Policies)),
-	}
-	routines := make([]adl.Routine, len(c.Routines))
-	tables := make([]*rl.QTable, len(c.Policies))
-	for i, enc := range c.Routines {
-		r := make(adl.Routine, len(enc))
-		for j, s := range enc {
-			r[j] = adl.StepID(s)
-		}
-		routines[i] = r
-
-		p := c.Policies[i]
-		t := rl.NewQTable(p.States, p.Actions, 0)
-		if err := t.SetValues(p.Q); err != nil {
-			return MultiPolicyFile{}, nil, nil, err
-		}
-		tables[i] = t
-		f.Policies[i] = PolicyFile{
-			Version:  policyVersion,
-			User:     c.User,
-			Activity: c.Activity,
-			States:   p.States,
-			Actions:  p.Actions,
-			Episodes: p.Episodes,
-			Epsilon:  p.Epsilon,
-			Q:        p.Q,
-		}
-	}
-	return f, routines, tables, nil
 }

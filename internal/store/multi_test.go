@@ -30,13 +30,14 @@ func saveGeneration(t *testing.T, path string, g int) {
 // generation to .1, a primary torn after the fact (disk fault, partial
 // copy) must fall back to that backup.
 func TestMultiPolicyBackupFallback(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hh.json")
+	path := filepath.Join(t.TempDir(), "hh.ckpt")
 	saveGeneration(t, path, 1)
 	saveGeneration(t, path, 2)
 
 	// Both generations on disk: primary = 2, backup = 1.
-	if _, _, tables, err := LoadMultiPolicy(path); err != nil || tables[0].Get(0, 0) != 2 {
-		t.Fatalf("primary load = %v (tables %v)", err, tables)
+	var c Checkpoint
+	if err := LoadFile(path, &c); err != nil || c.Policies[0].Q[0] != 2 {
+		t.Fatalf("primary load = %v (checkpoint %+v)", err, c)
 	}
 
 	// Tear the primary mid-file; the load must recover generation 1.
@@ -47,19 +48,18 @@ func TestMultiPolicyBackupFallback(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, _, tables, err := LoadMultiPolicy(path)
-	if err != nil {
+	if err := LoadFile(path, &c); err != nil {
 		t.Fatalf("torn primary not recovered from backup: %v", err)
 	}
-	if tables[0].Get(0, 0) != 1 || f.Policies[0].Episodes != 1 {
-		t.Errorf("fallback loaded generation %v, want 1", tables[0].Get(0, 0))
+	if c.Policies[0].Q[0] != 1 || c.Policies[0].Episodes != 1 {
+		t.Errorf("fallback loaded generation %v, want 1", c.Policies[0].Q[0])
 	}
 
 	// With the backup also gone, the error must mention both attempts.
 	if err := os.Remove(path + BackupSuffix); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := LoadMultiPolicy(path); err == nil {
+	if err := LoadFile(path, &c); err == nil {
 		t.Error("torn primary with no backup loaded successfully")
 	}
 }
@@ -70,7 +70,7 @@ func TestMultiPolicyBackupFallback(t *testing.T) {
 // guarantee a reader can never see a torn or empty state, even if it
 // lands between the backup rotation and the rename of the new primary.
 func TestMultiPolicyConcurrentCheckpointReads(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hh.json")
+	path := filepath.Join(t.TempDir(), "hh.ckpt")
 	const generations = 60
 	saveGeneration(t, path, 1)
 
@@ -86,14 +86,14 @@ func TestMultiPolicyConcurrentCheckpointReads(t *testing.T) {
 					return
 				default:
 				}
-				f, routines, tables, err := LoadMultiPolicy(path)
-				if err != nil {
+				var c Checkpoint
+				if err := LoadFile(path, &c); err != nil {
 					t.Errorf("concurrent load: %v", err)
 					return
 				}
-				g := int(tables[0].Get(0, 0))
-				if g < 1 || g > generations || f.Policies[0].Episodes != g || len(routines) != 1 {
-					t.Errorf("load observed inconsistent generation: q=%d episodes=%d", g, f.Policies[0].Episodes)
+				g := int(c.Policies[0].Q[0])
+				if g < 1 || g > generations || c.Policies[0].Episodes != g || len(c.Routines) != 1 {
+					t.Errorf("load observed inconsistent generation: q=%d episodes=%d", g, c.Policies[0].Episodes)
 					return
 				}
 			}
@@ -106,11 +106,11 @@ func TestMultiPolicyConcurrentCheckpointReads(t *testing.T) {
 	wg.Wait()
 
 	// The dust settled: the primary must be the last generation.
-	_, _, tables, err := LoadMultiPolicy(path)
-	if err != nil {
+	var c Checkpoint
+	if err := LoadFile(path, &c); err != nil {
 		t.Fatal(err)
 	}
-	if got := int(tables[0].Get(0, 0)); got != generations {
+	if got := int(c.Policies[0].Q[0]); got != generations {
 		t.Errorf("final generation = %d, want %d", got, generations)
 	}
 }

@@ -1,10 +1,8 @@
-// Package store persists learned policies and user profiles. Policies
-// are checkpoint blobs in the binary CKPT format (legacy JSON stays
-// loadable via content sniffing; see ckpt.go), written
-// through a pluggable Backend (see backend.go) or directly at a path;
-// every write is atomic (temp file + rename) with the previous
-// generation rotated to a .1 backup, so a crash mid-save never corrupts
-// a user's learned routine. Profiles remain human-editable JSON.
+// Package store persists learned policies as checkpoint blobs in the
+// binary CKPT format (see ckpt.go), written through a pluggable Backend
+// (see backend.go) or directly at a path; every write is atomic (temp
+// file + rename) with the previous generation rotated to a .1 backup,
+// so a crash mid-save never corrupts a user's learned routine.
 package store
 
 import (
@@ -13,22 +11,6 @@ import (
 
 	"coreda/internal/rl"
 )
-
-// policyVersion is the current PolicyFile schema version.
-const policyVersion = 1
-
-// PolicyFile is the serialized form of one learned Q-table plus the
-// metadata needed to resume training.
-type PolicyFile struct {
-	Version  int       `json:"version"`
-	User     string    `json:"user"`
-	Activity string    `json:"activity"`
-	States   int       `json:"states"`
-	Actions  int       `json:"actions"`
-	Episodes int       `json:"episodes"`
-	Epsilon  float64   `json:"epsilon"`
-	Q        []float64 `json:"q"`
-}
 
 // BackupSuffix is appended to a policy path to name the rotated previous
 // generation kept as a recovery fallback.
@@ -75,40 +57,15 @@ func rotateBackup(path string) error {
 	return nil
 }
 
-// LoadPolicy reads and validates a single-policy file of either format
-// (content is sniffed, so pre-binary JSON files load transparently),
-// returning the metadata and a reconstructed Q-table. If the primary
-// file is unreadable or malformed, the rotated backup
-// (path+BackupSuffix) is tried before giving up; the returned error
-// then covers both attempts (two missing generations collapse to
-// ErrNoCheckpoint).
-func LoadPolicy(path string) (PolicyFile, *rl.QTable, error) {
-	var c Checkpoint
-	if _, err := loadBlobFile(path, func(data []byte) error { return DecodeCheckpoint(&c, data) }); err != nil {
-		return PolicyFile{}, nil, err
-	}
-	return checkpointToPolicy(path, &c)
-}
-
-// checkpointToPolicy converts a decoded single-policy checkpoint to the
-// PolicyFile view plus a materialized Q-table.
-func checkpointToPolicy(path string, c *Checkpoint) (PolicyFile, *rl.QTable, error) {
-	if len(c.Policies) != 1 {
-		return PolicyFile{}, nil, fmt.Errorf("store: policy %s has %d policies, want 1", path, len(c.Policies))
-	}
-	p := c.Policies[0]
-	table := rl.NewQTable(p.States, p.Actions, 0)
-	if err := table.SetValues(p.Q); err != nil {
-		return PolicyFile{}, nil, err
-	}
-	return PolicyFile{
-		Version:  policyVersion,
-		User:     c.User,
-		Activity: c.Activity,
-		States:   p.States,
-		Actions:  p.Actions,
-		Episodes: p.Episodes,
-		Epsilon:  p.Epsilon,
-		Q:        p.Q,
-	}, table, nil
+// LoadFile reads and decodes the checkpoint at path into c: the path
+// twin of LoadCheckpoint. If the primary file is unreadable or fails to
+// decode, the rotated backup (path+BackupSuffix) is tried before giving
+// up; the returned error then covers both attempts, except that two
+// missing files collapse to ErrNoCheckpoint. A torn primary with no
+// backup is deliberately NOT ErrNoCheckpoint — a checkpoint existed and
+// was lost, and callers must be able to tell that apart from a genuine
+// fresh start.
+func LoadFile(path string, c *Checkpoint) error {
+	_, err := loadBlobFile(path, func(data []byte) error { return DecodeCheckpoint(c, data) })
+	return err
 }

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,58 +15,67 @@ import (
 
 func TestPolicyRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "tanaka-tea.json")
+	path := filepath.Join(dir, "tanaka-tea.ckpt")
 
 	table := rl.NewQTable(25, 8, 0)
 	table.Set(3, 2, 123.5)
 	if err := SavePolicy(path, "tanaka", "tea-making", table, 42, 0.07); err != nil {
 		t.Fatal(err)
 	}
-	f, loaded, err := LoadPolicy(path)
-	if err != nil {
+	var c Checkpoint
+	if err := LoadFile(path, &c); err != nil {
 		t.Fatal(err)
 	}
-	if f.User != "tanaka" || f.Activity != "tea-making" || f.Episodes != 42 || f.Epsilon != 0.07 {
-		t.Errorf("metadata = %+v", f)
+	if len(c.Routines) != 0 || len(c.Policies) != 1 {
+		t.Fatalf("single-policy file decoded to %d routines, %d policies", len(c.Routines), len(c.Policies))
 	}
-	if loaded.Get(3, 2) != 123.5 {
-		t.Errorf("Q(3,2) = %v", loaded.Get(3, 2))
+	p := c.Policies[0]
+	if c.User != "tanaka" || c.Activity != "tea-making" || p.Episodes != 42 || p.Epsilon != 0.07 {
+		t.Errorf("metadata = %+v", c)
 	}
-	if !slices.Equal(loaded.Values(), table.Values()) {
+	if p.States != 25 || p.Actions != 8 || p.Q[3*8+2] != 123.5 {
+		t.Errorf("policy = %dx%d, Q(3,2) = %v", p.States, p.Actions, p.Q[3*8+2])
+	}
+	if !slices.Equal(p.Q, table.Values()) {
 		t.Error("table changed across round trip")
 	}
 }
 
 func TestLoadPolicyRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
+	var c Checkpoint
 
-	missing := filepath.Join(dir, "missing.json")
-	if _, _, err := LoadPolicy(missing); err == nil {
-		t.Error("missing file accepted")
+	missing := filepath.Join(dir, "missing.ckpt")
+	if err := LoadFile(missing, &c); !errors.Is(err, ErrNoCheckpoint) {
+		t.Errorf("missing file: %v, want ErrNoCheckpoint", err)
 	}
 
-	garbage := filepath.Join(dir, "garbage.json")
-	os.WriteFile(garbage, []byte("{not json"), 0o644)
-	if _, _, err := LoadPolicy(garbage); err == nil {
-		t.Error("garbage accepted")
+	valid, err := AppendCheckpoint(nil, &Checkpoint{Policies: []CheckpointPolicy{{States: 1, Actions: 1, Q: []float64{0}}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	badVersion := filepath.Join(dir, "badversion.json")
-	os.WriteFile(badVersion, []byte(`{"version":99,"states":1,"actions":1,"q":[0]}`), 0o644)
-	if _, _, err := LoadPolicy(badVersion); err == nil {
-		t.Error("wrong version accepted")
-	}
-
-	badShape := filepath.Join(dir, "badshape.json")
-	os.WriteFile(badShape, []byte(`{"version":1,"states":2,"actions":2,"q":[0]}`), 0o644)
-	if _, _, err := LoadPolicy(badShape); err == nil {
-		t.Error("mismatched shape accepted")
+	for name, data := range map[string][]byte{
+		"garbage":     []byte("{not json"),
+		"json":        []byte(`{"version":1,"states":1,"actions":1,"q":[0]}`),
+		"bad version": appendCkptCRC(append([]byte("CKPT\x09"), valid[5:len(valid)-4]...)),
+		"truncated":   valid[:len(valid)-1],
+	} {
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := LoadFile(path, &c)
+		if err == nil {
+			t.Errorf("%s accepted", name)
+		} else if errors.Is(err, ErrNoCheckpoint) {
+			t.Errorf("%s: %v; a present but unusable file is not ErrNoCheckpoint", name, err)
+		}
 	}
 }
 
 func TestSavePolicyRotatesBackup(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "pol.json")
+	path := filepath.Join(dir, "pol.ckpt")
 	t1 := rl.NewQTable(1, 1, 1)
 	t2 := rl.NewQTable(1, 1, 2)
 	if err := SavePolicy(path, "u", "a", t1, 1, 0.5); err != nil {
@@ -76,18 +87,18 @@ func TestSavePolicyRotatesBackup(t *testing.T) {
 	if err := SavePolicy(path, "u", "a", t2, 2, 0.4); err != nil {
 		t.Fatal(err)
 	}
-	f, table, err := loadPolicyFile(path + BackupSuffix)
+	p, err := loadPolicyFile(path + BackupSuffix)
 	if err != nil {
 		t.Fatalf("backup unreadable: %v", err)
 	}
-	if f.Episodes != 1 || table.Get(0, 0) != 1 {
-		t.Errorf("backup holds %+v, want the previous generation", f)
+	if p.Episodes != 1 || p.Q[0] != 1 {
+		t.Errorf("backup holds %+v, want the previous generation", p)
 	}
 }
 
 func TestLoadPolicyFallsBackToBackup(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "pol.json")
+	path := filepath.Join(dir, "pol.ckpt")
 	t1 := rl.NewQTable(1, 1, 1)
 	t2 := rl.NewQTable(1, 1, 2)
 	if err := SavePolicy(path, "u", "a", t1, 1, 0.5); err != nil {
@@ -101,19 +112,19 @@ func TestLoadPolicyFallsBackToBackup(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"version":1,"states":`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, table, err := LoadPolicy(path)
-	if err != nil {
+	var c Checkpoint
+	if err := LoadFile(path, &c); err != nil {
 		t.Fatalf("no fallback to backup: %v", err)
 	}
-	if f.Episodes != 1 || table.Get(0, 0) != 1 {
-		t.Errorf("fallback loaded %+v, want the backup generation", f)
+	if p := c.Policies[0]; p.Episodes != 1 || p.Q[0] != 1 {
+		t.Errorf("fallback loaded %+v, want the backup generation", p)
 	}
 
 	// Truncated-to-empty primary (torn copy) behaves the same.
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadPolicy(path); err != nil {
+	if err := LoadFile(path, &c); err != nil {
 		t.Errorf("truncated primary not recovered: %v", err)
 	}
 
@@ -121,7 +132,7 @@ func TestLoadPolicyFallsBackToBackup(t *testing.T) {
 	if err := os.Remove(path + BackupSuffix); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = LoadPolicy(path)
+	err := LoadFile(path, &c)
 	if err == nil {
 		t.Fatal("corrupted policy with no backup accepted")
 	}
@@ -132,7 +143,7 @@ func TestLoadPolicyFallsBackToBackup(t *testing.T) {
 
 func TestAtomicWriteLeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "pol.json")
+	path := filepath.Join(dir, "pol.ckpt")
 	table := rl.NewQTable(2, 2, 0)
 	for i := 0; i < 5; i++ {
 		if err := SavePolicy(path, "u", "a", table, i, 0); err != nil {
@@ -149,14 +160,14 @@ func TestAtomicWriteLeavesNoTempFiles(t *testing.T) {
 	}
 	// Repeated saves leave exactly the file and its rotated backup: no
 	// temp droppings.
-	if len(entries) != 2 || names[0] != "pol.json" || names[1] != "pol.json"+BackupSuffix {
-		t.Errorf("directory contains %v, want pol.json and its backup", names)
+	if len(entries) != 2 || names[0] != "pol.ckpt" || names[1] != "pol.ckpt"+BackupSuffix {
+		t.Errorf("directory contains %v, want pol.ckpt and its backup", names)
 	}
 }
 
 func TestOverwriteIsAtomicReplacement(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "pol.json")
+	path := filepath.Join(dir, "pol.ckpt")
 	t1 := rl.NewQTable(1, 1, 1)
 	t2 := rl.NewQTable(1, 1, 2)
 	if err := SavePolicy(path, "u", "a", t1, 1, 0); err != nil {
@@ -165,18 +176,18 @@ func TestOverwriteIsAtomicReplacement(t *testing.T) {
 	if err := SavePolicy(path, "u", "a", t2, 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	f, table, err := LoadPolicy(path)
-	if err != nil {
+	var c Checkpoint
+	if err := LoadFile(path, &c); err != nil {
 		t.Fatal(err)
 	}
-	if f.Episodes != 2 || table.Get(0, 0) != 2 {
-		t.Errorf("loaded old contents: %+v", f)
+	if p := c.Policies[0]; p.Episodes != 2 || p.Q[0] != 2 {
+		t.Errorf("loaded old contents: %+v", p)
 	}
 }
 
 func TestMultiPolicyRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "multi.json")
+	path := filepath.Join(dir, "multi.ckpt")
 
 	dress := adl.Dressing()
 	r1 := dress.CanonicalRoutine()
@@ -189,27 +200,27 @@ func TestMultiPolicyRoundTrip(t *testing.T) {
 	if err := SaveMultiPolicy(path, "u", dress.Name, []adl.Routine{r1, r2}, []*rl.QTable{t1, t2}, []TrainState{{Episodes: 12, Epsilon: 0.07}, {Episodes: 3, Epsilon: 0.21}}); err != nil {
 		t.Fatal(err)
 	}
-	f, routines, tables, err := LoadMultiPolicy(path)
-	if err != nil {
+	var c Checkpoint
+	if err := LoadFile(path, &c); err != nil {
 		t.Fatal(err)
 	}
-	if f.Activity != dress.Name || f.User != "u" {
-		t.Errorf("metadata = %+v", f)
+	if c.Activity != dress.Name || c.User != "u" {
+		t.Errorf("metadata = %+v", c)
 	}
-	if f.Policies[0].Episodes != 12 || f.Policies[0].Epsilon != 0.07 || f.Policies[1].Episodes != 3 {
-		t.Errorf("training state lost: %+v / %+v", f.Policies[0], f.Policies[1])
+	if c.Policies[0].Episodes != 12 || c.Policies[0].Epsilon != 0.07 || c.Policies[1].Episodes != 3 {
+		t.Errorf("training state lost: %+v / %+v", c.Policies[0], c.Policies[1])
 	}
-	if len(routines) != 2 || !routines[1].Equal(r2) {
+	if routines := DecodeRoutines(c.Routines); len(routines) != 2 || !routines[0].Equal(r1) || !routines[1].Equal(r2) {
 		t.Errorf("routines = %v", routines)
 	}
-	if tables[0].Get(1, 2) != 7 || tables[1].Get(3, 4) != 9 {
+	if c.Policies[0].Q[1*8+2] != 7 || c.Policies[1].Q[3*8+4] != 9 {
 		t.Error("tables lost values")
 	}
 }
 
 func TestMultiPolicyValidation(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "m.json")
+	path := filepath.Join(dir, "m.ckpt")
 	r := adl.TeaMaking().CanonicalRoutine()
 	if err := SaveMultiPolicy(path, "u", "a", []adl.Routine{r}, nil, nil); err == nil {
 		t.Error("mismatched slice lengths accepted")
@@ -217,22 +228,21 @@ func TestMultiPolicyValidation(t *testing.T) {
 	if err := SaveMultiPolicy(path, "u", "a", []adl.Routine{r}, []*rl.QTable{rl.NewQTable(2, 2, 0)}, []TrainState{{}, {}}); err == nil {
 		t.Error("mismatched states length accepted")
 	}
-	os.WriteFile(path, []byte(`{"version":9}`), 0o644)
-	if _, _, _, err := LoadMultiPolicy(path); err == nil {
-		t.Error("bad version accepted")
-	}
-	os.WriteFile(path, []byte(`{"version":1,"routines":[],"policies":[]}`), 0o644)
-	if _, _, _, err := LoadMultiPolicy(path); err == nil {
-		t.Error("empty multi-policy accepted")
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("rejected saves left a file behind: %v", err)
 	}
 }
 
-// loadPolicyFile loads exactly one generation (no backup fallback); the
-// backup-rotation tests use it to inspect a specific file.
-func loadPolicyFile(path string) (PolicyFile, *rl.QTable, error) {
+// loadPolicyFile loads exactly one generation (no backup fallback) of a
+// single-policy file; the backup-rotation tests use it to inspect a
+// specific file.
+func loadPolicyFile(path string) (CheckpointPolicy, error) {
 	var c Checkpoint
 	if _, err := readBlobAt(path, func(data []byte) error { return DecodeCheckpoint(&c, data) }); err != nil {
-		return PolicyFile{}, nil, err
+		return CheckpointPolicy{}, err
 	}
-	return checkpointToPolicy(path, &c)
+	if len(c.Policies) != 1 {
+		return CheckpointPolicy{}, fmt.Errorf("%s has %d policies, want 1", path, len(c.Policies))
+	}
+	return c.Policies[0], nil
 }

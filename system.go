@@ -393,24 +393,20 @@ func (s *System) SavePolicy(path string) error {
 // LoadPolicy restores a previously saved policy into the planner. The
 // file must match the activity's state/action shape.
 func (s *System) LoadPolicy(path string) error {
-	f, table, err := store.LoadPolicy(path)
-	if err != nil {
+	var c store.Checkpoint
+	if err := store.LoadFile(path, &c); err != nil {
 		return err
 	}
-	if f.Activity != s.cfg.Activity.Name {
-		return fmt.Errorf("coreda: policy is for activity %q, system runs %q", f.Activity, s.cfg.Activity.Name)
+	if c.Activity != s.cfg.Activity.Name {
+		return fmt.Errorf("coreda: policy is for activity %q, system runs %q", c.Activity, s.cfg.Activity.Name)
 	}
-	if table.NumStates() != s.planner.Table().NumStates() || table.NumActions() != s.planner.Table().NumActions() {
-		return fmt.Errorf("coreda: policy shape %dx%d does not match activity", table.NumStates(), table.NumActions())
+	if len(c.Policies) != 1 {
+		return fmt.Errorf("coreda: policy %s has %d policies, want 1", path, len(c.Policies))
 	}
-	if err := s.planner.Table().SetValues(table.Values()); err != nil {
-		return err
-	}
-	// Restore training progress too, so a reloaded system checkpoints
+	// Restores training progress too, so a reloaded system checkpoints
 	// byte-for-byte identically and resumed training continues the
 	// annealing schedule.
-	s.planner.Restore(f.Episodes, f.Epsilon)
-	return nil
+	return s.planner.RestoreCheckpoint(&c.Policies[0])
 }
 
 // onStep receives extracted step events from the sensing subsystem.
