@@ -241,8 +241,10 @@ func TestServeAllocBudget(t *testing.T) {
 }
 
 // checkpointedBackend returns a MemBackend holding a CKPT checkpoint for
-// each of ids, written the way an evicted tenant writes its own.
-func checkpointedBackend(tb testing.TB, cfg Config, ids []string) *store.MemBackend {
+// each of ids, written the way an evicted tenant writes its own. Each
+// household first trains for the given number of episodes on the
+// canonical routine; with none its Q-table is all zeros.
+func checkpointedBackend(tb testing.TB, cfg Config, ids []string, episodes int) *store.MemBackend {
 	tb.Helper()
 	mem := store.NewMemBackend()
 	var (
@@ -257,6 +259,13 @@ func checkpointedBackend(tb testing.TB, cfg Config, ids []string) *store.MemBack
 		t, _, err := newTenant(id, sys, &acts, mem, nil)
 		if err != nil {
 			tb.Fatal(err)
+		}
+		p := t.System.Planner()
+		routine := p.Activity().CanonicalRoutine()
+		for i := 0; i < episodes; i++ {
+			if err := p.TrainEpisode(routine); err != nil {
+				tb.Fatal(err)
+			}
 		}
 		if err := t.save(mem, &sv, false); err != nil {
 			tb.Fatal(err)
@@ -274,7 +283,7 @@ func admitCycle(tb testing.TB) (*shard, func()) {
 	const id = "bench-ckpt"
 	cfg := testConfig("")
 	cfg.Shards = 1
-	cfg.Backend = checkpointedBackend(tb, cfg, []string{id})
+	cfg.Backend = checkpointedBackend(tb, cfg, []string{id}, 0)
 	f, err := New(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -296,14 +305,14 @@ func admitCycle(tb testing.TB) (*shard, func()) {
 // allocations testConfig's NewSystem spends building a fresh activity
 // that admission then drops for the interned copy. The checkpoint
 // decode reuses the shard's scratch, so its slices are not allocated
-// again. Interning itself must not allocate once the activity is in the
-// table.
+// again, and its all-zero Q-values materialize no table row. Interning
+// itself must not allocate once the activity is in the table.
 func TestAdmitAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
 	}
 	s, cycle := admitCycle(t)
-	const budget = 32
+	const budget = 31
 	n := testing.AllocsPerRun(200, cycle)
 	t.Logf("admit+evict: %.0f allocs per cycle", n)
 	if n > budget {
@@ -339,12 +348,28 @@ func liveHeap() uint64 {
 }
 
 // TestAdmitHeapAllocBudget bounds what one resident household costs in
-// live heap: a tenant admitted from its checkpoint through Fleet.Do,
-// idle, with no random draw yet. Its system, planner, Q-table, hub and
-// scheduler fit the budget (its activity is the fleet's shared copy); a
-// random stream's generator state (~4.9 kB, built by its 274th draw)
-// does not, so a stream seeded at admission fails it.
+// live heap: a tenant admitted from an untrained (all-zero) checkpoint
+// through Fleet.Do, idle, with no random draw yet. Its system, planner,
+// Q-table (no row materialized), hub and scheduler fit the budget (its
+// activity is the fleet's shared copy); a random stream's generator state
+// (~4.9 kB, built by its 274th draw) does not, so a stream seeded at
+// admission fails it.
 func TestAdmitHeapAllocBudget(t *testing.T) {
+	testAdmitHeap(t, 0, 1800) // measured 1,729–1,732 B
+}
+
+// TestAdmitTrainedHeapAllocBudget is TestAdmitHeapAllocBudget over
+// 120-episode trained checkpoints, the shape perfbench admits: a trained
+// tea-making policy moves 3 of its 25 Q-table rows off zero, and only
+// those rows may be materialized. A dense table (25×8 values) fails it.
+func TestAdmitTrainedHeapAllocBudget(t *testing.T) {
+	testAdmitHeap(t, 120, 2000) // measured 1,937 B
+}
+
+// testAdmitHeap admits 2000 tenants from checkpoints trained for the
+// given number of episodes and fails when one holds more than budget
+// bytes of live heap.
+func testAdmitHeap(t *testing.T, episodes int, budget float64) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
 	}
@@ -354,7 +379,7 @@ func TestAdmitHeapAllocBudget(t *testing.T) {
 		ids[i] = fmt.Sprintf("heap-%04d", i)
 	}
 	cfg := testConfig("")
-	cfg.Backend = checkpointedBackend(t, cfg, ids)
+	cfg.Backend = checkpointedBackend(t, cfg, ids, episodes)
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -374,10 +399,9 @@ func TestAdmitHeapAllocBudget(t *testing.T) {
 	}
 
 	perTenant := float64(int64(after)-int64(before)) / tenants
-	const budget = 5 << 10
-	t.Logf("admitted household: %.0f B live heap over %d tenants", perTenant, tenants)
+	t.Logf("household admitted after %d episodes: %.0f B live heap over %d tenants", episodes, perTenant, tenants)
 	if perTenant > budget {
-		t.Errorf("admitted household holds %.0f B live heap over %d tenants, budget %d B", perTenant, tenants, budget)
+		t.Errorf("household admitted after %d episodes holds %.0f B live heap over %d tenants, budget %.0f B", episodes, perTenant, tenants, budget)
 	}
 }
 
@@ -385,7 +409,9 @@ func TestAdmitHeapAllocBudget(t *testing.T) {
 // live heap: a soak household that has run one tea-making session, so
 // its planner has explored from its random stream. A stream computes
 // its first draws from its seed and builds no generator state for
-// them; one that builds the ~4.9 kB state on its first draw fails this.
+// them; one that builds the ~4.9 kB state on its first draw fails this,
+// and so does a Q-table or trace set holding rows the household never
+// reached.
 func TestLearningHeapAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
@@ -430,7 +456,7 @@ func TestLearningHeapAllocBudget(t *testing.T) {
 	}
 
 	perTenant := float64(int64(after)-int64(before)) / tenants
-	const budget = 7 << 10
+	const budget = 2150 // measured 2,058 B
 	t.Logf("learning household: %.0f B live heap over %d tenants", perTenant, tenants)
 	if perTenant > budget {
 		t.Errorf("learning household holds %.0f B live heap over %d tenants, budget %d B", perTenant, tenants, budget)

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -172,6 +173,7 @@ func TestQTableValuesRoundTrip(t *testing.T) {
 func TestQTablePanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewQTable(0, 1, 0) },
+		func() { NewQTable(math.MaxInt16+2, 1, 0) },
 		func() { NewQTable(1, 1, 0).Get(1, 0) },
 		func() { NewQTable(1, 1, 0).Get(0, -1) },
 		func() { NewQTable(1, 1, 0).MaxAbsDiff(NewQTable(2, 1, 0)) },
@@ -568,9 +570,11 @@ func (t *QTable) MaxAbsDiff(other *QTable) float64 {
 		panic("rl: MaxAbsDiff on differently shaped tables")
 	}
 	m := 0.0
-	for i := range t.q {
-		if d := math.Abs(t.q[i] - other.q[i]); d > m {
-			m = d
+	for s := 0; s < t.states; s++ {
+		for a := 0; a < t.actions; a++ {
+			if d := math.Abs(t.Get(State(s), Action(a)) - other.Get(State(s), Action(a))); d > m {
+				m = d
+			}
 		}
 	}
 	return m
@@ -578,15 +582,16 @@ func (t *QTable) MaxAbsDiff(other *QTable) float64 {
 
 // Get returns the trace of (s,a).
 func (tr *Traces) Get(s State, a Action) float64 {
-	k := tr.key(s, a)
-	if k >= len(tr.e) {
-		return 0
+	for _, t := range tr.live {
+		if t.s == int32(s) && t.a == int32(a) {
+			return t.e
+		}
 	}
-	return tr.e[k]
+	return 0
 }
 
 // Active returns the number of non-zero traces.
-func (tr *Traces) Active() int { return len(tr.active) }
+func (tr *Traces) Active() int { return len(tr.live) }
 
 // Env is an episodic environment with discrete states and actions.
 type Env interface {
@@ -652,4 +657,332 @@ func (l *QLambda) Table() *QTable { return l.table }
 type Policy interface {
 	// Select picks an action for state s.
 	Select(t *QTable, s State, rng *rand.Rand) Action
+}
+
+// denseQTable is the reference for QTable's row-sparse layout: every
+// state holds a row from the start, in one states×actions slice. It is
+// the layout QTable had before it went row-sparse, with Best answered by
+// the rescan the argmax cache must reproduce.
+type denseQTable struct {
+	states  int
+	actions int
+	q       []float64
+}
+
+func newDenseQTable(states, actions int, init float64) *denseQTable {
+	t := &denseQTable{states: states, actions: actions, q: make([]float64, states*actions)}
+	for i := range t.q {
+		t.q[i] = init
+	}
+	return t
+}
+
+func (t *denseQTable) Get(s State, a Action) float64 { return t.q[int(s)*t.actions+int(a)] }
+
+func (t *denseQTable) Set(s State, a Action, v float64) { t.q[int(s)*t.actions+int(a)] = v }
+
+func (t *denseQTable) Add(s State, a Action, delta float64) { t.q[int(s)*t.actions+int(a)] += delta }
+
+func (t *denseQTable) Best(s State) (Action, float64) {
+	row := t.q[int(s)*t.actions : (int(s)+1)*t.actions]
+	bestA, bestV := Action(0), row[0]
+	for a := 1; a < len(row); a++ {
+		if v := row[a]; v > bestV {
+			bestA, bestV = Action(a), v
+		}
+	}
+	return bestA, bestV
+}
+
+func (t *denseQTable) Clone() *denseQTable {
+	return &denseQTable{states: t.states, actions: t.actions, q: append([]float64(nil), t.q...)}
+}
+
+func (t *denseQTable) SetValues(v []float64) { copy(t.q, v) }
+
+func (t *denseQTable) AppendValues(dst []float64) []float64 { return append(dst, t.q...) }
+
+// denseTraces is the reference for Traces' live-entry layout: a value
+// slice indexed by key plus the list of live keys in first-visit order,
+// the layout Traces had before it kept only live entries.
+type denseTraces struct {
+	kind    TraceKind
+	actions int
+	e       []float64 // value by key; 0 = not live
+	active  []int     // live keys, in first-visit order
+}
+
+func (tr *denseTraces) Visit(s State, a Action) {
+	k := int(s)*tr.actions + int(a)
+	for k >= len(tr.e) {
+		tr.e = append(tr.e, 0)
+	}
+	if tr.e[k] == 0 {
+		tr.active = append(tr.active, k)
+	}
+	switch tr.kind {
+	case ReplacingTraces:
+		tr.e[k] = 1
+	default:
+		tr.e[k]++
+	}
+}
+
+func (tr *denseTraces) Decay(factor float64) {
+	kept := tr.active[:0]
+	for _, k := range tr.active {
+		v := tr.e[k] * factor
+		if v < traceEpsilon {
+			tr.e[k] = 0
+		} else {
+			tr.e[k] = v
+			kept = append(kept, k)
+		}
+	}
+	tr.active = kept
+}
+
+func (tr *denseTraces) Reset() {
+	for _, k := range tr.active {
+		tr.e[k] = 0
+	}
+	tr.active = tr.active[:0]
+}
+
+func (tr *denseTraces) ForEach(fn func(s State, a Action, e float64)) {
+	for _, k := range tr.active {
+		fn(State(k/tr.actions), Action(k%tr.actions), tr.e[k])
+	}
+}
+
+// opReader hands out the bytes of a differential test's op stream,
+// reading zeros once it runs dry.
+type opReader []byte
+
+func (r *opReader) next() int {
+	if len(*r) == 0 {
+		return 0
+	}
+	b := (*r)[0]
+	*r = (*r)[1:]
+	return int(b)
+}
+
+// diffValues are the values a differential op stream writes: exact
+// ties, both zeros, NaN and the infinities among them.
+var diffValues = []float64{0, math.Copysign(0, -1), 1, -1, 2, 3, 0.5, -3, math.NaN(), math.Inf(1), math.Inf(-1), 1e-300}
+
+// diffInits are the init values a differential table starts from.
+var diffInits = []float64{0, 1.5, -2, math.NaN(), math.Copysign(0, -1)}
+
+// sameBits reports whether two values are bitwise equal, counting any
+// two NaNs as equal: Go leaves the payload of a sum of two NaNs
+// unspecified (the compiler may swap a commutative operation's
+// operands), so the sparse and dense tables may differ there, and only
+// there, without either being wrong. Signed zeros are told apart.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+}
+
+// runQTableDiff drives two QTable/denseQTable pairs through the op
+// stream — Set, Add, whole-table SetValues (all-init rows included), a
+// Clone in either direction and Best queries — and after every op checks
+// that each QTable's Get, Best and AppendValues are bitwise equal to its
+// dense reference's. It returns a description of the first mismatch, or
+// "" when there is none.
+func runQTableDiff(ops []byte) string {
+	const states, actions = 5, 4
+	r := opReader(ops)
+	init := diffInits[r.next()%len(diffInits)]
+	value := func() float64 {
+		if b := r.next() % (len(diffValues) + 1); b < len(diffValues) {
+			return diffValues[b]
+		}
+		return init
+	}
+	sparse := [2]*QTable{NewQTable(states, actions, init)}
+	dense := [2]*denseQTable{newDenseQTable(states, actions, init)}
+	sparse[1], dense[1] = sparse[0].Clone(), dense[0].Clone()
+	vals := make([]float64, states*actions)
+	var got, want []float64
+	prefix := []float64{math.Pi}
+	for step := 0; len(r) > 0; step++ {
+		op, k := r.next(), r.next()%2
+		s, a := State(r.next()%states), Action(r.next()%actions)
+		q, d := sparse[k], dense[k]
+		var what string
+		switch op % 5 {
+		case 0:
+			v := value()
+			what = fmt.Sprintf("Set(%d,%d,%v)", s, a, v)
+			q.Set(s, a, v)
+			d.Set(s, a, v)
+		case 1:
+			v := value()
+			what = fmt.Sprintf("Add(%d,%d,%v)", s, a, v)
+			q.Add(s, a, v)
+			d.Add(s, a, v)
+		case 2:
+			// Each row is all init or a mix, so SetValues meets rows it
+			// must leave unmaterialized.
+			for row := 0; row < states; row++ {
+				mixed := r.next()%2 == 1
+				for j := 0; j < actions; j++ {
+					vals[row*actions+j] = init
+					if mixed {
+						vals[row*actions+j] = value()
+					}
+				}
+			}
+			what = fmt.Sprintf("SetValues(%v)", vals)
+			if err := q.SetValues(vals); err != nil {
+				return err.Error()
+			}
+			d.SetValues(vals)
+		case 3:
+			what = fmt.Sprintf("Clone of table %d", k)
+			sparse[1-k], dense[1-k] = q.Clone(), d.Clone()
+		default:
+			what = "Best"
+		}
+		for j := range sparse {
+			q, d := sparse[j], dense[j]
+			for st := State(0); st < states; st++ {
+				for ac := Action(0); ac < actions; ac++ {
+					if g, w := q.Get(st, ac), d.Get(st, ac); !sameBits(g, w) {
+						return fmt.Sprintf("step %d %s: table %d Get(%d,%d) = %v, dense %v", step, what, j, st, ac, g, w)
+					}
+				}
+			}
+			got, want = q.AppendValues(append(got[:0], prefix...)), d.AppendValues(append(want[:0], prefix...))
+			if len(got) != len(want) {
+				return fmt.Sprintf("step %d %s: table %d AppendValues len %d, dense %d", step, what, j, len(got), len(want))
+			}
+			for i := range got {
+				if !sameBits(got[i], want[i]) {
+					return fmt.Sprintf("step %d %s: table %d AppendValues[%d] = %v, dense %v", step, what, j, i, got[i], want[i])
+				}
+			}
+		}
+		// One Best query per op, on the state it named: querying every
+		// state would rescan every stale entry and hide the cache's
+		// incremental paths.
+		ga, gv := q.Best(s)
+		wa, wv := d.Best(s)
+		if ga != wa || !sameBits(gv, wv) {
+			return fmt.Sprintf("step %d %s: table %d Best(%d) = (%d,%v), dense (%d,%v)", step, what, k, s, ga, gv, wa, wv)
+		}
+	}
+	return ""
+}
+
+// TestQTableMatchesDense drives the row-sparse table and the dense
+// reference through random op streams and requires bitwise-equal
+// reads after every op.
+func TestQTableMatchesDense(t *testing.T) {
+	for _, ops := range qtableDiffSeeds {
+		if msg := runQTableDiff(ops); msg != "" {
+			t.Fatalf("seed %v: %s", ops, msg)
+		}
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]byte, 2000)
+		rng.Read(ops)
+		if msg := runQTableDiff(ops); msg != "" {
+			t.Logf("seed %d: %s", seed, msg)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// qtableDiffSeeds are hand-written op streams for the cases the dense
+// equivalence hinges on: a write of exactly init, −0.0 written under
+// init +0.0, NaN written and added, a non-zero init, and SetValues of
+// all-init rows followed by writes to them.
+var qtableDiffSeeds = [][]byte{
+	// init 0: Set(1,2,init) materializes nothing, then Set(1,2,−0.0).
+	{0, 0, 0, 1, 2, 12, 0, 0, 1, 2, 1},
+	// init 0: Add(3,0,−0.0) keeps +0.0, Add(3,1,NaN) materializes.
+	{0, 1, 0, 3, 0, 1, 1, 0, 3, 1, 8},
+	// init 1.5: Set(0,3,1.5) is a no-op, Set(0,1,3) then Set(0,1,NaN)
+	// demotes the winner to a NaN.
+	{1, 0, 0, 0, 3, 12, 0, 0, 0, 1, 5, 0, 0, 0, 1, 8, 4, 0, 0, 0},
+	// init −2: SetValues with rows 0 and 2 mixed and the rest all
+	// init, then writes to an all-init row and a Clone.
+	{2, 2, 0, 0, 0, 1, 2, 3, 4, 5, 0, 1, 6, 7, 8, 9, 0, 0, 0, 1, 4, 2, 2, 3, 3, 1, 0, 0},
+	// init NaN: Set of the same NaN bits, Add to NaN, Best on a NaN row.
+	{3, 0, 0, 2, 2, 12, 1, 0, 2, 2, 2, 4, 0, 2, 0},
+}
+
+// FuzzQTableMatchesDense feeds arbitrary op streams to the sparse/dense
+// differential (see runQTableDiff).
+func FuzzQTableMatchesDense(f *testing.F) {
+	for _, ops := range qtableDiffSeeds {
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if msg := runQTableDiff(ops); msg != "" {
+			t.Fatal(msg)
+		}
+	})
+}
+
+// TestTracesMatchesDense drives live-entry traces and the dense
+// reference through random visits, decays and resets under both trace
+// kinds, and requires the same entries, values and order after every op.
+func TestTracesMatchesDense(t *testing.T) {
+	const states, actions = 6, 3
+	type entry struct {
+		s State
+		a Action
+		e float64
+	}
+	collect := func(dst []entry, forEach func(func(State, Action, float64))) []entry {
+		dst = dst[:0]
+		forEach(func(s State, a Action, e float64) { dst = append(dst, entry{s, a, e}) })
+		return dst
+	}
+	factors := []float64{0.35, 0.5, 0.9, 1, traceEpsilon, 1e-7, 0}
+	for _, kind := range []TraceKind{AccumulatingTraces, ReplacingTraces} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			tr, ref := NewTraces(kind, actions), &denseTraces{kind: kind, actions: actions}
+			var got, want []entry
+			for step := 0; step < 400; step++ {
+				switch op := rng.Intn(10); {
+				case op < 6:
+					s, a := State(rng.Intn(states)), Action(rng.Intn(actions))
+					tr.Visit(s, a)
+					ref.Visit(s, a)
+				case op < 9:
+					factor := factors[rng.Intn(len(factors))]
+					tr.Decay(factor)
+					ref.Decay(factor)
+				default:
+					tr.Reset()
+					ref.Reset()
+				}
+				got, want = collect(got, tr.ForEach), collect(want, ref.ForEach)
+				if len(got) != len(want) || tr.Active() != len(want) {
+					t.Logf("kind %d seed %d step %d: %d live (Active %d), dense %d", kind, seed, step, len(got), tr.Active(), len(want))
+					return false
+				}
+				for i := range got {
+					if got[i].s != want[i].s || got[i].a != want[i].a || !sameBits(got[i].e, want[i].e) {
+						t.Logf("kind %d seed %d step %d: entry %d = %+v, dense %+v", kind, seed, step, i, got[i], want[i])
+						return false
+					}
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Error(err)
+		}
+	}
 }

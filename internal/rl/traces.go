@@ -19,84 +19,79 @@ const traceEpsilon = 1e-6
 
 // Traces is a sparse eligibility-trace table over (state, action) pairs.
 //
-// Storage is a dense value slice indexed by key plus a list of the live
-// keys: Decay and ForEach touch only live entries, and Reset zeroes them
-// without reallocating, so the per-update cost is O(active traces) with
-// no map overhead and no steady-state allocation. A trace is live iff its
-// value is non-zero (all trace values are positive by construction).
+// Storage is one slice of the live (pair, value) entries, in first-visit
+// order. The live set is a handful of entries, because Watkins's Q(λ)
+// resets traces on exploration and a trace decays below the cutoff within
+// a few dozen steps, so Visit finds an entry by linear scan. Decay and
+// ForEach touch only live entries, and Reset truncates without
+// reallocating, so the per-update cost is O(live traces) with no
+// steady-state allocation. A trace is live iff its value is non-zero (all
+// trace values are positive by construction).
 type Traces struct {
-	kind    TraceKind
-	actions int
-	e       []float64 // value by key; 0 = not live
-	active  []int     // live keys, in first-visit order
+	kind TraceKind
+	live []trace // in first-visit order
+}
+
+// trace is one live eligibility trace.
+type trace struct {
+	s, a int32
+	e    float64
 }
 
 // NewTraces returns empty traces for a table with the given action count.
+// Entries are keyed by their (state, action) pair, so the traces keep
+// no copy of the count.
 func NewTraces(kind TraceKind, actions int) *Traces {
-	return &Traces{kind: kind, actions: actions}
-}
-
-func (tr *Traces) key(s State, a Action) int { return int(s)*tr.actions + int(a) }
-
-// grow ensures the dense slice covers key k. The state space is fixed per
-// learner, so growth happens only on the first visits of a run.
-func (tr *Traces) grow(k int) {
-	if k < len(tr.e) {
-		return
-	}
-	n := len(tr.e)*2 + 1
-	if n <= k {
-		n = k + 1
-	}
-	e := make([]float64, n)
-	copy(e, tr.e)
-	tr.e = e
+	return &Traces{kind: kind}
 }
 
 // Visit marks (s,a) as just taken.
+//
+//coreda:hotpath
 func (tr *Traces) Visit(s State, a Action) {
-	k := tr.key(s, a)
-	tr.grow(k)
-	if tr.e[k] == 0 {
-		tr.active = append(tr.active, k)
+	i := 0
+	for ; i < len(tr.live); i++ {
+		if tr.live[i].s == int32(s) && tr.live[i].a == int32(a) {
+			break
+		}
+	}
+	if i == len(tr.live) {
+		tr.live = append(tr.live, trace{s: int32(s), a: int32(a)})
 	}
 	switch tr.kind {
 	case ReplacingTraces:
-		tr.e[k] = 1
+		tr.live[i].e = 1
 	default:
-		tr.e[k]++
+		tr.live[i].e++
 	}
 }
 
 // Decay multiplies every live trace by factor, dropping entries that fall
 // below the cutoff.
+//
+//coreda:hotpath
 func (tr *Traces) Decay(factor float64) {
-	kept := tr.active[:0]
-	for _, k := range tr.active {
-		v := tr.e[k] * factor
-		if v < traceEpsilon {
-			tr.e[k] = 0
-		} else {
-			tr.e[k] = v
-			kept = append(kept, k)
+	kept := tr.live[:0]
+	for _, t := range tr.live {
+		if t.e *= factor; t.e < traceEpsilon {
+			continue
 		}
+		kept = append(kept, t)
 	}
-	tr.active = kept
+	tr.live = kept
 }
 
 // Reset clears all traces (start of an episode, or after a non-greedy
 // action in Watkins Q(λ)) without releasing storage.
-func (tr *Traces) Reset() {
-	for _, k := range tr.active {
-		tr.e[k] = 0
-	}
-	tr.active = tr.active[:0]
-}
+func (tr *Traces) Reset() { tr.live = tr.live[:0] }
 
-// ForEach calls fn for every non-zero trace. Every live key is visited
-// exactly once, so the table updates it drives are order-independent.
+// ForEach calls fn for every live trace, in first-visit order. Every live
+// pair is visited exactly once, so the table updates it drives are
+// order-independent.
+//
+//coreda:hotpath
 func (tr *Traces) ForEach(fn func(s State, a Action, e float64)) {
-	for _, k := range tr.active {
-		fn(State(k/tr.actions), Action(k%tr.actions), tr.e[k])
+	for _, t := range tr.live {
+		fn(State(t.s), Action(t.a), t.e)
 	}
 }

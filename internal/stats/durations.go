@@ -13,26 +13,41 @@ import (
 // Durations is safe for concurrent use.
 type Durations struct {
 	mu sync.Mutex
-	m  map[uint32]*Running // built on the first Observe
+	e  []durationEntry // one per key, in first-Observe order
 }
 
-// NewDurations returns an empty tracker. An empty tracker holds no map,
-// so the idle households of a fleet pay nothing for one.
+// durationEntry is one key's running statistics.
+type durationEntry struct {
+	key uint32
+	r   Running
+}
+
+// NewDurations returns an empty tracker. An empty tracker holds no
+// entries, so the idle households of a fleet pay nothing for one.
 func NewDurations() *Durations {
 	return &Durations{}
+}
+
+// find returns key's statistics, or nil before its first Observe. A
+// household has a handful of tools, so a scan beats a map. The caller
+// holds d.mu.
+func (d *Durations) find(key uint32) *Running {
+	for i := range d.e {
+		if d.e[i].key == key {
+			return &d.e[i].r
+		}
+	}
+	return nil
 }
 
 // Observe records one usage duration for a key.
 func (d *Durations) Observe(key uint32, dur time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	r, ok := d.m[key]
-	if !ok {
-		if d.m == nil {
-			d.m = make(map[uint32]*Running)
-		}
-		r = &Running{}
-		d.m[key] = r
+	r := d.find(key)
+	if r == nil {
+		d.e = append(d.e, durationEntry{key: key})
+		r = &d.e[len(d.e)-1].r
 	}
 	r.Add(dur.Seconds())
 }
@@ -44,8 +59,8 @@ func (d *Durations) Observe(key uint32, dur time.Duration) {
 func (d *Durations) Timeout(key uint32, k float64, minSamples int, floor, ceil time.Duration) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	r, ok := d.m[key]
-	if !ok || r.N() < minSamples {
+	r := d.find(key)
+	if r == nil || r.N() < minSamples {
 		return floor
 	}
 	t := time.Duration((r.Mean() + k*r.StdDev()) * float64(time.Second))

@@ -336,7 +336,7 @@ func (c *Curve) AUC() float64 {
 func (d *Durations) N(key uint32) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if r, ok := d.m[key]; ok {
+	if r := d.find(key); r != nil {
 		return r.N()
 	}
 	return 0
@@ -346,7 +346,7 @@ func (d *Durations) N(key uint32) int {
 func (d *Durations) Mean(key uint32) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if r, ok := d.m[key]; ok {
+	if r := d.find(key); r != nil {
 		return time.Duration(r.Mean() * float64(time.Second))
 	}
 	return 0
@@ -356,9 +356,9 @@ func (d *Durations) Mean(key uint32) time.Duration {
 func (d *Durations) Keys() []uint32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	keys := make([]uint32, 0, len(d.m))
-	for k := range d.m {
-		keys = append(keys, k)
+	keys := make([]uint32, 0, len(d.e))
+	for _, e := range d.e {
+		keys = append(keys, e.key)
 	}
 	return keys
 }

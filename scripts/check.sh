@@ -69,12 +69,13 @@ END {
 # the wire codec, the timer core and lazily seeded random streams, the
 # shard ingest + clock-pump loops, the live heap and the allocations of
 # an admitted household (activity comparison and validation included),
-# the node client's report path, and the CKPT checkpoint codec. The
+# the node client's report path, the CKPT checkpoint codec, and the
+# Q-table and eligibility traces the planner learns through. The
 # hotalloc analyzer rides in the same phase — it names the escaping
 # expression when a //coreda:hotpath function regresses, which an
 # AllocsPerRun count never does.
 echo "== alloc budgets (no race)"
-go test -run 'Alloc' ./internal/adl/ ./internal/wire/ ./internal/sim/ ./internal/fleet/ ./internal/rtbridge/ ./internal/store/
+go test -run 'Alloc' ./internal/adl/ ./internal/wire/ ./internal/sim/ ./internal/fleet/ ./internal/rtbridge/ ./internal/store/ ./internal/rl/
 go run ./cmd/coreda-vet -only hotalloc ./...
 
 # Advance parity gate: the due-time tenant index must be observationally
