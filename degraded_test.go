@@ -6,7 +6,6 @@ import (
 
 	"coreda/internal/adl"
 	"coreda/internal/chaos"
-	"coreda/internal/sensornet"
 	"coreda/internal/sim"
 )
 
@@ -169,7 +168,7 @@ func TestSupervisionClosedLoop(t *testing.T) {
 		System: SystemConfig{
 			OnAlert: func(a CaregiverAlert) { alerts = append(alerts, a) },
 		},
-		Supervision: sensornet.SupervisionConfig{Interval: time.Second},
+		Supervise: time.Second,
 		Chaos: &chaos.Plan{Nodes: []chaos.NodeEvent{
 			{At: 5 * time.Second, UID: uint16(adl.ToolTeaBox), Op: chaos.OpCrash},
 			{At: 30 * time.Second, UID: uint16(adl.ToolTeaBox), Op: chaos.OpReboot},

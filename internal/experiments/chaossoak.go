@@ -35,10 +35,9 @@ type ChaosTrial struct {
 	// Gateway is the gateway's view of the chaotic run (dedup count,
 	// supervision transitions).
 	Gateway sensornet.GatewayStats
-	// DegradedEvents / Recoveries count the system-level degraded-mode
-	// transitions driven by supervision.
-	DegradedEvents int
-	Recoveries     int
+	// Alerts lists the chaotic run's caregiver alerts in the order
+	// raised: one per system-level degraded-mode transition.
+	Alerts []coreda.CaregiverAlert
 }
 
 // ChaosSoakResult aggregates a chaos soak.
@@ -92,7 +91,7 @@ func RunChaosSoak(seed int64, trials, trainSessions, workers int) (*ChaosSoakRes
 	activity := adl.TeaMaking()
 	routine := activity.CanonicalRoutine()
 
-	build := func(trialSeed int64, p *chaos.Plan) (*coreda.Simulation, error) {
+	build := func(trialSeed int64, p *chaos.Plan, onAlert func(coreda.CaregiverAlert)) (*coreda.Simulation, error) {
 		user := coreda.NewPersona("soak-user", 0.3)
 		user.ComplyMinimal, user.ComplySpecific = 1, 1
 		if err := user.SetRoutine(activity, routine); err != nil {
@@ -105,11 +104,12 @@ func RunChaosSoak(seed int64, trials, trainSessions, workers int) (*ChaosSoakRes
 			Chaos:    p,
 			// Supervision is armed in both runs so the baseline differs
 			// only by the injector: nodes heartbeat either way.
-			Supervision: sensornet.SupervisionConfig{Interval: 5 * time.Second},
+			Supervise: 5 * time.Second,
 			System: coreda.SystemConfig{
 				InferSkips:       true,
 				AssumeBlindSteps: true,
 				Planner:          coreda.PlannerConfig{LearnInitialPrompt: true},
+				OnAlert:          onAlert,
 			},
 		})
 	}
@@ -118,7 +118,7 @@ func RunChaosSoak(seed int64, trials, trainSessions, workers int) (*ChaosSoakRes
 		trialSeed := seed + int64(i)
 		tr := ChaosTrial{Seed: trialSeed}
 
-		base, err := build(trialSeed, nil)
+		base, err := build(trialSeed, nil, nil)
 		if err != nil {
 			return ChaosTrial{}, err
 		}
@@ -127,7 +127,7 @@ func RunChaosSoak(seed int64, trials, trainSessions, workers int) (*ChaosSoakRes
 		}
 		tr.BaselinePrecision = base.System.Planner().Evaluate([][]adl.StepID{routine})
 
-		sim, err := build(trialSeed, plan)
+		sim, err := build(trialSeed, plan, func(a coreda.CaregiverAlert) { tr.Alerts = append(tr.Alerts, a) })
 		if err != nil {
 			return ChaosTrial{}, err
 		}
@@ -152,9 +152,6 @@ func RunChaosSoak(seed int64, trials, trainSessions, workers int) (*ChaosSoakRes
 
 		tr.Injected = sim.Chaos.Stats
 		tr.Gateway = sim.Gateway.Stats
-		st := sim.System.Stats()
-		tr.DegradedEvents = st.DegradedEvents
-		tr.Recoveries = st.Recoveries
 		return tr, nil
 	})
 	if err != nil {

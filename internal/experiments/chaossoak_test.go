@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -35,8 +37,16 @@ func TestChaosSoakInvariants(t *testing.T) {
 		if tr.Gateway.OnlineEvents < tr.Gateway.OfflineEvents-1 {
 			t.Errorf("seed %d: %d online events for %d offline", tr.Seed, tr.Gateway.OnlineEvents, tr.Gateway.OfflineEvents)
 		}
-		if tr.DegradedEvents < 2 || tr.Recoveries < tr.DegradedEvents-1 {
-			t.Errorf("seed %d: degraded=%d recoveries=%d", tr.Seed, tr.DegradedEvents, tr.Recoveries)
+		degraded, recoveries := 0, 0
+		for _, a := range tr.Alerts {
+			if a.Recovered {
+				recoveries++
+			} else {
+				degraded++
+			}
+		}
+		if degraded < 2 || recoveries < degraded-1 {
+			t.Errorf("seed %d: degraded=%d recoveries=%d", tr.Seed, degraded, recoveries)
 		}
 		// Injected duplicates reached the gateway and were absorbed by
 		// sequence dedup rather than double-counted as usage.
@@ -76,5 +86,32 @@ func TestChaosSoakWorkerParity(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("workers=4 soak differs from workers=1:\nseq: %+v\npar: %+v", seq, par)
+	}
+}
+
+// chaosAlertDigest is the SHA-256 of every caregiver alert of the
+// 20-trial, 25-session chaos soak's chaotic runs, one "trial tool
+// recovered at" line each.
+const chaosAlertDigest = "58a0d9f5ffbfe04c8c65a17e9f119716324b04108516754596f1bf64d21be4fb"
+
+// TestChaosSoakTransitionDigest pins when supervision declares each node
+// offline and back online, not just how often: the chaos table counts
+// transitions, this digest covers every alert's tool, direction and
+// virtual time, trial by trial.
+func TestChaosSoakTransitionDigest(t *testing.T) {
+	r, err := RunChaosSoak(1, 20, 25, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	n := 0
+	for i, tr := range r.Trials {
+		for _, a := range tr.Alerts {
+			fmt.Fprintf(h, "%d %d %t %d\n", i, a.Tool, a.Recovered, a.At)
+			n++
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != chaosAlertDigest {
+		t.Errorf("digest of %d alerts = %s, want %s", n, got, chaosAlertDigest)
 	}
 }

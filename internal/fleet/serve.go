@@ -80,18 +80,11 @@ type Server struct {
 	conns map[string]map[uint16]*fleetConn // household → uid → latest conn
 	all   map[*fleetConn]struct{}
 	seq   uint16
-	// seen is the liveness registry under Supervise. Its entries outlive
-	// connections: a dead node's socket is often gone. recovered queues
-	// the offline nodes a frame has brought back, for the pump to
-	// deliver. Both guarded by mu.
-	seen      map[connKey]liveness
+	// sup, used under Supervise, watches each node from its first frame
+	// and past its connection, a dead node's socket being often gone.
+	// recovered queues its recoveries for the pump. Both guarded by mu.
+	sup       *sensornet.Supervisor[connKey]
 	recovered []connKey
-}
-
-// liveness is one supervised node's state, in virtual time.
-type liveness struct {
-	last    time.Duration // when its latest frame arrived
-	offline bool          // declared offline to its household
 }
 
 // readBufSize is each node connection's read buffer. One socket read
@@ -210,7 +203,9 @@ func NewServer(f *Fleet, cfg ServeConfig) (*Server, error) {
 		done:  make(chan struct{}),
 		conns: make(map[string]map[uint16]*fleetConn),
 		all:   make(map[*fleetConn]struct{}),
-		seen:  make(map[connKey]liveness),
+		sup: sensornet.NewSupervisor(cfg.Supervise, func(a, b connKey) int {
+			return cmp.Or(cmp.Compare(a.household, b.household), cmp.Compare(a.uid, b.uid))
+		}),
 	}
 	if f.state.Load() != fleetBuilt {
 		return nil, fmt.Errorf("fleet: NewServer requires a fleet that has not been started")
@@ -456,13 +451,9 @@ func (srv *Server) register(household string, uid uint16, nc *fleetConn, now tim
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	if srv.cfg.Supervise > 0 {
-		l := srv.seen[k]
-		if l.offline {
-			l.offline = false
+		if srv.sup.Watch(k, now) {
 			srv.recovered = append(srv.recovered, k)
 		}
-		l.last = now
-		srv.seen[k] = l
 	}
 	m := srv.conns[household]
 	if m == nil {
@@ -485,24 +476,14 @@ func (srv *Server) register(household string, uid uint16, nc *fleetConn, now tim
 // it, so each household gets its transitions in the order they were
 // decided.
 func (srv *Server) supervise(now time.Duration, sweep bool) {
-	deadline := 3 * srv.cfg.Supervise
 	var dead []connKey
 	srv.mu.Lock()
 	back := srv.recovered
 	srv.recovered = nil
 	if sweep {
-		for k, l := range srv.seen {
-			if !l.offline && now-l.last > deadline {
-				l.offline = true
-				srv.seen[k] = l
-				dead = append(dead, k)
-			}
-		}
+		dead = srv.sup.Expire(now)
 	}
 	srv.mu.Unlock()
-	slices.SortFunc(dead, func(a, b connKey) int {
-		return cmp.Or(cmp.Compare(a.household, b.household), cmp.Compare(a.uid, b.uid))
-	})
 	for _, k := range back {
 		srv.transition(k, now, true)
 	}
@@ -513,13 +494,13 @@ func (srv *Server) supervise(now time.Duration, sweep bool) {
 
 // transition delivers one node's liveness change to its household. A
 // household that Route places on another peer gets none: the node is
-// dropped from the registry instead, its transitions being the owner's
+// forgotten by the supervisor instead, its transitions being the owner's
 // to send.
 func (srv *Server) transition(k connKey, now time.Duration, online bool) {
 	if srv.cfg.Route != nil {
 		if _, local := srv.cfg.Route(k.household); !local {
 			srv.mu.Lock()
-			delete(srv.seen, k)
+			srv.sup.Forget(k)
 			srv.mu.Unlock()
 			return
 		}

@@ -801,8 +801,8 @@ func TestServeNodeLoopback(t *testing.T) {
 
 // TestServeSupervisionDropsForeignHouseholds pins supervision in a
 // cluster: an overdue node whose household Route now places on another
-// peer is dropped from the liveness registry, and no transition for it
-// enters a local tenant.
+// peer is forgotten by the supervisor, and no transition for it enters a
+// local tenant.
 func TestServeSupervisionDropsForeignHouseholds(t *testing.T) {
 	var moved atomic.Bool
 	route := func(household string) (string, bool) {
@@ -823,11 +823,12 @@ func TestServeSupervisionDropsForeignHouseholds(t *testing.T) {
 	}
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	if _, ok := srv.seen[connKey{"moving", uint16(adl.ToolKettle)}]; ok {
+	// A frame reports a recovery only for a node still supervised.
+	if srv.sup.Frame(connKey{"moving", uint16(adl.ToolKettle)}, 4*time.Hour) {
 		t.Error("foreign household's node still supervised")
 	}
-	if l := srv.seen[connKey{"staying", uint16(adl.ToolKettle)}]; !l.offline {
-		t.Errorf("local node = %+v, want it declared offline", l)
+	if !srv.sup.Frame(connKey{"staying", uint16(adl.ToolKettle)}, 4*time.Hour) {
+		t.Error("local node not declared offline")
 	}
 }
 

@@ -1,8 +1,8 @@
 package sensornet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
 	"time"
 
 	"coreda/internal/adl"
@@ -61,24 +61,6 @@ type GatewayStats struct {
 	OnlineEvents  int
 }
 
-// SupervisionConfig parameterizes the gateway's node-liveness watchdog.
-type SupervisionConfig struct {
-	// Interval is how often liveness is checked; it should match the
-	// nodes' heartbeat interval. Zero disables supervision.
-	Interval time.Duration
-	// Deadline is how long a watched node may stay silent — no
-	// heartbeat, usage report or ack — before it is declared OFFLINE.
-	// Zero means 3×Interval (three missed beats).
-	Deadline time.Duration
-}
-
-func (c SupervisionConfig) deadline() time.Duration {
-	if c.Deadline > 0 {
-		return c.Deadline
-	}
-	return 3 * c.Interval
-}
-
 // Gateway is the server-side radio endpoint: it deduplicates node reports,
 // acknowledges them, delivers UsageEvents to a handler, and pushes LED
 // commands to nodes with ack-based retransmission.
@@ -91,12 +73,9 @@ type Gateway struct {
 	seq     uint16
 	pending map[uint16]*pendingTx
 
-	// Liveness supervision state.
-	watched     []uint16 // sorted; determinism of the check sweep
-	lastSeen    map[uint16]time.Duration
-	offline     map[uint16]bool
+	// Liveness supervision, nil until Supervise.
+	sup         *Supervisor[uint16]
 	onNodeState func(uid uint16, online bool)
-	supStop     func()
 
 	// Stats accumulates gateway events.
 	Stats GatewayStats
@@ -106,79 +85,50 @@ type Gateway struct {
 // deduplicated usage event; it may be nil.
 func NewGateway(sched *sim.Scheduler, medium *Medium, handler func(UsageEvent)) *Gateway {
 	g := &Gateway{
-		sched:    sched,
-		medium:   medium,
-		handler:  handler,
-		lastSeq:  make(map[uint16]uint16),
-		pending:  make(map[uint16]*pendingTx),
-		lastSeen: make(map[uint16]time.Duration),
-		offline:  make(map[uint16]bool),
+		sched:   sched,
+		medium:  medium,
+		handler: handler,
+		lastSeq: make(map[uint16]uint16),
+		pending: make(map[uint16]*pendingTx),
 	}
 	medium.setGateway(g)
 	return g
 }
 
-// SetNodeStateHandler installs a callback for supervision transitions:
-// online=false when a watched node misses its liveness deadline,
-// online=true when a silent node reappears. It fires on the scheduler
-// goroutine, in sorted-UID order for simultaneous transitions.
-func (g *Gateway) SetNodeStateHandler(fn func(uid uint16, online bool)) { g.onNodeState = fn }
-
-// Watch registers nodes for liveness supervision. Each node starts in the
-// ONLINE state with its last-seen stamp set to now, so the deadline clock
-// starts immediately.
-func (g *Gateway) Watch(uids ...uint16) {
-	now := g.sched.Now()
+// Supervise watches uids from now, sweeping every interval (the nodes'
+// heartbeat interval); onState gets expiries in UID order and each
+// recovery as its frame arrives; it may be nil. Unwatched nodes never
+// transition. A non-positive interval supervises nothing. It panics if
+// the gateway is already supervised.
+func (g *Gateway) Supervise(interval time.Duration, onState func(uid uint16, online bool), uids ...uint16) {
+	if interval <= 0 {
+		return
+	}
+	if g.sup != nil {
+		panic("sensornet: Gateway.Supervise called twice")
+	}
+	if onState == nil {
+		onState = func(uint16, bool) {}
+	}
+	g.sup = NewSupervisor(interval, cmp.Compare[uint16])
+	g.onNodeState = onState
 	for _, uid := range uids {
-		if _, dup := g.lastSeen[uid]; dup {
-			continue
-		}
-		g.lastSeen[uid] = now
-		g.watched = append(g.watched, uid)
+		g.sup.Watch(uid, g.sched.Now())
 	}
-	sort.Slice(g.watched, func(i, j int) bool { return g.watched[i] < g.watched[j] })
-}
-
-// StartSupervision arms the periodic liveness check. It returns a stop
-// function; calling StartSupervision again restarts with the new config.
-func (g *Gateway) StartSupervision(cfg SupervisionConfig) (stop func()) {
-	if g.supStop != nil {
-		g.supStop()
-		g.supStop = nil
-	}
-	if cfg.Interval <= 0 {
-		return func() {}
-	}
-	deadline := cfg.deadline()
-	g.supStop = g.sched.Every(cfg.Interval, func() {
-		now := g.sched.Now()
-		for _, uid := range g.watched {
-			if g.offline[uid] || now-g.lastSeen[uid] <= deadline {
-				continue
-			}
-			g.offline[uid] = true
+	g.sched.Every(interval, func() {
+		for _, uid := range g.sup.Expire(g.sched.Now()) {
 			g.Stats.OfflineEvents++
-			if g.onNodeState != nil {
-				g.onNodeState(uid, false)
-			}
+			g.onNodeState(uid, false)
 		}
 	})
-	return g.supStop
 }
 
 // touch records traffic from a node and flips it back ONLINE if it had
 // been declared dead — recovery is symmetric with failure.
 func (g *Gateway) touch(uid uint16) {
-	if _, watched := g.lastSeen[uid]; !watched {
-		return
-	}
-	g.lastSeen[uid] = g.sched.Now()
-	if g.offline[uid] {
-		delete(g.offline, uid)
+	if g.sup != nil && g.sup.Frame(uid, g.sched.Now()) {
 		g.Stats.OnlineEvents++
-		if g.onNodeState != nil {
-			g.onNodeState(uid, true)
-		}
+		g.onNodeState(uid, true)
 	}
 }
 

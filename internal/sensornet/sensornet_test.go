@@ -1,6 +1,7 @@
 package sensornet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -466,17 +467,25 @@ func TestUnlimitedBatteryByDefault(t *testing.T) {
 
 // Online reports a watched node's supervision state. Unwatched nodes are
 // reported online.
-func (g *Gateway) Online(uid uint16) bool { return !g.offline[uid] }
+func (g *Gateway) Online(uid uint16) bool {
+	if g.sup == nil {
+		return true
+	}
+	return !g.sup.nodes[uid].offline
+}
 
 // OfflineNodes lists the watched nodes currently declared offline, in
 // ascending UID order.
 func (g *Gateway) OfflineNodes() []uint16 {
 	var out []uint16
-	for _, uid := range g.watched {
-		if g.offline[uid] {
-			out = append(out, uid)
+	if g.sup != nil {
+		for uid, l := range g.sup.nodes {
+			if l.offline {
+				out = append(out, uid)
+			}
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 

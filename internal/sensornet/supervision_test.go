@@ -1,11 +1,14 @@
 package sensornet
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"coreda/internal/sim"
+	"coreda/internal/testutil"
 )
 
 // transition records one node-state callback.
@@ -27,11 +30,9 @@ func newSupervisedNet(t *testing.T, beat time.Duration, uids ...uint16) (*sim.Sc
 		nodes = append(nodes, n)
 	}
 	var trans []transition
-	g.Watch(uids...)
-	g.SetNodeStateHandler(func(uid uint16, online bool) {
+	g.Supervise(beat, func(uid uint16, online bool) {
 		trans = append(trans, transition{UID: uid, Online: online, At: sched.Now()})
-	})
-	g.StartSupervision(SupervisionConfig{Interval: beat})
+	}, uids...)
 	return sched, m, g, nodes, &trans
 }
 
@@ -47,7 +48,7 @@ func TestSupervisionDeclaresCrashedNodeOffline(t *testing.T) {
 	}
 
 	nodes[0].Crash()
-	// Default deadline is three missed beats: silence from 10s means the
+	// The deadline is three missed beats: silence from 10s means the
 	// sweep at 14s (last-seen ~10s, deadline 3s) declares the node dead.
 	sched.RunUntil(20 * time.Second)
 	if len(*trans) != 1 || (*trans)[0].Online || (*trans)[0].UID != 7 {
@@ -87,10 +88,9 @@ func TestSupervisionOnlyWatchesRegisteredNodes(t *testing.T) {
 	// Node exists but is never watched — and never even heartbeats.
 	NewNode(NodeConfig{UID: 9}, sched, m, NewSliceSource(nil, 0, nil)).Start()
 	var trans []transition
-	g.SetNodeStateHandler(func(uid uint16, online bool) {
+	g.Supervise(time.Second, func(uid uint16, online bool) {
 		trans = append(trans, transition{UID: uid, Online: online})
 	})
-	g.StartSupervision(SupervisionConfig{Interval: time.Second})
 
 	sched.RunUntil(30 * time.Second)
 	if len(trans) != 0 {
@@ -98,36 +98,6 @@ func TestSupervisionOnlyWatchesRegisteredNodes(t *testing.T) {
 	}
 	if !g.Online(9) {
 		t.Error("unwatched node reported offline")
-	}
-}
-
-func TestSupervisionStopHaltsSweeps(t *testing.T) {
-	sched, _, g, nodes, trans := newSupervisedNet(t, time.Second, 3)
-	stop := g.StartSupervision(SupervisionConfig{Interval: time.Second})
-	nodes[0].Crash()
-	stop()
-	sched.RunUntil(30 * time.Second)
-	if len(*trans) != 0 {
-		t.Errorf("stopped supervision still declared: %+v", *trans)
-	}
-	if g.Stats.OfflineEvents != 0 {
-		t.Errorf("OfflineEvents = %d after stop", g.Stats.OfflineEvents)
-	}
-}
-
-func TestSupervisionCustomDeadline(t *testing.T) {
-	sched, _, _, nodes, trans := newSupervisedNet(t, time.Second, 4)
-	// Re-arm with a long explicit deadline; the crash must not be declared
-	// until it elapses.
-	nodes[0].medium.gw.StartSupervision(SupervisionConfig{Interval: time.Second, Deadline: 10 * time.Second})
-	nodes[0].Crash()
-	sched.RunUntil(8 * time.Second)
-	if len(*trans) != 0 {
-		t.Fatalf("declared before the 10s deadline: %+v", *trans)
-	}
-	sched.RunUntil(15 * time.Second)
-	if len(*trans) != 1 {
-		t.Fatalf("never declared after the deadline: %+v", *trans)
 	}
 }
 
@@ -195,5 +165,78 @@ func TestCrashLosesQueuedGesture(t *testing.T) {
 		if e.Kind == UsageStarted {
 			t.Errorf("ghost usage start after reboot: %+v", e)
 		}
+	}
+}
+
+// TestSupervisor pins the rule on its own: expiry strictly after three
+// intervals, in key order, once; one recovery per outage; frames from
+// unwatched or forgotten nodes ignored.
+func TestSupervisor(t *testing.T) {
+	sup := NewSupervisor(time.Second, cmp.Compare[uint16])
+	for _, uid := range []uint16{5, 3, 9} {
+		sup.Watch(uid, 0)
+	}
+	sup.Frame(9, time.Second)
+	if got := sup.Expire(3 * time.Second); len(got) != 0 {
+		t.Errorf("Expire at exactly the deadline = %v, want none", got)
+	}
+	if got := sup.Expire(3*time.Second + 1); !slices.Equal(got, []uint16{3, 5}) {
+		t.Errorf("Expire = %v, want [3 5]", got)
+	}
+	if got := sup.Expire(10 * time.Second); !slices.Equal(got, []uint16{9}) {
+		t.Errorf("second Expire = %v, want only the newly silent [9]", got)
+	}
+	if !sup.Frame(3, 11*time.Second) || sup.Frame(3, 12*time.Second) {
+		t.Error("recovery not reported exactly once")
+	}
+	if sup.Frame(7, 12*time.Second) {
+		t.Error("frame from an unwatched node reported a recovery")
+	}
+	sup.Forget(5)
+	if sup.Frame(5, 12*time.Second) {
+		t.Error("frame from a forgotten node reported a recovery")
+	}
+	if got := sup.Expire(time.Hour); !slices.Equal(got, []uint16{3}) {
+		t.Errorf("Expire after Forget = %v, want [3]", got)
+	}
+}
+
+func TestGatewaySuperviseOnce(t *testing.T) {
+	sched := sim.New()
+	g := NewGateway(sched, perfectMedium(sched), nil)
+	g.Supervise(0, nil, 1) // no-op: supervises nothing
+	g.Supervise(time.Second, nil, 1)
+	sched.RunUntil(10 * time.Second) // a nil handler is tolerated
+	if g.Online(1) || g.Stats.OfflineEvents != 1 {
+		t.Errorf("silent node: Online = %v, OfflineEvents = %d", g.Online(1), g.Stats.OfflineEvents)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("second Supervise did not panic")
+		}
+	}()
+	g.Supervise(time.Second, nil, 2)
+}
+
+// TestSupervisorAllocBudget pins the per-frame cost of supervision: a
+// frame from a watched node, and a sweep that expires nothing, allocate
+// nothing.
+func TestSupervisorAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
+	}
+	sup := NewSupervisor(time.Second, cmp.Compare[uint16])
+	for uid := uint16(0); uid < 64; uid++ {
+		sup.Watch(uid, 0)
+	}
+	var now time.Duration
+	uid := uint16(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		now += time.Millisecond
+		uid = (uid + 7) % 64
+		sup.Frame(uid, now)
+		sup.Expire(now)
+	}); n != 0 {
+		t.Errorf("frame + empty sweep = %v allocs, want 0", n)
 	}
 }

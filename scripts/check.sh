@@ -69,13 +69,13 @@ END {
 # the wire codec, the timer core and lazily seeded random streams, the
 # shard ingest + clock-pump loops, the live heap and the allocations of
 # an admitted household (activity comparison and validation included),
-# the node client's report path, the CKPT checkpoint codec, and the
-# Q-table and eligibility traces the planner learns through. The
-# hotalloc analyzer rides in the same phase — it names the escaping
-# expression when a //coreda:hotpath function regresses, which an
-# AllocsPerRun count never does.
+# the node client's report path, the CKPT checkpoint codec, the
+# Q-table and eligibility traces the planner learns through, and a
+# supervised node's frame. The hotalloc analyzer rides in the same
+# phase — it names the escaping expression when a //coreda:hotpath
+# function regresses, which an AllocsPerRun count never does.
 echo "== alloc budgets (no race)"
-go test -run 'Alloc' ./internal/adl/ ./internal/wire/ ./internal/sim/ ./internal/fleet/ ./internal/rtbridge/ ./internal/store/ ./internal/rl/
+go test -run 'Alloc' ./internal/adl/ ./internal/wire/ ./internal/sim/ ./internal/fleet/ ./internal/rtbridge/ ./internal/store/ ./internal/rl/ ./internal/sensornet/
 go run ./cmd/coreda-vet -only hotalloc ./...
 
 # Advance parity gate: the due-time tenant index must be observationally
@@ -94,10 +94,13 @@ echo "== build coreda-bench (race-enabled)"
 bench="$tmp/coreda-bench"
 go build -race -o "$bench" ./cmd/coreda-bench
 
-echo "== chaos soak (workers 1 vs 4 must match)"
-"$bench" -workers 1 chaos > "$tmp/chaos-w1.txt"
-"$bench" -workers 4 chaos > "$tmp/chaos-w4.txt"
-diff "$tmp/chaos-w1.txt" "$tmp/chaos-w4.txt"
+# Both worker counts are held to the committed golden, not only to each
+# other, so a change that shifts every offline/online count alike fails.
+echo "== chaos soak (workers 1 and 4 vs golden, race-enabled)"
+for w in 1 4; do
+    "$bench" -workers "$w" chaos > "$tmp/chaos-w$w.txt"
+    diff "$golden/chaos.txt" "$tmp/chaos-w$w.txt"
+done
 
 # Golden gates: each soak's stdout (stats + policy digest) must be
 # byte-identical to a golden committed under scripts/golden/. Diffing

@@ -37,11 +37,10 @@ type SimulationConfig struct {
 	// medium: scripted frame faults plus scheduled node crash/reboot/drain
 	// events, all driven by Seed's "chaos" stream.
 	Chaos *chaos.Plan
-	// Supervision, when Interval > 0, turns on node-liveness supervision:
-	// nodes heartbeat at Interval, the gateway watches every node, and
-	// supervision transitions feed System.SetToolOnline (graceful
-	// degradation + caregiver alerts).
-	Supervision sensornet.SupervisionConfig
+	// Supervise, when positive, arms node-liveness supervision: nodes
+	// heartbeat every Supervise, and the gateway's transitions feed
+	// System.SetToolOnline (graceful degradation + caregiver alerts).
+	Supervise time.Duration
 }
 
 // SessionResult summarizes one simulated session.
@@ -166,7 +165,7 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 		node := sensornet.NewNode(sensornet.NodeConfig{
 			UID:       uint16(id),
 			Sensor:    tool.Sensor,
-			Heartbeat: cfg.Supervision.Interval,
+			Heartbeat: cfg.Supervise,
 		}, s.Sched, s.Medium, src)
 		node.Start()
 		s.sources[id] = src
@@ -174,13 +173,9 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 		uids = append(uids, uint16(id))
 	}
 
-	if cfg.Supervision.Interval > 0 {
-		s.Gateway.Watch(uids...)
-		s.Gateway.SetNodeStateHandler(func(uid uint16, online bool) {
-			system.SetToolOnline(ToolID(uid), online)
-		})
-		s.Gateway.StartSupervision(cfg.Supervision)
-	}
+	s.Gateway.Supervise(cfg.Supervise, func(uid uint16, online bool) {
+		system.SetToolOnline(ToolID(uid), online)
+	}, uids...)
 
 	if cfg.Chaos != nil {
 		inj, err := chaos.New(cfg.Chaos, s.Sched, sim.RNG(cfg.Seed, "chaos"))
