@@ -167,22 +167,22 @@ func run(o options) error {
 	}
 	var node *cluster.Node
 	var backend store.Backend
+	backend, err = store.NewDirBackend(o.dir)
+	if err != nil {
+		l.Close()
+		return err
+	}
 	if o.peers != "" {
 		if o.peerAddr == "" {
 			l.Close()
 			return fmt.Errorf("-peers requires -peer-addr (this process's entry in the peer list)")
-		}
-		local, err := store.NewDirBackend(o.dir)
-		if err != nil {
-			l.Close()
-			return err
 		}
 		node, err = cluster.NewNode(cluster.NodeConfig{
 			PeerAddr: o.peerAddr,
 			NodeAddr: l.Addr().String(),
 			Peers:    strings.Split(o.peers, ","),
 			Replicas: o.replicas,
-			Local:    local,
+			Local:    backend,
 			Seed:     o.seed,
 			Bus:      bus,
 		})
@@ -195,7 +195,6 @@ func run(o options) error {
 
 	f, err := fleet.New(fleet.Config{
 		Shards:    o.shards,
-		Dir:       o.dir,
 		Backend:   backend,
 		IdleEvict: o.evict,
 		Bus:       bus,
@@ -232,7 +231,6 @@ func run(o options) error {
 		ReadTimeout:      o.readTimeout,
 		WriteTimeout:     o.writeTimeout,
 		Supervise:        o.supervise,
-		OnLog:            func(msg string) { out.printf("%s\n", msg) },
 	}
 	if node != nil {
 		cfg.Route = node.Route

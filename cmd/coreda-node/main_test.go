@@ -8,6 +8,7 @@ import (
 	"coreda"
 	"coreda/internal/adl"
 	"coreda/internal/fleet"
+	"coreda/internal/store"
 )
 
 // testFleet is one in-process fleet server on a loopback listener.
@@ -22,8 +23,8 @@ type testFleet struct {
 func startFleet(t *testing.T, speed float64, route func(string) (string, bool)) *testFleet {
 	t.Helper()
 	f, err := fleet.New(fleet.Config{
-		Shards: 1,
-		Dir:    t.TempDir(),
+		Shards:  1,
+		Backend: store.NewMemBackend(),
 		NewSystem: func(household string) (coreda.SystemConfig, error) {
 			return coreda.SystemConfig{
 				Activity: adl.TeaMaking(),

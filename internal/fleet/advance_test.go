@@ -40,7 +40,7 @@ func sweepAdvance(s *shard, to time.Duration, ids []string) []string {
 // as a control closure. Neither waits for the ticks to be dispatched.
 func tick(f *Fleet, to time.Duration, sweep bool) {
 	if !sweep {
-		f.advanceAll(to)
+		f.Advance(to)
 		return
 	}
 	for _, s := range f.shards {
@@ -49,7 +49,7 @@ func tick(f *Fleet, to time.Duration, sweep bool) {
 }
 
 // runAdvanceWorkload drives a fleet whose clock is pumped exclusively
-// through Fleet.advanceAll ticks — the serving-layer pattern — over the
+// through Fleet.Advance ticks — the serving-layer pattern — over the
 // soak's household streams, and returns the checkpoint digest. Sessions
 // are delivered in rounds (session k of every household, round-robin)
 // with a shard-wide tick after each round, and a final tick past the
@@ -57,8 +57,7 @@ func tick(f *Fleet, to time.Duration, sweep bool) {
 // rather than through Stop.
 func runAdvanceWorkload(t *testing.T, shards int, sweep bool) (string, Stats) {
 	t.Helper()
-	dir := t.TempDir()
-	cfg := testConfig(dir)
+	cfg := testConfig(t, t.TempDir())
 	cfg.Shards = shards
 	cfg.IdleEvict = 10 * time.Minute
 
@@ -109,7 +108,7 @@ func runAdvanceWorkload(t *testing.T, shards int, sweep bool) (string, Stats) {
 	st := f.Stats()
 	f.Stop()
 
-	digest, err := DigestDir(dir)
+	digest, err := Digest(cfg.Backend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +152,7 @@ func TestAdvanceParity(t *testing.T) {
 // sweep keeps it resident.
 func TestLateEventAfterTickParity(t *testing.T) {
 	for _, sweep := range []bool{false, true} {
-		dir := t.TempDir()
-		cfg := testConfig(dir)
+		cfg := testConfig(t, t.TempDir())
 		cfg.Shards = 1
 		cfg.IdleEvict = 10 * time.Minute
 		f, err := New(cfg)

@@ -24,7 +24,7 @@ func TestShardIngestAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
 	}
-	cfg := testConfig(t.TempDir())
+	cfg := testConfig(t, t.TempDir())
 	cfg.Shards = 1
 	f, err := New(cfg)
 	if err != nil {
@@ -91,7 +91,7 @@ func TestAdvanceTickAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
 	}
-	cfg := testConfig(t.TempDir())
+	cfg := testConfig(t, t.TempDir())
 	cfg.Shards = 1
 	f, err := New(cfg)
 	if err != nil {
@@ -111,7 +111,7 @@ func TestAdvanceTickAllocBudget(t *testing.T) {
 	}
 	f.Stats()
 	for i := 0; i < 100; i++ { // warm the pump
-		f.advanceAll(time.Duration(i) * time.Millisecond)
+		f.Advance(time.Duration(i) * time.Millisecond)
 	}
 	f.Stats()
 
@@ -120,7 +120,7 @@ func TestAdvanceTickAllocBudget(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < ticks; i++ {
-		f.advanceAll(time.Duration(100+i) * time.Millisecond)
+		f.Advance(time.Duration(100+i) * time.Millisecond)
 	}
 	f.Stats() // barrier: every tick has been dispatched
 	runtime.ReadMemStats(&after)
@@ -144,7 +144,7 @@ func TestServeAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc budgets are enforced by the no-race pass (scripts/check.sh)")
 	}
-	cfg := testConfig(t.TempDir())
+	cfg := testConfig(t, t.TempDir())
 	cfg.Shards = 1
 	f, err := New(cfg)
 	if err != nil {
@@ -281,7 +281,7 @@ func checkpointedBackend(tb testing.TB, cfg Config, ids []string, episodes int) 
 func admitCycle(tb testing.TB) (*shard, func()) {
 	tb.Helper()
 	const id = "bench-ckpt"
-	cfg := testConfig("")
+	cfg := testConfig(tb, "")
 	cfg.Shards = 1
 	cfg.Backend = checkpointedBackend(tb, cfg, []string{id}, 0)
 	f, err := New(cfg)
@@ -378,7 +378,7 @@ func testAdmitHeap(t *testing.T, episodes int, budget float64) {
 	for i := range ids {
 		ids[i] = fmt.Sprintf("heap-%04d", i)
 	}
-	cfg := testConfig("")
+	cfg := testConfig(t, "")
 	cfg.Backend = checkpointedBackend(t, cfg, ids, episodes)
 	f, err := New(cfg)
 	if err != nil {
@@ -424,8 +424,7 @@ func TestLearningHeapAllocBudget(t *testing.T) {
 		ids[i] = SoakHousehold(i)
 		sessions[i] = SoakSessions(soak, ids[i])[0]
 	}
-	cfg := testConfig("")
-	cfg.Backend = store.NewMemBackend()
+	cfg := testConfig(t, "")
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // flushes, no eviction). Traffic round-robins across households, the
 // worst case for the shard's last-tenant cache.
 func BenchmarkShardIngest(b *testing.B) {
-	cfg := testConfig(b.TempDir())
+	cfg := testConfig(b, b.TempDir())
 	cfg.Shards = 1
 	f, err := New(cfg)
 	if err != nil {
@@ -63,7 +63,7 @@ func BenchmarkShardIngest(b *testing.B) {
 // numbers exact.
 func idleFleetShard(b *testing.B, resident, active int) *shard {
 	b.Helper()
-	cfg := testConfig(b.TempDir())
+	cfg := testConfig(b, b.TempDir())
 	cfg.Shards = 1
 	f, err := New(cfg)
 	if err != nil {

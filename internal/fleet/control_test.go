@@ -123,7 +123,7 @@ func TestJobRetriesDeterministic(t *testing.T) {
 		}
 	}
 
-	cfg := testConfig(t.TempDir())
+	cfg := testConfig(t, t.TempDir())
 	cfg.IdleEvict = time.Minute
 	cfg.JobInject = func(int) func() int { return func() int { return 5 } }
 	f, err := New(cfg)
@@ -173,7 +173,7 @@ func TestWritebackFailedSurfaces(t *testing.T) {
 	bus := notify.NewBus()
 	failed := bus.Subscribe(16, notify.WritebackFailed)
 	broken := true
-	cfg := testConfig(t.TempDir())
+	cfg := testConfig(t, "")
 	cfg.Backend = &failingBackend{
 		Backend: store.NewMemBackend(),
 		fail:    func(name string) bool { return broken && name == "sato" },

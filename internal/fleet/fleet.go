@@ -14,12 +14,11 @@
 //
 // Tenants are admitted lazily: the first event for an unknown household
 // builds its stack and, if a checkpoint blob exists in the storage
-// backend (store.Backend; the local-dir backend over Config.Dir by
-// default), restores the learned policy from it (crash recovery and
-// idle-eviction recovery share this path). Idle tenants are evicted with
-// a final checkpoint; periodic batch checkpointing streams every dirty
-// tenant of a shard through the backend's atomic, generation-rotating
-// writes.
+// backend (Config.Backend), restores the learned policy from it (crash
+// recovery and idle-eviction recovery share this path). Idle tenants
+// are evicted with a final checkpoint; periodic batch checkpointing
+// streams every dirty tenant of a shard through the backend's atomic,
+// generation-rotating writes.
 //
 // Like parrun for the experiments layer, fleet is a sanctioned
 // concurrency boundary of the otherwise single-threaded simulation
@@ -62,13 +61,9 @@ type Config struct {
 	// Shards is the number of shard event loops (and goroutines)
 	// households are hashed across. Zero means runtime.GOMAXPROCS(0).
 	Shards int
-	// Dir is the checkpoint directory: each household persists to
-	// <Dir>/<household>.ckpt via the store's crash-safe rotation. A
-	// directory holding pre-CKPT <household>.json checkpoints is refused
-	// at New (see store.NewDirBackend). Ignored when Backend is set.
-	Dir string
-	// Backend overrides where checkpoints live. Nil means the local-dir
-	// backend rooted at Dir.
+	// Backend is where checkpoints live, one blob per household (for a
+	// directory of <household>.ckpt files, store.NewDirBackend).
+	// Required.
 	Backend store.Backend
 	// NewSystem builds the system configuration for a household admitted
 	// for the first time (or re-admitted after eviction). Required. The
@@ -188,9 +183,8 @@ const (
 // Fleet is the sharded household runtime. Build with New, call Start,
 // route traffic with Deliver, and Stop to drain and checkpoint.
 type Fleet struct {
-	cfg     Config
-	backend store.Backend
-	shards  []*shard
+	cfg    Config
+	shards []*shard
 	// acts interns the households' activities (see activityTable).
 	acts activityTable
 
@@ -316,16 +310,9 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: Config.NewSystem is required")
 	}
 	if cfg.Backend == nil {
-		if cfg.Dir == "" {
-			return nil, fmt.Errorf("fleet: Config.Dir or Config.Backend is required")
-		}
-		b, err := store.NewDirBackend(cfg.Dir)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: %w", err)
-		}
-		cfg.Backend = b
+		return nil, fmt.Errorf("fleet: Config.Backend is required")
 	}
-	f := &Fleet{cfg: cfg, backend: cfg.Backend}
+	f := &Fleet{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{
 			f:       f,
@@ -348,7 +335,7 @@ func New(cfg Config) (*Fleet, error) {
 	// One backend enumeration seeds every shard's known-checkpoint set,
 	// so admissions never probe the store for households that have never
 	// been persisted.
-	err := f.backend.Enumerate(func(name string) {
+	err := cfg.Backend.Enumerate(func(name string) {
 		if !ValidHousehold(name) {
 			return
 		}
@@ -373,18 +360,42 @@ func (f *Fleet) Start() {
 	}
 }
 
+// errNotRunning is the error of a shard call outside Start..Stop.
+var errNotRunning = errors.New("fleet: not running")
+
+// route returns the shard owning household, or why the fleet cannot
+// take work for it: an invalid household ID, or a fleet not running.
+func (f *Fleet) route(household string) (*shard, error) {
+	if !ValidHousehold(household) {
+		return nil, fmt.Errorf("fleet: invalid household ID %q", household)
+	}
+	if f.state.Load() != fleetStarted {
+		return nil, errNotRunning
+	}
+	return f.shards[ShardOf(household, len(f.shards))], nil
+}
+
+// call runs fn on the household's shard loop and waits for its result.
+func (f *Fleet) call(household string, fn func(*shard) error) error {
+	s, err := f.route(household)
+	if err != nil {
+		return err
+	}
+	res := make(chan error, 1)
+	s.in <- msg{fn: func(s *shard) { res <- fn(s) }}
+	return <-res
+}
+
 // Deliver routes one event to its household's shard, blocking while the
 // shard's queue is full (backpressure). Events for the same household
 // must come from one goroutine (or be externally ordered); their At
 // values must be non-decreasing.
 func (f *Fleet) Deliver(ev Event) error {
-	if !ValidHousehold(ev.Household) {
-		return fmt.Errorf("fleet: invalid household ID %q", ev.Household)
+	s, err := f.route(ev.Household)
+	if err != nil {
+		return err
 	}
-	if f.state.Load() != fleetStarted {
-		return fmt.Errorf("fleet: not running")
-	}
-	f.shards[ShardOf(ev.Household, len(f.shards))].in <- msg{ev: ev}
+	s.in <- msg{ev: ev}
 	return nil
 }
 
@@ -392,26 +403,17 @@ func (f *Fleet) Deliver(ev Event) error {
 // is not resident, and waits for it to finish. The tenant must not be
 // retained after fn returns.
 func (f *Fleet) Do(household string, fn func(*Tenant) error) error {
-	if !ValidHousehold(household) {
-		return fmt.Errorf("fleet: invalid household ID %q", household)
-	}
-	if f.state.Load() != fleetStarted {
-		return fmt.Errorf("fleet: not running")
-	}
-	res := make(chan error, 1)
-	f.shards[ShardOf(household, len(f.shards))].in <- msg{fn: func(s *shard) {
+	return f.call(household, func(s *shard) error {
 		t, err := s.admit(household)
 		if err != nil {
-			res <- err
-			return
+			return err
 		}
 		err = fn(t)
 		// fn may have armed or cancelled timers (started a session, say):
 		// recompute the tenant's slot in the due-time index.
 		s.refreshDue(t)
-		res <- err
-	}}
-	return <-res
+		return err
+	})
 }
 
 // MarkKnown records that a checkpoint blob for household now exists in
@@ -420,19 +422,10 @@ func (f *Fleet) Do(household string, fn func(*Tenant) error) error {
 // backend by the peer link, not by this fleet), so a later admission
 // restores from the blob instead of starting fresh.
 func (f *Fleet) MarkKnown(household string) error {
-	if !ValidHousehold(household) {
-		return fmt.Errorf("fleet: invalid household ID %q", household)
-	}
-	if f.state.Load() != fleetStarted {
-		return fmt.Errorf("fleet: not running")
-	}
-	res := make(chan struct{})
-	f.shards[ShardOf(household, len(f.shards))].in <- msg{fn: func(s *shard) {
+	return f.call(household, func(s *shard) error {
 		s.known[household] = true
-		close(res)
-	}}
-	<-res
-	return nil
+		return nil
+	})
 }
 
 // EvictNow forces one resident tenant out immediately: it writes the
@@ -440,17 +433,7 @@ func (f *Fleet) MarkKnown(household string) error {
 // its next event re-admits it from that checkpoint. A household that is
 // not resident is a no-op (its checkpoint, if any, is already on disk).
 func (f *Fleet) EvictNow(household string) error {
-	if !ValidHousehold(household) {
-		return fmt.Errorf("fleet: invalid household ID %q", household)
-	}
-	if f.state.Load() != fleetStarted {
-		return fmt.Errorf("fleet: not running")
-	}
-	res := make(chan error, 1)
-	f.shards[ShardOf(household, len(f.shards))].in <- msg{fn: func(s *shard) {
-		res <- s.evictNow(household)
-	}}
-	return <-res
+	return f.call(household, func(s *shard) error { return s.evictNow(household) })
 }
 
 // evictNow force-evicts one household on the loop goroutine, fsyncing
@@ -462,7 +445,7 @@ func (s *shard) evictNow(household string) error {
 	if !ok {
 		return nil
 	}
-	if err := t.save(s.f.backend, &s.saver, true); err != nil {
+	if err := t.save(s.f.cfg.Backend, &s.saver, true); err != nil {
 		return err
 	}
 	delete(s.dirty, household)
@@ -492,30 +475,24 @@ func (f *Fleet) barrier(fn func(*shard)) {
 	wg.Wait()
 }
 
-// advanceAll moves every tenant with due work's virtual clock to at
-// least `to`, firing due timers and the idle-eviction check. The serving
-// layer calls this from its wall-clock pump; it does not wait for
-// completion. The tick is encoded as a household-less EventAdvance
-// message rather than a control closure, so a pump tick allocates
-// nothing (a closure would heap-allocate its captured deadline).
-func (f *Fleet) advanceAll(to time.Duration) {
+// Advance asks every shard to move its due tenants' virtual clocks to
+// at least to, firing due timers and the idle-eviction check — the
+// external clock pump, for serving layers (and idle benchmarks) driving
+// the fleet off their own wall or virtual clock. It does not wait for
+// the ticks to be processed; a Stats call is a barrier if the caller
+// needs one. to values should be non-decreasing, and events delivered
+// after an Advance should not be stamped before it (a monotone source
+// clock gives both for free).
+func (f *Fleet) Advance(to time.Duration) error {
+	if f.state.Load() != fleetStarted {
+		return errNotRunning
+	}
+	// The tick is a household-less EventAdvance message rather than a
+	// control closure, so a pump tick allocates nothing (a closure would
+	// heap-allocate its captured deadline).
 	for _, s := range f.shards {
 		s.in <- msg{ev: Event{Kind: EventAdvance, At: to}}
 	}
-}
-
-// Advance asks every shard to move its due tenants' virtual clocks to
-// at least to — the external clock pump, for serving layers (and idle
-// benchmarks) driving the fleet off their own wall or virtual clock.
-// It does not wait for the ticks to be processed; a Stats call is a
-// barrier if the caller needs one. to values should be non-decreasing,
-// and events delivered after an Advance should not be stamped before it
-// (a monotone source clock gives both for free).
-func (f *Fleet) Advance(to time.Duration) error {
-	if f.state.Load() != fleetStarted {
-		return fmt.Errorf("fleet: not running")
-	}
-	f.advanceAll(to)
 	return nil
 }
 
@@ -566,12 +543,10 @@ func (f *Fleet) Stop() {
 	if !f.state.CompareAndSwap(fleetStarted, fleetStopped) {
 		return
 	}
-	for _, s := range f.shards {
-		s.in <- msg{fn: func(s *shard) {
-			s.writeWave(true, true)
-			s.quit = true
-		}}
-	}
+	f.barrier(func(s *shard) {
+		s.writeWave(true, true)
+		s.quit = true
+	})
 	for _, s := range f.shards {
 		<-s.done
 	}
@@ -610,10 +585,9 @@ func (s *shard) run() {
 }
 
 // dispatch runs one work item on the loop goroutine. Control closures
-// (Do, Flush, Stats, Stop, advanceAll) are synchronization points:
-// queued eviction writes land before the closure runs, so an observer
-// that has been through a barrier also sees the eviction checkpoints on
-// disk.
+// (Do, Flush, Stats, Stop) are synchronization points: queued
+// eviction writes land before the closure runs, so an observer that
+// has been through a barrier also sees the eviction checkpoints on disk.
 func (s *shard) dispatch(m msg) {
 	if m.fn != nil {
 		s.writeWave(false, false)
@@ -621,7 +595,7 @@ func (s *shard) dispatch(m msg) {
 		return
 	}
 	if m.ev.Kind == EventAdvance && m.ev.Household == "" {
-		// A shard-wide clock-pump tick (Fleet.advanceAll). Like control
+		// A shard-wide clock-pump tick (Fleet.Advance). Like control
 		// closures it is a drain point, so eviction checkpoints cannot be
 		// deferred past a tick. Deliver rejects empty households, so the
 		// encoding cannot collide with tenant traffic.
@@ -714,7 +688,7 @@ func (s *shard) admit(household string) (*Tenant, error) {
 	if s.known[household] {
 		scratch = &s.ckpt
 	}
-	t, recovered, err := newTenant(household, cfg, &s.f.acts, s.f.backend, scratch)
+	t, recovered, err := newTenant(household, cfg, &s.f.acts, s.f.cfg.Backend, scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -1031,7 +1005,7 @@ func (s *shard) writeWave(fsync, dirty bool) {
 			if attempt <= w[i].failN {
 				return errInjected
 			}
-			return w[i].t.save(s.f.backend, sv, fsync)
+			return w[i].t.save(s.f.cfg.Backend, sv, fsync)
 		}
 		err := save(1)
 		if err != nil {

@@ -8,13 +8,23 @@ import (
 
 	"coreda"
 	"coreda/internal/adl"
+	"coreda/internal/store"
 )
 
-// testConfig is a minimal fleet over tea-making households in dir.
-func testConfig(dir string) Config {
+// testConfig is a minimal fleet over tea-making households checkpointed
+// in dir, or in memory when dir is empty.
+func testConfig(tb testing.TB, dir string) Config {
+	var backend store.Backend = store.NewMemBackend()
+	if dir != "" {
+		b, err := store.NewDirBackend(dir)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		backend = b
+	}
 	return Config{
-		Shards: 2,
-		Dir:    dir,
+		Shards:  2,
+		Backend: backend,
 		NewSystem: func(household string) (coreda.SystemConfig, error) {
 			return coreda.SystemConfig{
 				Activity: adl.TeaMaking(),
@@ -56,7 +66,7 @@ func deliverSession(t *testing.T, f *Fleet, household string, base time.Duration
 
 func TestLazyAdmissionAndCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	f, err := New(testConfig(dir))
+	f, err := New(testConfig(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +101,7 @@ func TestLazyAdmissionAndCheckpoint(t *testing.T) {
 
 func TestEvictionAndReadmission(t *testing.T) {
 	dir := t.TempDir()
-	cfg := testConfig(dir)
+	cfg := testConfig(t, dir)
 	cfg.IdleEvict = time.Minute
 	f, err := New(cfg)
 	if err != nil {
@@ -134,7 +144,7 @@ func TestEvictionAndReadmission(t *testing.T) {
 
 func TestMidSessionTenantIsNotEvicted(t *testing.T) {
 	dir := t.TempDir()
-	cfg := testConfig(dir)
+	cfg := testConfig(t, dir)
 	cfg.IdleEvict = time.Minute
 	f, err := New(cfg)
 	if err != nil {
@@ -165,7 +175,7 @@ func TestMidSessionTenantIsNotEvicted(t *testing.T) {
 // and the server sends each transition only once. Its recovery makes it
 // evictable again.
 func TestDegradedTenantIsNotEvicted(t *testing.T) {
-	cfg := testConfig(t.TempDir())
+	cfg := testConfig(t, t.TempDir())
 	cfg.IdleEvict = time.Minute
 	f, err := New(cfg)
 	if err != nil {
@@ -225,7 +235,7 @@ func TestCorruptCheckpointStartsFresh(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, "ito.ckpt"), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			f, err := New(testConfig(dir))
+			f, err := New(testConfig(t, dir))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,7 +254,7 @@ func TestCorruptCheckpointStartsFresh(t *testing.T) {
 }
 
 func TestDeliverRejectsInvalidHousehold(t *testing.T) {
-	f, err := New(testConfig(t.TempDir()))
+	f, err := New(testConfig(t, t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +271,7 @@ func TestDeliverRejectsInvalidHousehold(t *testing.T) {
 }
 
 func TestLifecycleGuards(t *testing.T) {
-	f, err := New(testConfig(t.TempDir()))
+	f, err := New(testConfig(t, t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,17 +290,19 @@ func TestLifecycleGuards(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Dir: ""}); err == nil {
-		t.Error("missing Dir accepted")
+	cfg := testConfig(t, "")
+	cfg.Backend = nil
+	if _, err := New(cfg); err == nil {
+		t.Error("missing Backend accepted")
 	}
-	if _, err := New(Config{Dir: t.TempDir()}); err == nil {
+	if _, err := New(Config{Backend: store.NewMemBackend()}); err == nil {
 		t.Error("missing NewSystem accepted")
 	}
 }
 
 func TestEvictNowCheckpointsAndReleases(t *testing.T) {
 	dir := t.TempDir()
-	f, err := New(testConfig(dir))
+	f, err := New(testConfig(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +341,7 @@ func TestMarkKnownAdmitsFromForeignBlob(t *testing.T) {
 	dir := t.TempDir()
 
 	// First fleet learns one session and checkpoints it.
-	f1, err := New(testConfig(dir))
+	f1, err := New(testConfig(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +353,7 @@ func TestMarkKnownAdmitsFromForeignBlob(t *testing.T) {
 	// out-of-band (as a cluster replica write would), so the fleet's
 	// known-checkpoint set does not include it.
 	dir2 := t.TempDir()
-	f2, err := New(testConfig(dir2))
+	f2, err := New(testConfig(t, dir2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func sharedSum(e *sharedActivity) string {
 // read-only.
 func TestInternedActivityIsNeverWritten(t *testing.T) {
 	soak := SoakConfig{Seed: 3, Households: 1000}
-	cfg := testConfig(t.TempDir())
+	cfg := testConfig(t, t.TempDir())
 	cfg.IdleEvict = 10 * time.Minute // the soak's default: its mid-life gap evicts every tenant
 	f, err := New(cfg)
 	if err != nil {
@@ -121,7 +121,7 @@ func TestInternedActivityIsNeverWritten(t *testing.T) {
 // own routine, while the others keep sharing the interned one.
 func TestDivergentActivityIsNotInterned(t *testing.T) {
 	mem := store.NewMemBackend()
-	cfg := testConfig("")
+	cfg := testConfig(t, "")
 	cfg.Backend = mem
 	var odd *coreda.Activity
 	cfg.NewSystem = func(household string) (coreda.SystemConfig, error) {
@@ -189,8 +189,7 @@ func TestSamePointerActivityIsShared(t *testing.T) {
 		{"fresh copies", nan, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := testConfig("")
-			cfg.Backend = store.NewMemBackend()
+			cfg := testConfig(t, "")
 			cfg.NewSystem = func(household string) (coreda.SystemConfig, error) {
 				return coreda.SystemConfig{Activity: tc.act(), UserName: household, Seed: SeedFor(7, household)}, nil
 			}

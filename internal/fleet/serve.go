@@ -54,8 +54,6 @@ type ServeConfig struct {
 	// offline to its household (degrading it and alerting the
 	// caregiver), and the node's next frame brings it back online.
 	Supervise time.Duration
-	// OnLog receives human-readable event lines (may be nil).
-	OnLog func(string)
 }
 
 // Server exposes a Fleet over TCP: nodes speak the wire protocol, open
@@ -67,7 +65,8 @@ type ServeConfig struct {
 // The serving layer is the fleet's wall-clock boundary: connection
 // goroutines deliver into shard queues, and a pump goroutine advances
 // the shared virtual clock — everything inside the shards stays
-// deterministic virtual time.
+// deterministic virtual time. It logs through the fleet's
+// Config.OnLog.
 type Server struct {
 	f   *Fleet
 	cfg ServeConfig
@@ -75,9 +74,12 @@ type Server struct {
 	start   time.Time
 	done    chan struct{}
 	stopped sync.Once
+	// pump counts the running Run calls, so Stop can wait them out. Run
+	// joins it under mu only while done is open.
+	pump sync.WaitGroup
 
 	mu    sync.Mutex
-	conns map[string]map[uint16]*fleetConn // household → uid → latest conn
+	conns map[connKey]*fleetConn // a node's latest connection: its LED route
 	all   map[*fleetConn]struct{}
 	seq   uint16
 	// sup, used under Supervise, watches each node from its first frame
@@ -107,12 +109,14 @@ type fleetConn struct {
 	// so unregister can drop them; guarded by Server.mu.
 	regs []connKey
 
-	mu        sync.Mutex
+	// household and warned ("no hello, no default" logged once) are
+	// owned by the connection's reader goroutine.
 	household string
-	warned    bool // "no hello, no default" logged once
+	warned    bool
 }
 
-// connKey names one LED route in Server.conns.
+// connKey names one node: its LED route in Server.conns and its entry
+// in the supervisor.
 type connKey struct {
 	household string
 	uid       uint16
@@ -175,7 +179,7 @@ type flushingReader struct {
 
 func (r flushingReader) Read(p []byte) (int, error) {
 	if err := r.nc.flush(); err != nil {
-		r.srv.log("acks to %s: %v", r.nc.c.RemoteAddr(), err)
+		r.srv.f.log("acks to %s: %v", r.nc.c.RemoteAddr(), err)
 	}
 	return r.nc.c.Read(p)
 }
@@ -201,7 +205,7 @@ func NewServer(f *Fleet, cfg ServeConfig) (*Server, error) {
 		cfg:   cfg,
 		start: time.Now(), //coreda:vet-ignore nondeterminism the serving pump is the sanctioned wall-to-virtual boundary
 		done:  make(chan struct{}),
-		conns: make(map[string]map[uint16]*fleetConn),
+		conns: make(map[connKey]*fleetConn),
 		all:   make(map[*fleetConn]struct{}),
 		sup: sensornet.NewSupervisor(cfg.Supervise, func(a, b connKey) int {
 			return cmp.Or(cmp.Compare(a.household, b.household), cmp.Compare(a.uid, b.uid))
@@ -226,8 +230,19 @@ func (srv *Server) virtualNow() time.Duration {
 
 // Run pumps the tenants' virtual clocks from the wall clock, sweeps
 // node liveness under Supervise, and drives periodic batch
-// checkpointing until Stop. Run it in one goroutine.
+// checkpointing until Stop, or until a tick finds the fleet stopped.
+// Run it in one goroutine.
 func (srv *Server) Run() {
+	srv.mu.Lock()
+	select {
+	case <-srv.done:
+		srv.mu.Unlock()
+		return
+	default:
+	}
+	srv.pump.Add(1)
+	srv.mu.Unlock()
+	defer srv.pump.Done()
 	ticker := time.NewTicker(srv.cfg.Tick) //coreda:vet-ignore nondeterminism the serving pump is the sanctioned wall-to-virtual boundary
 	defer ticker.Stop()
 	var sinceFlush time.Duration
@@ -238,7 +253,9 @@ func (srv *Server) Run() {
 			return
 		case <-ticker.C:
 			now := srv.virtualNow()
-			srv.f.advanceAll(now)
+			if srv.f.Advance(now) != nil {
+				return
+			}
 			if srv.cfg.Supervise > 0 {
 				sweep := now >= nextSweep
 				if sweep {
@@ -260,17 +277,18 @@ func (srv *Server) Run() {
 	}
 }
 
-// Stop halts the pump and closes every node connection. The fleet itself
-// is left to the caller (typically f.Stop right after, which takes the
-// final checkpoint).
+// Stop halts the pump, closes every node connection and returns once
+// a running Run has returned. The fleet itself is left to the caller
+// (typically f.Stop right after, which takes the final checkpoint).
 func (srv *Server) Stop() {
 	srv.stopped.Do(func() {
-		close(srv.done)
 		srv.mu.Lock()
-		defer srv.mu.Unlock()
+		close(srv.done)
 		for nc := range srv.all {
 			nc.c.Close()
 		}
+		srv.mu.Unlock()
+		srv.pump.Wait()
 	})
 }
 
@@ -325,7 +343,7 @@ func (srv *Server) HandleConn(conn net.Conn) {
 		}
 		if err := r.ReadFrame(&f); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				srv.log("conn %s: %v", conn.RemoteAddr(), err)
+				srv.f.log("conn %s: %v", conn.RemoteAddr(), err)
 			}
 			conn.Close()
 			return
@@ -336,8 +354,6 @@ func (srv *Server) HandleConn(conn net.Conn) {
 
 // household resolves the tenant a connection's traffic belongs to.
 func (nc *fleetConn) forHousehold(fallback string) (string, bool) {
-	nc.mu.Lock()
-	defer nc.mu.Unlock()
 	if nc.household != "" {
 		return nc.household, true
 	}
@@ -355,7 +371,7 @@ func (srv *Server) handlePacket(nc *fleetConn, f *wire.Frame) {
 	case wire.TypeHello:
 		pkt := &f.Hello
 		if !ValidHousehold(pkt.Household) {
-			srv.log("conn %s: hello with invalid household %q", nc.c.RemoteAddr(), pkt.Household)
+			srv.f.log("conn %s: hello with invalid household %q", nc.c.RemoteAddr(), pkt.Household)
 			return
 		}
 		if srv.cfg.Route != nil {
@@ -365,18 +381,16 @@ func (srv *Server) handlePacket(nc *fleetConn, f *wire.Frame) {
 				// node sends before reconnecting is dropped, not
 				// misdelivered into a tenant this process must not own.
 				if err := nc.write(&wire.Redirect{Seq: pkt.Seq, Addr: addr}); err != nil {
-					srv.log("redirect %s to %s: %v", pkt.Household, addr, err)
+					srv.f.log("redirect %s to %s: %v", pkt.Household, addr, err)
 				}
-				srv.log("%7.1fs node %d household %s redirected to %s", now.Seconds(), pkt.UID, pkt.Household, addr)
+				srv.f.log("%7.1fs node %d household %s redirected to %s", now.Seconds(), pkt.UID, pkt.Household, addr)
 				return
 			}
 		}
-		nc.mu.Lock()
 		nc.household = pkt.Household
-		nc.mu.Unlock()
 		srv.register(pkt.Household, pkt.UID, nc, now)
 		srv.ack(nc, pkt.UID, pkt.Seq)
-		srv.log("%7.1fs node %d joined household %s (hello v%d)", now.Seconds(), pkt.UID, pkt.Household, pkt.HelloVersion)
+		srv.f.log("%7.1fs node %d joined household %s (hello v%d)", now.Seconds(), pkt.UID, pkt.Household, pkt.HelloVersion)
 	case wire.TypeUsageStart:
 		pkt := &f.UsageStart
 		hh, ok := srv.resolve(nc, pkt.UID, now)
@@ -429,7 +443,7 @@ func (srv *Server) resolve(nc *fleetConn, uid uint16, now time.Duration) (string
 	hh, ok := nc.forHousehold(srv.cfg.DefaultHousehold)
 	if hh == "" {
 		if ok {
-			srv.log("conn %s: traffic before hello and no default household — dropping", nc.c.RemoteAddr())
+			srv.f.log("conn %s: traffic before hello and no default household — dropping", nc.c.RemoteAddr())
 		}
 		return "", false
 	}
@@ -439,7 +453,7 @@ func (srv *Server) resolve(nc *fleetConn, uid uint16, now time.Duration) (string
 
 func (srv *Server) deliver(hh string, ev Event) {
 	if err := srv.f.Deliver(ev); err != nil {
-		srv.log("household %s: %v", hh, err)
+		srv.f.log("household %s: %v", hh, err)
 	}
 }
 
@@ -455,15 +469,10 @@ func (srv *Server) register(household string, uid uint16, nc *fleetConn, now tim
 			srv.recovered = append(srv.recovered, k)
 		}
 	}
-	m := srv.conns[household]
-	if m == nil {
-		m = make(map[uint16]*fleetConn)
-		srv.conns[household] = m
-	}
-	if m[uid] == nc {
+	if srv.conns[k] == nc {
 		return
 	}
-	m[uid] = nc
+	srv.conns[k] = nc
 	if !slices.Contains(nc.regs, k) {
 		nc.regs = append(nc.regs, k)
 	}
@@ -509,7 +518,7 @@ func (srv *Server) transition(k connKey, now time.Duration, online bool) {
 	if online {
 		state = "back online"
 	}
-	srv.log("%7.1fs node %d household %s %s", now.Seconds(), k.uid, k.household, state)
+	srv.f.log("%7.1fs node %d household %s %s", now.Seconds(), k.uid, k.household, state)
 	srv.deliver(k.household, Event{Household: k.household, At: now, Kind: EventNodeState, Tool: coreda.ToolID(k.uid), Online: online})
 }
 
@@ -522,13 +531,8 @@ func (srv *Server) unregister(nc *fleetConn) {
 	defer srv.mu.Unlock()
 	delete(srv.all, nc)
 	for _, k := range nc.regs {
-		m := srv.conns[k.household]
-		if m[k.uid] != nc {
-			continue
-		}
-		delete(m, k.uid)
-		if len(m) == 0 {
-			delete(srv.conns, k.household)
+		if srv.conns[k] == nc {
+			delete(srv.conns, k)
 		}
 	}
 	nc.regs = nil
@@ -541,17 +545,8 @@ func (srv *Server) ack(nc *fleetConn, uid, seq uint16) {
 	// ahead of an LED command written in the meantime.
 	nc.ackPkt = wire.Ack{UID: uid, Seq: seq}
 	if err := nc.queue(&nc.ackPkt); err != nil {
-		srv.log("ack to %d: %v", uid, err)
+		srv.f.log("ack to %d: %v", uid, err)
 	}
-}
-
-func (srv *Server) log(format string, args ...any) {
-	if srv.cfg.OnLog == nil {
-		return
-	}
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	srv.cfg.OnLog(fmt.Sprintf(format, args...))
 }
 
 // serveLEDs routes one household's reminder LED commands back to its
@@ -565,12 +560,12 @@ type serveLEDs struct {
 func (l serveLEDs) Blink(tool coreda.ToolID, color wire.LEDColor, blinks int, period time.Duration) {
 	srv := l.srv
 	srv.mu.Lock()
-	nc := srv.conns[l.household][uint16(tool)]
+	nc := srv.conns[connKey{l.household, uint16(tool)}]
 	srv.seq++
 	seq := srv.seq
 	srv.mu.Unlock()
 	if nc == nil {
-		srv.log("LED %s x%d for tool %d: no node connected in household %s", color, blinks, tool, l.household)
+		srv.f.log("LED %s x%d for tool %d: no node connected in household %s", color, blinks, tool, l.household)
 		return
 	}
 	if blinks < 0 {
@@ -587,7 +582,7 @@ func (l serveLEDs) Blink(tool coreda.ToolID, color wire.LEDColor, blinks int, pe
 		PeriodMs: uint16(period / time.Millisecond),
 	}
 	if err := nc.write(cmd); err != nil {
-		srv.log("LED to %d in %s: %v", tool, l.household, err)
+		srv.f.log("LED to %d in %s: %v", tool, l.household, err)
 	}
 }
 

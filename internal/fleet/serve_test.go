@@ -94,7 +94,7 @@ func startServerOn(t *testing.T, fcfg Config, scfg ServeConfig, l net.Listener) 
 // nodes greeting as different households must land in different tenants,
 // and each usage report must be acked.
 func TestServeRoutesByHello(t *testing.T) {
-	f, _, addr := startServer(t, testConfig(t.TempDir()), ServeConfig{Speed: 100})
+	f, _, addr := startServer(t, testConfig(t, t.TempDir()), ServeConfig{Speed: 100})
 
 	ca, ra := dialNode(t, addr)
 	cb, rb := dialNode(t, addr)
@@ -131,7 +131,7 @@ func TestServeRoutesByHello(t *testing.T) {
 // TestServeDefaultHousehold pins backward compatibility: a legacy node
 // that never says hello is served as the configured default household.
 func TestServeDefaultHousehold(t *testing.T) {
-	f, _, addr := startServer(t, testConfig(t.TempDir()),
+	f, _, addr := startServer(t, testConfig(t, t.TempDir()),
 		ServeConfig{Speed: 100, DefaultHousehold: "home"})
 
 	c, r := dialNode(t, addr)
@@ -150,7 +150,7 @@ func TestServeDefaultHousehold(t *testing.T) {
 // TestServeDropsPreHelloTrafficWithoutDefault pins the strict mode: no
 // hello, no default household, no traffic.
 func TestServeDropsPreHelloTrafficWithoutDefault(t *testing.T) {
-	f, _, addr := startServer(t, testConfig(t.TempDir()), ServeConfig{Speed: 100})
+	f, _, addr := startServer(t, testConfig(t, t.TempDir()), ServeConfig{Speed: 100})
 
 	c, _ := dialNode(t, addr)
 	sendPacket(t, c, &wire.UsageStart{UID: uint16(adl.ToolTeaBox), Seq: 1, Hits: 3})
@@ -179,7 +179,7 @@ func TestServeDropsPreHelloTrafficWithoutDefault(t *testing.T) {
 // held inside the next frame while the LED is written, so the cause's
 // ack is still queued then: the LED write must carry it out first.
 func TestServeLEDWriteBack(t *testing.T) {
-	fcfg := testConfig(t.TempDir())
+	fcfg := testConfig(t, t.TempDir())
 	fcfg.NewSystem = func(household string) (coreda.SystemConfig, error) {
 		return coreda.SystemConfig{
 			Activity:    adl.TeaMaking(),
@@ -286,7 +286,7 @@ func TestServeRedirectsForeignHousehold(t *testing.T) {
 		}
 		return "", true
 	}
-	f, _, addr := startServer(t, testConfig(t.TempDir()), ServeConfig{Speed: 100, Route: route})
+	f, _, addr := startServer(t, testConfig(t, t.TempDir()), ServeConfig{Speed: 100, Route: route})
 
 	c, r := dialNode(t, addr)
 	sendPacket(t, c, &wire.Hello{UID: 3, Seq: 9, HelloVersion: wire.HelloVersion, Household: "foreign"})
@@ -366,7 +366,7 @@ func TestServeCoalescesBurstAcks(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := &countingListener{Listener: inner}
-	f, _, addr := startServerOn(t, testConfig(t.TempDir()), ServeConfig{Speed: 100}, l)
+	f, _, addr := startServerOn(t, testConfig(t, t.TempDir()), ServeConfig{Speed: 100}, l)
 	c, r := helloNode(t, addr, "burst", uint16(adl.ToolTeaBox))
 
 	const n = 32
@@ -406,7 +406,7 @@ func TestServeCoalescesBurstAcks(t *testing.T) {
 // frame followed by half of the next leaves bytes buffered, and the
 // first frame's ack must still arrive before the client sends the rest.
 func TestServeAcksBeforeSplitFrame(t *testing.T) {
-	_, _, addr := startServer(t, testConfig(t.TempDir()), ServeConfig{Speed: 100})
+	_, _, addr := startServer(t, testConfig(t, t.TempDir()), ServeConfig{Speed: 100})
 	c, r := helloNode(t, addr, "split", uint16(adl.ToolTeaBox))
 
 	first, err := wire.AppendFrame(nil, &wire.UsageStart{UID: uint16(adl.ToolTeaBox), Seq: 2, Hits: 5})
@@ -471,7 +471,9 @@ func TestServeUnregistersClosedConn(t *testing.T) {
 		logs = append(logs, s)
 		mu.Unlock()
 	}
-	_, srv, addr := startServer(t, testConfig(t.TempDir()), ServeConfig{Speed: 100, OnLog: onLog})
+	fcfg := testConfig(t, t.TempDir())
+	fcfg.OnLog = onLog
+	_, srv, addr := startServer(t, fcfg, ServeConfig{Speed: 100})
 	tool := uint16(adl.ToolTeaBox)
 	c, _ := helloNode(t, addr, "gone", tool)
 	c.Close()
@@ -481,7 +483,7 @@ func TestServeUnregistersClosedConn(t *testing.T) {
 	routes := len(srv.conns)
 	srv.mu.Unlock()
 	if routes != 0 {
-		t.Errorf("%d households still routed after their only connection closed", routes)
+		t.Errorf("%d nodes still routed after their only connection closed", routes)
 	}
 	serveLEDs{srv: srv, household: "gone"}.Blink(coreda.ToolID(tool), wire.LEDGreen, 3, time.Second)
 	mu.Lock()
@@ -495,7 +497,7 @@ func TestServeUnregistersClosedConn(t *testing.T) {
 // a node reconnects before its old connection is torn down, the old
 // connection's exit must not drop the route the new one registered.
 func TestServeReconnectKeepsNewRoute(t *testing.T) {
-	_, srv, addr := startServer(t, testConfig(t.TempDir()), ServeConfig{Speed: 100})
+	_, srv, addr := startServer(t, testConfig(t, t.TempDir()), ServeConfig{Speed: 100})
 	tool := uint16(adl.ToolTeaBox)
 	old, _ := helloNode(t, addr, "moved", tool)
 	fresh, r := helloNode(t, addr, "moved", tool)
@@ -510,6 +512,75 @@ func TestServeReconnectKeepsNewRoute(t *testing.T) {
 	}
 	if led, ok := pkt.(*wire.LEDCommand); !ok || led.UID != tool {
 		t.Fatalf("reconnected node got %+v, want its LED command", pkt)
+	}
+}
+
+// TestServeSlowLogDoesNotStallOtherConns pins that log lines are
+// written outside the node registry lock: while one connection's log
+// line is stuck in a slow sink, another household's reports are still
+// acked.
+func TestServeSlowLogDoesNotStallOtherConns(t *testing.T) {
+	release := make(chan struct{})
+	stuck := make(chan struct{}, 1)
+	fcfg := testConfig(t, t.TempDir())
+	fcfg.OnLog = func(line string) {
+		if !strings.Contains(line, "invalid household") {
+			return
+		}
+		stuck <- struct{}{}
+		select {
+		case <-release:
+		case <-time.After(10 * time.Second):
+		}
+	}
+	_, _, addr := startServer(t, fcfg, ServeConfig{Speed: 100})
+	t.Cleanup(func() { close(release) }) // before the server's own cleanup
+
+	tool := uint16(adl.ToolTeaBox)
+	hb, r := helloNode(t, addr, "hb", tool)
+	bad, _ := dialNode(t, addr)
+	sendPacket(t, bad, &wire.Hello{UID: tool, Seq: 1, HelloVersion: wire.HelloVersion, Household: ".bad"})
+	select {
+	case <-stuck:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the invalid hello was never logged")
+	}
+
+	sendPacket(t, hb, &wire.UsageStart{UID: tool, Seq: 2, Hits: 5})
+	hb.SetReadDeadline(time.Now().Add(2 * time.Second))
+	pkt, err := readPacket(r)
+	if err != nil {
+		t.Fatalf("report not acked while another connection's log line is stuck: %v", err)
+	}
+	if ack, ok := pkt.(*wire.Ack); !ok || ack.Seq != 2 {
+		t.Fatalf("report answered with %+v, want its ack", pkt)
+	}
+}
+
+// TestServeRunStopsAfterFleetStop pins the pump's shutdown when the
+// fleet stops first: Run must not wedge on the stopped shards' queues,
+// and Server.Stop waits for it.
+func TestServeRunStopsAfterFleetStop(t *testing.T) {
+	f, err := New(testConfig(t, t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(f, ServeConfig{Tick: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran, stopped := make(chan struct{}), make(chan struct{})
+	go func() { srv.Run(); close(ran) }()
+	f.Stop()
+	time.Sleep(600 * time.Millisecond) // 600 ticks: more than a shard queue holds
+	go func() { srv.Stop(); close(stopped) }()
+	deadline := time.After(2 * time.Second)
+	for _, ch := range []chan struct{}{ran, stopped} {
+		select {
+		case <-ch:
+		case <-deadline:
+			t.Fatal("Run did not return after Server.Stop")
+		}
 	}
 }
 
@@ -530,7 +601,7 @@ type loopback struct {
 func startLoopback(t *testing.T, mode coreda.Mode, idleFloor time.Duration, scfg ServeConfig) *loopback {
 	t.Helper()
 	lb := &loopback{}
-	fcfg := testConfig(t.TempDir())
+	fcfg := testConfig(t, t.TempDir())
 	fcfg.NewSystem = func(household string) (coreda.SystemConfig, error) {
 		return coreda.SystemConfig{
 			Activity:    adl.TeaMaking(),
@@ -812,7 +883,7 @@ func TestServeSupervisionDropsForeignHouseholds(t *testing.T) {
 		return "", true
 	}
 	// The pump never sweeps within the test: the sweep is called directly.
-	f, srv, addr := startServer(t, testConfig(t.TempDir()), ServeConfig{Speed: 100, Route: route, Supervise: time.Hour})
+	f, srv, addr := startServer(t, testConfig(t, t.TempDir()), ServeConfig{Speed: 100, Route: route, Supervise: time.Hour})
 	helloNode(t, addr, "moving", uint16(adl.ToolKettle))
 	helloNode(t, addr, "staying", uint16(adl.ToolKettle))
 	moved.Store(true)

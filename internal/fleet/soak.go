@@ -91,9 +91,13 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 		return SoakResult{}, err
 	}
 
+	backend, err := store.NewDirBackend(cfg.Dir)
+	if err != nil {
+		return SoakResult{}, err
+	}
 	fcfg := Config{
 		Shards:    cfg.Shards,
-		Dir:       cfg.Dir,
+		Backend:   backend,
 		IdleEvict: cfg.IdleEvict,
 		OnLog:     cfg.OnLog,
 		Bus:       cfg.Bus,
@@ -145,7 +149,7 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 	}
 	f.Stop()
 
-	digest, err := DigestDir(cfg.Dir)
+	digest, err := Digest(backend)
 	if err != nil {
 		return SoakResult{}, err
 	}
@@ -245,42 +249,12 @@ func Digest(b store.Backend) (string, error) {
 	if err := b.Enumerate(func(name string) { names = append(names, name) }); err != nil {
 		return "", err
 	}
-	return DigestOver(names, func(name string, c *store.Checkpoint) error {
-		return store.LoadCheckpoint(b, name, c)
-	})
-}
-
-// DigestOver computes the canonical digest over an explicit household
-// set, loading each checkpoint through load — the primitive under
-// Digest, exported so a cluster driver can combine households that live
-// in different peers' backends into the one comparable digest (each name
-// loaded from its owning peer). Names are deduplicated and sorted; the
-// result is the same formula Digest uses.
-func DigestOver(names []string, load func(name string, c *store.Checkpoint) error) (string, error) {
-	names = append([]string(nil), names...)
-	sort.Strings(names)
-	uniq := names[:0]
-	for i, name := range names {
-		if i == 0 || name != names[i-1] {
-			uniq = append(uniq, name)
-		}
-	}
-	names = uniq
-	// Read and canonicalize the blobs in parallel: the digest is
-	// combined below in sorted name order regardless, so the concurrency
-	// only overlaps per-blob read latency and decode work and cannot
-	// change the result.
+	// Read and canonicalize the blobs in parallel: CombineDigest folds
+	// them in sorted name order regardless, so the concurrency only
+	// overlaps per-blob read latency and decode work.
 	const readers = 8
 	sums, err := parrun.Map(len(names), readers, func(i int) ([sha256.Size]byte, error) {
-		var c store.Checkpoint
-		if err := load(names[i], &c); err != nil {
-			return [sha256.Size]byte{}, fmt.Errorf("digest %s: %w", names[i], err)
-		}
-		canon, err := store.AppendCheckpoint(nil, &c)
-		if err != nil {
-			return [sha256.Size]byte{}, fmt.Errorf("digest %s: %w", names[i], err)
-		}
-		return sha256.Sum256(canon), nil
+		return CheckpointSum(b, names[i])
 	})
 	if err != nil {
 		return "", err
@@ -311,7 +285,7 @@ func CheckpointSum(b store.Backend, name string) ([sha256.Size]byte, error) {
 
 // CombineDigest folds per-household canonical sums into the Digest
 // formula: sorted by name, each contributing "name\x00" + sum. It is
-// the combine half of DigestOver, exported so digests assembled from
+// the combine half of Digest, exported so digests assembled from
 // per-peer CheckpointSum pieces are byte-comparable with single-process
 // Digest output.
 func CombineDigest(sums map[string][sha256.Size]byte) string {
@@ -327,13 +301,4 @@ func CombineDigest(sums map[string][sha256.Size]byte) string {
 		h.Write(s[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// DigestDir is Digest over the local-dir backend rooted at dir.
-func DigestDir(dir string) (string, error) {
-	b, err := store.NewDirBackend(dir)
-	if err != nil {
-		return "", err
-	}
-	return Digest(b)
 }

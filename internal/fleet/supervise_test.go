@@ -140,7 +140,18 @@ func gatewayTransitions(t *testing.T, tc supervisionCase) []nodeTransition {
 func serverTransitions(t *testing.T, tc supervisionCase) []nodeTransition {
 	var now time.Duration
 	var got []nodeTransition
-	f, err := New(testConfig(t.TempDir()))
+	cfg := testConfig(t, t.TempDir())
+	cfg.OnLog = func(line string) {
+		var secs float64
+		var tr nodeTransition
+		var hh, state string
+		if _, err := fmt.Sscanf(line, "%fs node %d household %s %s", &secs, &tr.uid, &hh, &state); err != nil {
+			return
+		}
+		tr.at, tr.online = time.Duration(secs*float64(time.Second)), state != "OFFLINE"
+		got = append(got, tr)
+	}
+	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,16 +159,6 @@ func serverTransitions(t *testing.T, tc supervisionCase) []nodeTransition {
 		Supervise: superviseEvery,
 		Route: func(string) (string, bool) {
 			return "10.0.0.9:7001", now < tc.foreign[0] || now >= tc.foreign[1]
-		},
-		OnLog: func(line string) {
-			var secs float64
-			var tr nodeTransition
-			var hh, state string
-			if _, err := fmt.Sscanf(line, "%fs node %d household %s %s", &secs, &tr.uid, &hh, &state); err != nil {
-				return
-			}
-			tr.at, tr.online = time.Duration(secs*float64(time.Second)), state != "OFFLINE"
-			got = append(got, tr)
 		},
 	})
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"coreda/internal/fleet"
 	"coreda/internal/rtbridge"
 	"coreda/internal/sensing"
+	"coreda/internal/store"
 	"coreda/internal/wire"
 )
 
@@ -22,7 +23,7 @@ func startFleet(t *testing.T, sys coreda.SystemConfig) (*fleet.Fleet, string) {
 	sys.UserName = "home"
 	f, err := fleet.New(fleet.Config{
 		Shards:    1,
-		Dir:       t.TempDir(),
+		Backend:   store.NewMemBackend(),
 		NewSystem: func(string) (coreda.SystemConfig, error) { return sys, nil },
 	})
 	if err != nil {

@@ -12,6 +12,24 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 golden=scripts/golden
 
+# run_named PKG TEST...: runs the named tests of PKG (and their
+# subtests) race-enabled, failing first when `go test -list` no longer
+# finds one of them: a renamed test would otherwise leave its gate
+# passing as "no tests to run".
+run_named() {
+    local pkg=$1 name listed
+    shift
+    listed=$(go test -list . "$pkg")
+    for name in "$@"; do
+        if ! grep -qx "$name" <<<"$listed"; then
+            echo "check.sh: $pkg has no test $name" >&2
+            exit 1
+        fi
+    done
+    local IFS='|'
+    go test -race -count 1 -run "^($*)\$" "$pkg"
+}
+
 echo "== gofmt"
 unformatted=$(gofmt -l .)
 if [[ -n "$unformatted" ]]; then
@@ -85,8 +103,8 @@ go run ./cmd/coreda-vet -only hotalloc ./...
 # tick floor (TestLateEventAfterTickParity). The differential test pins
 # the scheduler itself against a naive reference implementation.
 echo "== advance parity (indexed vs sweep reference, race-enabled)"
-go test -race -count 1 -run 'TestAdvanceParity|TestLateEventAfterTickParity|TestDueHeap' ./internal/fleet/
-go test -race -count 1 -run 'TestSchedulerMatchesNaiveReference' ./internal/sim/
+run_named ./internal/fleet/ TestAdvanceParity TestLateEventAfterTickParity TestDueHeap
+run_named ./internal/sim/ TestSchedulerMatchesNaiveReference
 
 # The soak gates below run one race-enabled coreda-bench, built once into
 # the private temp dir.
@@ -133,7 +151,7 @@ diff "$golden/fleetidle.txt" "$tmp/fleetidle.txt"
 # re-checks fault-free digest parity at 1, 2 and 3 processes, exits
 # non-zero on any divergence, and its stdout must match the golden.
 echo "== cluster soak (3 procs, SIGKILL one peer, digest parity vs golden, race-enabled)"
-go test -race -count 1 -run 'TestClusterSoakMatchesSingleProcess|TestClusterSoakSurvivesSigkill' ./internal/cluster/
+run_named ./internal/cluster/ TestClusterSoakMatchesSingleProcess TestClusterSoakSurvivesSigkill
 "$bench" -cluster-households 24 -cluster-sessions 4 cluster > "$tmp/cluster.txt"
 diff "$golden/cluster.txt" "$tmp/cluster.txt"
 
