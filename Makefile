@@ -32,8 +32,12 @@ lint: vet
 vet-json:
 	$(GO) run ./cmd/coreda-vet -json ./... > vet-report.json
 
-# check is the full local gate, same set scripts/check.sh runs in CI.
-check: build test lint race
+# check is the full gate CI runs, defined once in scripts/check.sh:
+# gofmt, vet and coreda-vet, build, the perfbench module, the race-enabled
+# test run with its coverage gate, the no-race alloc budgets, the parity
+# gates and every golden diff.
+check:
+	./scripts/check.sh
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

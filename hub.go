@@ -21,6 +21,9 @@ type Hub struct {
 	// activity's own tool map, rather than keeping a name index and a
 	// tool index per hub.
 	systems []*System
+	// first backs systems while the hub serves one activity, so a
+	// one-activity home (every fleet household) allocates no slice.
+	first   [1]*System
 	unknown func(UnknownEvent) // handler for unroutable events
 	// UnknownTools counts events for tools no activity claims.
 	UnknownTools int
@@ -55,18 +58,38 @@ type UnknownEvent struct {
 
 // NewHub creates an empty hub on the scheduler.
 func NewHub(sched *sim.Scheduler) *Hub {
-	return &Hub{sched: sched}
+	h := new(Hub)
+	h.Init(sched)
+	return h
+}
+
+// Init readies a zero Hub on the scheduler in place, as NewHub does, so
+// an owner can hold the hub by value.
+func (h *Hub) Init(sched *sim.Scheduler) {
+	h.sched = sched
+	h.systems = h.first[:0]
 }
 
 // Add builds a System for the activity and registers its tools for
 // routing. Tool IDs must be unique across all added activities (the
 // paper's uid scheme guarantees this: one node, one uid, one tool).
 func (h *Hub) Add(cfg SystemConfig) (*System, error) {
+	sys := new(System)
+	if err := h.AddInto(sys, cfg); err != nil {
+		return nil, err
+	}
+	return sys, nil
+}
+
+// AddInto is Add building the System in sys, a zero System the caller
+// owns, so an owner can hold the hub's System by value. sys must stay
+// where it is for as long as the hub routes to it.
+func (h *Hub) AddInto(sys *System, cfg SystemConfig) error {
 	if cfg.Activity == nil {
-		return nil, fmt.Errorf("coreda: Hub.Add requires an activity")
+		return fmt.Errorf("coreda: Hub.Add requires an activity")
 	}
 	if _, dup := h.System(cfg.Activity.Name); dup {
-		return nil, fmt.Errorf("coreda: activity %q already added", cfg.Activity.Name)
+		return fmt.Errorf("coreda: activity %q already added", cfg.Activity.Name)
 	}
 	// The lowest conflicting tool ID is reported, so the error stays
 	// deterministic when several tools clash at once.
@@ -80,14 +103,13 @@ func (h *Hub) Add(cfg SystemConfig) (*System, error) {
 		}
 	}
 	if owner != nil {
-		return nil, fmt.Errorf("coreda: tool %d of %q already claimed by %q", conflict, cfg.Activity.Name, owner.cfg.Activity.Name)
+		return fmt.Errorf("coreda: tool %d of %q already claimed by %q", conflict, cfg.Activity.Name, owner.cfg.Activity.Name)
 	}
-	sys, err := NewSystem(cfg, h.sched)
-	if err != nil {
-		return nil, err
+	if err := sys.init(cfg, h.sched); err != nil {
+		return err
 	}
 	h.systems = append(h.systems, sys)
-	return sys, nil
+	return nil
 }
 
 // route returns the system whose activity declares tool, or nil.

@@ -115,27 +115,30 @@ func (r RewardConfig) Of(a Prompt, next adl.StepID, terminal bool) float64 {
 //
 // Steps are indexed 0 = StepIdle, 1..N = the activity's canonical steps.
 // A state is the pair (prev, cur): index prev*(N+1)+cur. An action is the
-// pair (tool, level): index tool*2+level.
+// pair (tool, level): index tool*2+level. The codec reads the steps from
+// the activity itself, which never changes once a planner uses it, so it
+// keeps no copy of them.
 type codec struct {
 	activity *adl.Activity
-	steps    []adl.StepID // canonical order; index i holds step symbol i+1
 }
 
-func newCodec(a *adl.Activity) (*codec, error) {
+// init validates the activity and binds the codec to it.
+func (c *codec) init(a *adl.Activity) error {
 	if err := a.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	return &codec{activity: a, steps: a.StepIDs()}, nil
+	c.activity = a
+	return nil
 }
 
 // numSteps counts step symbols including idle.
-func (c *codec) numSteps() int { return len(c.steps) + 1 }
+func (c *codec) numSteps() int { return len(c.activity.Steps) + 1 }
 
 // NumStates returns the state-space size.
 func (c *codec) NumStates() int { return c.numSteps() * c.numSteps() }
 
 // NumActions returns the action-space size (every tool × two levels).
-func (c *codec) NumActions() int { return len(c.steps) * 2 }
+func (c *codec) NumActions() int { return len(c.activity.Steps) * 2 }
 
 // stepIndex maps a StepID to its symbol index, or -1 for a step not in
 // the activity.
@@ -145,8 +148,8 @@ func (c *codec) stepIndex(s adl.StepID) int {
 	}
 	// An activity has a handful of steps: a scan beats a map lookup and
 	// keeps no per-planner index.
-	for i, id := range c.steps {
-		if id == s {
+	for i := range c.activity.Steps {
+		if c.activity.Steps[i].ID() == s {
 			return i + 1
 		}
 	}
@@ -183,5 +186,5 @@ func (c *codec) Decode(a rl.Action) Prompt {
 	if int(a)%2 == 1 {
 		level = Specific
 	}
-	return Prompt{Tool: adl.ToolOf(c.steps[i]), Level: level}
+	return Prompt{Tool: c.activity.Steps[i].Tool, Level: level}
 }

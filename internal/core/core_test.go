@@ -48,6 +48,12 @@ func TestRewardsOf(t *testing.T) {
 	}
 }
 
+// newCodec binds a fresh codec to a.
+func newCodec(a *adl.Activity) (*codec, error) {
+	c := new(codec)
+	return c, c.init(a)
+}
+
 func TestCodecShapes(t *testing.T) {
 	c, err := newCodec(adl.TeaMaking())
 	if err != nil {

@@ -153,13 +153,14 @@ func (o *OnlineSession) NoteFailedPrompt(p Prompt) {
 	if !ok {
 		return
 	}
-	target := o.p.cfg.Rewards.Wrong + o.p.cfg.RL.Gamma*o.p.table.BestValue(s)
+	rc := o.p.learner.Config()
+	target := o.p.cfg.Rewards.Wrong + rc.Gamma*o.p.table.BestValue(s)
 	q := o.p.table.Get(s, a)
 	// Compliance is a Bernoulli outcome, unlike the near-deterministic
 	// routine transitions the main learning rate is tuned for; a gentler
 	// step keeps one unlucky ignored prompt from erasing a level
 	// preference built from many successes.
-	alpha := o.p.cfg.RL.Alpha * 0.3
+	alpha := rc.Alpha * 0.3
 	o.p.table.Set(s, a, q+alpha*(target-q))
 }
 
@@ -182,7 +183,7 @@ func (o *OnlineSession) Observe(step adl.StepID) (Prompt, bool) {
 			s1, _ := o.p.codec.State(adl.StepIdle, step)
 			a := o.chosen
 			if !o.hasChosen {
-				a = o.p.policy.Select(o.p.table, s0, o.p.rng)
+				a = o.p.policy.Select(&o.p.table, s0, o.p.rng)
 			}
 			greedyA, _ := o.p.table.Best(s0)
 			o.held = &heldTransition{
@@ -210,7 +211,7 @@ func (o *OnlineSession) Observe(step adl.StepID) (Prompt, bool) {
 		o.flushHeld(false)
 		a := o.chosen
 		if !o.hasChosen {
-			a = o.p.policy.Select(o.p.table, s, o.p.rng)
+			a = o.p.policy.Select(&o.p.table, s, o.p.rng)
 		}
 		greedyA, _ := o.p.table.Best(s)
 		o.held = &heldTransition{
@@ -252,7 +253,7 @@ func (o *OnlineSession) selectAction() {
 	if !ok {
 		return
 	}
-	o.chosen = o.p.policy.Select(o.p.table, s, o.p.rng)
+	o.chosen = o.p.policy.Select(&o.p.table, s, o.p.rng)
 	o.hasChosen = true
 	o.delivered = false
 }

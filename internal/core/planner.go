@@ -86,46 +86,82 @@ type transition struct {
 }
 
 // Planner learns one user's routine of one activity and predicts prompts.
+//
+// What a planner learns with lives in its own struct, each piece once:
+// the codec, the Q-table header, the learner (which holds the RL
+// hyperparameters and the eligibility traces) and the ε-greedy policy
+// (which holds the exploration schedule). The random stream is the
+// caller's, and the experience-replay state is built only when replay is
+// enabled.
 type Planner struct {
-	cfg     Config
-	codec   *codec
-	table   *rl.QTable
-	learner *rl.QLambda
-	policy  *rl.EpsilonGreedy
+	cfg     settings
+	codec   codec
+	table   rl.QTable
+	learner rl.QLambda
+	policy  rl.EpsilonGreedy
 	rng     *rand.Rand
-
-	replay []transition
+	// replay is the experience-replay state, nil unless
+	// Config.ReplaySize is positive.
+	replay *replayBuffer
 	// Episodes counts training episodes consumed.
 	Episodes int
 }
 
+// replayBuffer holds the transitions retained for experience replay and
+// the replay settings.
+type replayBuffer struct {
+	size, perEpisode int
+	t                []transition
+}
+
+// settings is the part of a Config a Planner reads after Init. The RL
+// hyperparameters live in the learner, the exploration schedule in the
+// policy and the initial Q value in the table, so none is kept twice.
+type settings struct {
+	Rewards            RewardConfig
+	LearnInitialPrompt bool
+	NoCounterfactual   bool
+}
+
 // NewPlanner creates a planner for the activity.
 func NewPlanner(a *adl.Activity, cfg Config, rng *rand.Rand) (*Planner, error) {
+	p := new(Planner)
+	if err := p.Init(a, cfg, rng); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Init builds the planner NewPlanner returns in place, on a zero
+// Planner, so an owner can hold the planner by value. The Q-table's slot
+// index is its one allocation until rows are written.
+func (p *Planner) Init(a *adl.Activity, cfg Config, rng *rand.Rand) error {
 	cfg.fill()
-	c, err := newCodec(a)
-	if err != nil {
-		return nil, err
+	if err := p.codec.init(a); err != nil {
+		return err
 	}
-	table := rl.NewQTable(c.NumStates(), c.NumActions(), cfg.OptimisticInit)
-	learner, err := rl.NewQLambda(cfg.RL, table)
-	if err != nil {
-		return nil, err
+	p.table.Init(p.codec.NumStates(), p.codec.NumActions(), cfg.OptimisticInit)
+	if err := p.learner.Init(cfg.RL, &p.table); err != nil {
+		return err
 	}
-	return &Planner{
-		cfg:     cfg,
-		codec:   c,
-		table:   table,
-		learner: learner,
-		policy:  &rl.EpsilonGreedy{Epsilon: cfg.Epsilon, DecayRate: cfg.EpsilonDecay, Min: cfg.EpsilonMin},
-		rng:     rng,
-	}, nil
+	p.cfg = settings{
+		Rewards:            cfg.Rewards,
+		LearnInitialPrompt: cfg.LearnInitialPrompt,
+		NoCounterfactual:   cfg.NoCounterfactual,
+	}
+	if cfg.ReplaySize > 0 {
+		p.replay = &replayBuffer{size: cfg.ReplaySize, perEpisode: cfg.ReplayPerEpisode}
+	}
+	p.policy = rl.EpsilonGreedy{Epsilon: cfg.Epsilon, DecayRate: cfg.EpsilonDecay, Min: cfg.EpsilonMin}
+	p.rng = rng
+	return nil
 }
 
 // Activity returns the activity this planner serves.
 func (p *Planner) Activity() *adl.Activity { return p.codec.activity }
 
 // Table exposes the learned Q-table (for persistence and inspection).
-func (p *Planner) Table() *rl.QTable { return p.table }
+func (p *Planner) Table() *rl.QTable { return &p.table }
 
 // Epsilon returns the current exploration rate.
 func (p *Planner) Epsilon() float64 { return p.policy.Epsilon }
@@ -177,7 +213,7 @@ func (p *Planner) TrainEpisode(steps []adl.StepID) error {
 		if !ok {
 			return fmt.Errorf("core: step 0 (%d) not in activity %q", steps[0], p.codec.activity.Name)
 		}
-		a := p.policy.Select(p.table, s0, p.rng)
+		a := p.policy.Select(&p.table, s0, p.rng)
 		greedyA, _ := p.table.Best(s0)
 		r := p.cfg.Rewards.Of(p.codec.Decode(a), steps[0], false)
 		p.learner.Observe(s0, a, r, s1, false, a == greedyA)
@@ -194,7 +230,7 @@ func (p *Planner) TrainEpisode(steps []adl.StepID) error {
 		if !ok {
 			return fmt.Errorf("core: step %d (%d) not in activity %q", i+1, next, p.codec.activity.Name)
 		}
-		a := p.policy.Select(p.table, s, p.rng)
+		a := p.policy.Select(&p.table, s, p.rng)
 		greedyA, _ := p.table.Best(s)
 		terminal := i+2 == len(steps)
 		r := p.cfg.Rewards.Of(p.codec.Decode(a), next, terminal)
@@ -220,10 +256,11 @@ func (p *Planner) counterfactual(s rl.State, taken rl.Action, next adl.StepID, t
 	if p.cfg.NoCounterfactual {
 		return
 	}
-	alpha := p.cfg.RL.Alpha
+	rc := p.learner.Config()
+	alpha := rc.Alpha
 	boot := 0.0
 	if !terminal {
-		boot = p.cfg.RL.Gamma * p.table.BestValue(s2)
+		boot = rc.Gamma * p.table.BestValue(s2)
 	}
 	takenTool := p.codec.Decode(taken).Tool
 	for ai := 0; ai < p.codec.NumActions(); ai++ {
@@ -243,23 +280,25 @@ func (p *Planner) counterfactual(s rl.State, taken rl.Action, next adl.StepID, t
 
 // remember stores a transition in the replay buffer (if enabled).
 func (p *Planner) remember(t transition) {
-	if p.cfg.ReplaySize <= 0 {
+	rb := p.replay
+	if rb == nil {
 		return
 	}
-	if len(p.replay) < p.cfg.ReplaySize {
-		p.replay = append(p.replay, t)
+	if len(rb.t) < rb.size {
+		rb.t = append(rb.t, t)
 		return
 	}
-	p.replay[p.rng.Intn(len(p.replay))] = t
+	rb.t[p.rng.Intn(len(rb.t))] = t
 }
 
 // replayPass re-learns stored transitions as one-step updates.
 func (p *Planner) replayPass() {
-	if p.cfg.ReplaySize <= 0 || len(p.replay) == 0 {
+	rb := p.replay
+	if rb == nil || len(rb.t) == 0 {
 		return
 	}
-	for i := 0; i < p.cfg.ReplayPerEpisode; i++ {
-		t := p.replay[p.rng.Intn(len(p.replay))]
+	for i := 0; i < rb.perEpisode; i++ {
+		t := rb.t[p.rng.Intn(len(rb.t))]
 		p.learner.StartEpisode() // replay is one-step: no traces across draws
 		p.learner.Observe(t.s, t.a, t.r, t.next, t.terminal, true)
 	}
@@ -307,7 +346,7 @@ func (p *Planner) Evaluate(episodes [][]adl.StepID) float64 {
 func (p *Planner) EvaluatePolicy(episodes [][]adl.StepID) float64 {
 	greedy := p.Evaluate(episodes)
 	eps := p.policy.Epsilon
-	chance := 1.0 / float64(len(p.codec.steps))
+	chance := 1.0 / float64(len(p.codec.activity.Steps))
 	return (1-eps)*greedy + eps*chance
 }
 
@@ -328,7 +367,7 @@ func (p *Planner) SamplePolicyPrecision(episodes [][]adl.StepID, rng *rand.Rand)
 				prev = cur
 				continue
 			}
-			a := p.policy.Select(p.table, s, rng)
+			a := p.policy.Select(&p.table, s, rng)
 			c.Observe(adl.StepOf(p.codec.Decode(a).Tool) == next)
 			prev = cur
 		}

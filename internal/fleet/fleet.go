@@ -79,8 +79,10 @@ type Config struct {
 	// driven purely by the tenant's own virtual time, so it happens
 	// identically at any shard count. Zero disables eviction.
 	IdleEvict time.Duration
-	// OnLog receives human-readable event lines. Calls are serialized
-	// across shards; may be nil.
+	// OnLog receives human-readable event lines; may be nil. It is
+	// called concurrently from the shard loops (and from a Server's
+	// goroutines), each on the goroutine that logs, so it must be safe
+	// for concurrent use; a slow sink delays only that goroutine.
 	OnLog func(string)
 	// Bus, if non-nil, receives control-plane events
 	// (notify.CheckpointDone, WritebackFailed). Publishing never blocks
@@ -189,10 +191,10 @@ type Fleet struct {
 	acts activityTable
 
 	// state is the lifecycle flag, atomic so the per-event Deliver fast
-	// path does not serialize every caller through a mutex.
+	// path does not serialize every caller through a mutex. A caller that
+	// read fleetStarted may still meet a shard loop a concurrent Stop has
+	// ended; shard.send and shard.await turn that into errNotRunning.
 	state atomic.Uint32
-
-	mu sync.Mutex // serializes OnLog
 }
 
 // msg is one shard-loop work item: an event, or a control closure (Do,
@@ -261,16 +263,16 @@ type shard struct {
 	// while running (the same single-writer assumption the crash-safe
 	// rotation already relies on), so the set cannot go stale.
 	known map[string]bool
-	// saver holds the reusable checkpoint encode buffers of the loop
+	// saver holds the reusable checkpoint encode state of the loop
 	// goroutine's own write (evictNow's fsynced checkpoint).
-	saver store.MultiSaver
+	saver saver
 	// ckpt is admission's decode scratch: every checkpoint this shard
 	// restores is decoded into it, reusing its slices (see Tenant.load).
 	ckpt store.Checkpoint
 	// free holds one saver per wave writer; a write checks a saver out
 	// for its attempts and returns it before the wave completes, so the
 	// pool is full between waves.
-	free chan *store.MultiSaver
+	free chan *saver
 	// wave is the reusable scratch of writeWave's writes.
 	wave []waveWrite
 	// inject is the chaos hook from Config.JobInject (nil injects
@@ -322,13 +324,13 @@ func New(cfg Config) (*Fleet, error) {
 			tenants: make(map[string]*Tenant),
 			dirty:   make(map[string]*Tenant),
 			known:   make(map[string]bool),
-			free:    make(chan *store.MultiSaver, flushWriters),
+			free:    make(chan *saver, flushWriters),
 		}
 		if cfg.JobInject != nil {
 			s.inject = cfg.JobInject(i)
 		}
 		for w := 0; w < flushWriters; w++ {
-			s.free <- new(store.MultiSaver)
+			s.free <- new(saver)
 		}
 		f.shards = append(f.shards, s)
 	}
@@ -381,9 +383,56 @@ func (f *Fleet) call(household string, fn func(*shard) error) error {
 	if err != nil {
 		return err
 	}
+	return s.await(s.post(fn))
+}
+
+// post sends fn to the shard loop and returns the channel its result
+// arrives on; see await. A loop that has quit gets nothing, and the
+// channel holds errNotRunning at once.
+func (s *shard) post(fn func(*shard) error) <-chan error {
 	res := make(chan error, 1)
-	s.in <- msg{fn: func(s *shard) { res <- fn(s) }}
-	return <-res
+	if !s.send(msg{fn: func(s *shard) { res <- fn(s) }}) {
+		res <- errNotRunning
+	}
+	return res
+}
+
+// send queues m for the shard loop, blocking while the queue is full
+// (backpressure). It reports false when the loop has quit: a Stop that
+// lands between a caller's lifecycle check and its send leaves a queue
+// nothing drains, so a blocked sender must give up rather than wait
+// forever. A message queued just as the loop quits is never run; a call
+// learns that from await.
+func (s *shard) send(m msg) bool {
+	select {
+	case s.in <- m:
+		return true
+	default:
+	}
+	select {
+	case s.in <- m:
+		return true
+	case <-s.done:
+		return false
+	}
+}
+
+// await waits for the result of a closure posted to the shard. A loop
+// that quit without running the closure never replies: await then
+// returns errNotRunning.
+func (s *shard) await(res <-chan error) error {
+	select {
+	case err := <-res:
+		return err
+	case <-s.done:
+		// The loop may have replied just before quitting.
+		select {
+		case err := <-res:
+			return err
+		default:
+			return errNotRunning
+		}
+	}
 }
 
 // Deliver routes one event to its household's shard, blocking while the
@@ -395,7 +444,9 @@ func (f *Fleet) Deliver(ev Event) error {
 	if err != nil {
 		return err
 	}
-	s.in <- msg{ev: ev}
+	if !s.send(msg{ev: ev}) {
+		return errNotRunning
+	}
 	return nil
 }
 
@@ -462,17 +513,24 @@ func (s *shard) evictNow(household string) error {
 	return nil
 }
 
-// barrier runs fn on every shard loop and waits for all of them.
-func (f *Fleet) barrier(fn func(*shard)) {
-	var wg sync.WaitGroup
-	wg.Add(len(f.shards))
-	for _, s := range f.shards {
-		s.in <- msg{fn: func(s *shard) {
-			defer wg.Done()
+// barrier runs fn on every shard loop and waits for all of them. It
+// returns errNotRunning when a loop quit (a concurrent Stop) without
+// running fn.
+func (f *Fleet) barrier(fn func(*shard)) error {
+	res := make([]<-chan error, len(f.shards))
+	for i, s := range f.shards {
+		res[i] = s.post(func(s *shard) error {
 			fn(s)
-		}}
+			return nil
+		})
 	}
-	wg.Wait()
+	var err error
+	for i, s := range f.shards {
+		if e := s.await(res[i]); e != nil {
+			err = e
+		}
+	}
+	return err
 }
 
 // Advance asks every shard to move its due tenants' virtual clocks to
@@ -491,7 +549,9 @@ func (f *Fleet) Advance(to time.Duration) error {
 	// control closure, so a pump tick allocates nothing (a closure would
 	// heap-allocate its captured deadline).
 	for _, s := range f.shards {
-		s.in <- msg{ev: Event{Kind: EventAdvance, At: to}}
+		if !s.send(msg{ev: Event{Kind: EventAdvance, At: to}}) {
+			return errNotRunning
+		}
 	}
 	return nil
 }
@@ -506,26 +566,42 @@ func (f *Fleet) Flush() {
 	if f.state.Load() != fleetStarted {
 		return
 	}
+	// A Stop racing the flush ends it early (errNotRunning); Stop writes
+	// every dirty tenant itself.
 	f.barrier(func(s *shard) { s.writeWave(false, true) })
 }
 
 // Stats snapshots the aggregated counters (a barrier across shards).
+// Once Stop has begun it returns the final counters, after every shard
+// loop has quit.
 func (f *Fleet) Stats() Stats {
-	running := f.state.Load() == fleetStarted
-	var out Stats
-	if !running {
-		for _, s := range f.shards {
-			out.add(s.snapshot())
+	if f.state.Load() == fleetStarted {
+		var (
+			mu  sync.Mutex
+			out Stats
+		)
+		err := f.barrier(func(s *shard) {
+			st := s.snapshot()
+			mu.Lock()
+			out.add(st)
+			mu.Unlock()
+		})
+		if err == nil {
+			return out
 		}
-		return out
 	}
-	var mu sync.Mutex
-	f.barrier(func(s *shard) {
-		st := s.snapshot()
-		mu.Lock()
-		out.add(st)
-		mu.Unlock()
-	})
+	// Not started, or a Stop is under way: a loop that quit has made its
+	// last write to its counters, so each shard is read here once its loop
+	// is done.
+	if f.state.Load() == fleetStopped {
+		for _, s := range f.shards {
+			<-s.done
+		}
+	}
+	var out Stats
+	for _, s := range f.shards {
+		out.add(s.snapshot())
+	}
 	return out
 }
 
@@ -543,6 +619,7 @@ func (f *Fleet) Stop() {
 	if !f.state.CompareAndSwap(fleetStarted, fleetStopped) {
 		return
 	}
+	// Only this barrier ends a loop, so every loop runs it.
 	f.barrier(func(s *shard) {
 		s.writeWave(true, true)
 		s.quit = true
@@ -552,12 +629,13 @@ func (f *Fleet) Stop() {
 	}
 }
 
+// log formats a line for Config.OnLog on the calling goroutine. No
+// fleet-wide lock is held across the sink, so a stuck log line stalls
+// only the goroutine that logs it.
 func (f *Fleet) log(format string, args ...any) {
 	if f.cfg.OnLog == nil {
 		return
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.cfg.OnLog(fmt.Sprintf(format, args...))
 }
 
@@ -684,13 +762,15 @@ func (s *shard) admit(household string) (*Tenant, error) {
 	if cfg.LEDs == nil && s.f.cfg.LEDs != nil {
 		cfg.LEDs = s.f.cfg.LEDs(household)
 	}
-	var scratch *store.Checkpoint
-	if s.known[household] {
-		scratch = &s.ckpt
-	}
-	t, recovered, err := newTenant(household, cfg, &s.f.acts, s.f.cfg.Backend, scratch)
+	t, err := newTenant(household, cfg, &s.f.acts)
 	if err != nil {
 		return nil, err
+	}
+	// Only a household in the known-checkpoint set has a blob to restore,
+	// so a first-contact admission costs zero storage probes.
+	recovered, loadErr := recoveredFresh, error(nil)
+	if s.known[household] {
+		recovered, loadErr = t.restore(s.f.cfg.Backend, &s.ckpt)
 	}
 	s.tenants[household] = t
 	// Ticks before admission never applied to this tenant (a sweep only
@@ -706,7 +786,7 @@ func (s *shard) admit(household string) (*Tenant, error) {
 		s.f.log("shard %d: admitted %s fresh", s.idx, household)
 	case recoveredError:
 		s.stats.RecoveryErrors++
-		s.f.log("shard %d: admitted %s fresh (checkpoint unusable: %v)", s.idx, household, t.loadErr)
+		s.f.log("shard %d: admitted %s fresh (checkpoint unusable: %v)", s.idx, household, loadErr)
 	}
 	return t, nil
 }

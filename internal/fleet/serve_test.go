@@ -651,7 +651,7 @@ func (lb *loopback) train(t *testing.T) {
 func (lb *loopback) home(t *testing.T, fn func(*coreda.System)) {
 	t.Helper()
 	if err := lb.f.Do("home", func(tn *Tenant) error {
-		fn(tn.System)
+		fn(&tn.System)
 		return nil
 	}); err != nil {
 		t.Fatal(err)

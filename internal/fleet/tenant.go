@@ -16,26 +16,22 @@ import (
 // Tenant is one resident household: a full CoReDA stack on its own
 // virtual clock. It is owned by its shard's loop goroutine — fleet users
 // only touch a Tenant inside Fleet.Do.
+//
+// The stack is held by value: a resident household is one allocation,
+// plus its Q-table's slices and two small callback closures. A Tenant
+// must not be copied.
 type Tenant struct {
 	// ID is the household ID; it doubles as the tenant's checkpoint
 	// blob name in the fleet's storage backend.
 	ID string
-	// Sched is the tenant's private virtual clock. All of the tenant's
-	// timers (idle watchdogs, reminder escalation) live here, which is
-	// what makes its behaviour independent of shard count and load.
-	Sched *sim.Scheduler
-	// Hub routes the household's gateway traffic by tool.
-	Hub *coreda.Hub
-	// System is the stack for the household's instrumented activity.
-	System *coreda.System
+
+	// The shard loop's own fields come next, so that they share the
+	// block's first cache line with ID: the due-time index compares
+	// (dueAt, ID) on every sift without touching the stack behind them.
 
 	// act is the household's activity and its encoded routine, shared
 	// read-only with every tenant that runs an equal activity.
 	act *sharedActivity
-	// tables/states are the one-element scratch slices handed to the
-	// saver, so a checkpoint does not allocate its argument slices.
-	tables [1]*rl.QTable
-	states [1]store.TrainState
 	// lastEvent is the virtual time of the last delivered event; the
 	// idle-eviction clock measures from here.
 	lastEvent time.Duration
@@ -51,9 +47,15 @@ type Tenant struct {
 	// up to it predate the tenant and are excluded from the clock floor
 	// handle applies (see shard.tickSeq/tickAt).
 	tickSeq uint64
-	// loadErr records why a checkpoint could not be restored (the tenant
-	// then started fresh).
-	loadErr error
+
+	// Sched is the tenant's private virtual clock. All of the tenant's
+	// timers (idle watchdogs, reminder escalation) live here, which is
+	// what makes its behaviour independent of shard count and load.
+	Sched sim.Scheduler
+	// Hub routes the household's gateway traffic by tool.
+	Hub coreda.Hub
+	// System is the stack for the household's instrumented activity.
+	System coreda.System
 }
 
 // recovery says how a tenant came up.
@@ -65,7 +67,7 @@ const (
 	// recoveredCheckpoint: learned policy restored from the blob.
 	recoveredCheckpoint
 	// recoveredError: a checkpoint existed but was unusable (see
-	// Tenant.loadErr); the tenant started fresh.
+	// Tenant.restore); the tenant started fresh.
 	recoveredError
 )
 
@@ -134,48 +136,40 @@ func (t *activityTable) add(e *sharedActivity) *sharedActivity {
 	return e
 }
 
-// newTenant builds the household stack on the activity interned in acts
-// and restores its checkpoint from the backend, decoding it into
-// scratch. A nil scratch skips the restore outright — the caller (the
-// shard's known-checkpoint set) already knows no blob exists, so a
-// first-contact admission costs zero storage probes.
-func newTenant(id string, cfg coreda.SystemConfig, acts *activityTable, b store.Backend, scratch *store.Checkpoint) (*Tenant, recovery, error) {
+// newTenant builds the household stack, in one block, on the activity
+// interned in acts. The stack starts fresh; see restore.
+func newTenant(id string, cfg coreda.SystemConfig, acts *activityTable) (*Tenant, error) {
 	if cfg.Activity == nil {
-		return nil, 0, fmt.Errorf("fleet: NewSystem config for %q has no activity", id)
+		return nil, fmt.Errorf("fleet: NewSystem config for %q has no activity", id)
 	}
 	act, err := acts.intern(cfg.Activity)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	cfg.Activity = act.activity
-	sched := sim.New()
-	hub := coreda.NewHub(sched)
-	sys, err := hub.Add(cfg)
-	if err != nil {
-		return nil, 0, err
+	t := &Tenant{ID: id, act: act, dueIdx: -1}
+	t.Hub.Init(&t.Sched)
+	if err := t.Hub.AddInto(&t.System, cfg); err != nil {
+		return nil, err
 	}
-	t := &Tenant{
-		ID:     id,
-		Sched:  sched,
-		Hub:    hub,
-		System: sys,
-		act:    act,
-		dueIdx: -1,
-	}
-	if scratch == nil {
-		return t, recoveredFresh, nil
-	}
-	switch err := t.load(b, scratch); {
+	return t, nil
+}
+
+// restore brings a new tenant's policy back from its checkpoint in the
+// backend, decoding it into c, the shard's reused scratch, and reports
+// how the tenant came up. With recoveredError the error says why the
+// checkpoint was unusable; the tenant then runs fresh.
+func (t *Tenant) restore(b store.Backend, c *store.Checkpoint) (recovery, error) {
+	switch err := t.load(b, c); {
 	case err == nil:
-		return t, recoveredCheckpoint, nil
+		return recoveredCheckpoint, nil
 	case errors.Is(err, store.ErrNoCheckpoint):
 		// No generation of the blob exists: a genuine fresh start, not a
 		// recovery failure. Folding this into the load saves the
 		// stat-per-admission probe the old existence check cost.
-		return t, recoveredFresh, nil
+		return recoveredFresh, nil
 	default:
-		t.loadErr = err
-		return t, recoveredError, nil
+		return recoveredError, err
 	}
 }
 
@@ -199,14 +193,26 @@ func (t *Tenant) load(b store.Backend, c *store.Checkpoint) error {
 	return nil
 }
 
+// saver is one checkpoint writer's reusable state: the encode buffers
+// and the one-element argument slices a tenant's save hands to them, so
+// a checkpoint allocates neither. A shard keeps one for its loop
+// goroutine and one per wave writer; tenants keep none.
+type saver struct {
+	ms     store.MultiSaver
+	tables [1]*rl.QTable
+	states [1]store.TrainState
+}
+
 // save checkpoints the learned policy — Q-values plus the annealing
 // state — through the backend's crash-safe rotation, reusing the
-// shard's saver buffers and the tenant's cached routine encoding. fsync
-// is false for incremental checkpoints and true for final flushes (see
+// writer's buffers and the tenant's cached routine encoding. fsync is
+// false for incremental checkpoints and true for final flushes (see
 // store.MultiSaver.Save).
-func (t *Tenant) save(b store.Backend, sv *store.MultiSaver, fsync bool) error {
+func (t *Tenant) save(b store.Backend, sv *saver, fsync bool) error {
 	p := t.System.Planner()
-	t.tables[0] = p.Table()
-	t.states[0] = store.TrainState{Episodes: p.Episodes, Epsilon: p.Epsilon()}
-	return sv.Save(b, t.ID, t.ID, t.act.activity.Name, t.act.enc, t.tables[:], t.states[:], fsync)
+	sv.tables[0] = p.Table()
+	sv.states[0] = store.TrainState{Episodes: p.Episodes, Epsilon: p.Epsilon()}
+	err := sv.ms.Save(b, t.ID, t.ID, t.act.activity.Name, t.act.enc, sv.tables[:], sv.states[:], fsync)
+	sv.tables[0] = nil // the writer outlives the tenant
+	return err
 }

@@ -178,20 +178,22 @@ type Subsystem struct {
 
 	// unanswered counts consecutive reminders for the same tool with no
 	// progress in between; it drives escalation.
-	unanswered     int
+	unanswered     int32
 	unansweredTool adl.ToolID
 
 	// Stats accumulates counters.
 	Stats Stats
 }
 
-// New creates the subsystem. display and leds may be nil (that channel is
-// then skipped — e.g. a deployment without tool LEDs).
-func New(cfg Config, display Display, leds LEDs) (*Subsystem, error) {
+// Init builds the subsystem in place, on a zero Subsystem, so an owner
+// holds it by value. display and leds may be nil (that channel is then
+// skipped — e.g. a deployment without tool LEDs).
+func (s *Subsystem) Init(cfg Config, display Display, leds LEDs) error {
 	if err := cfg.fill(); err != nil {
-		return nil, err
+		return err
 	}
-	return &Subsystem{cfg: cfg, display: display, leds: leds}, nil
+	*s = Subsystem{cfg: cfg, display: display, leds: leds}
+	return nil
 }
 
 // Remind renders prompt and delivers it through every configured channel.
@@ -206,7 +208,7 @@ func (s *Subsystem) Remind(at time.Duration, prompt core.Prompt, trigger Trigger
 	level := prompt.Level
 	escalated := false
 	if s.cfg.EscalateAfter > 0 {
-		if s.unansweredTool == prompt.Tool && s.unanswered >= s.cfg.EscalateAfter && level == core.Minimal {
+		if s.unansweredTool == prompt.Tool && int(s.unanswered) >= s.cfg.EscalateAfter && level == core.Minimal {
 			level = core.Specific
 			escalated = true
 		}

@@ -10,6 +10,15 @@ import (
 	"coreda/internal/wire"
 )
 
+// New builds a subsystem on the heap through Init.
+func New(cfg Config, display Display, leds LEDs) (*Subsystem, error) {
+	s := new(Subsystem)
+	if err := s.Init(cfg, display, leds); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 type fakeDisplay struct {
 	reminders []Reminder
 	praises   []Praise

@@ -57,23 +57,37 @@ func DefaultConfig() Config {
 //
 // Cutting traces after exploratory actions keeps the backup on-policy with
 // respect to the greedy target, which is what makes it Watkins's variant.
+//
+// The learner holds the one copy of its hyperparameters (Config) and its
+// traces by value, so an owner that embeds a QLambda carries no separate
+// objects for either.
 type QLambda struct {
 	cfg    Config
 	table  *QTable
-	traces *Traces
+	traces Traces
 }
 
 // NewQLambda creates a learner updating the given table in place.
 func NewQLambda(cfg Config, table *QTable) (*QLambda, error) {
-	if err := cfg.Validate(); err != nil {
+	l := new(QLambda)
+	if err := l.Init(cfg, table); err != nil {
 		return nil, err
 	}
-	return &QLambda{
-		cfg:    cfg,
-		table:  table,
-		traces: NewTraces(cfg.Traces, table.NumActions()),
-	}, nil
+	return l, nil
 }
+
+// Init builds the learner NewQLambda returns in place, on a zero
+// QLambda.
+func (l *QLambda) Init(cfg Config, table *QTable) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	*l = QLambda{cfg: cfg, table: table, traces: Traces{kind: cfg.Traces}}
+	return nil
+}
+
+// Config returns the learner's hyperparameters.
+func (l *QLambda) Config() Config { return l.cfg }
 
 // StartEpisode resets eligibility traces; call it at each episode start.
 func (l *QLambda) StartEpisode() { l.traces.Reset() }

@@ -68,6 +68,16 @@ const (
 // exploration. No row is materialized until a write moves it off init.
 // The slot index is an int16, so a table holds at most 32768 states.
 func NewQTable(states, actions int, init float64) *QTable {
+	t := new(QTable)
+	t.Init(states, actions, init)
+	return t
+}
+
+// Init builds the table NewQTable returns in place, on a zero QTable, so
+// an owner can hold the table header by value: only the slot index (and,
+// once rows are written, the packed rows and their argmax cache) is
+// allocated.
+func (t *QTable) Init(states, actions int, init float64) {
 	if states <= 0 || states > math.MaxInt16+1 || actions <= 0 || actions > math.MaxInt32 {
 		panic(fmt.Sprintf("rl: invalid QTable shape %dx%d", states, actions))
 	}
@@ -75,7 +85,7 @@ func NewQTable(states, actions int, init float64) *QTable {
 	for s := range slot {
 		slot[s] = noRow
 	}
-	return &QTable{states: states, actions: actions, init: init, slot: slot}
+	*t = QTable{states: states, actions: actions, init: init, slot: slot}
 }
 
 // NumStates returns the number of states.

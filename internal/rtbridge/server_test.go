@@ -50,7 +50,7 @@ func startFleet(t *testing.T, sys coreda.SystemConfig) (*fleet.Fleet, string) {
 // home runs fn on household "home"'s system on its shard.
 func home(t *testing.T, f *fleet.Fleet, fn func(*coreda.System) error) {
 	t.Helper()
-	if err := f.Do("home", func(tn *fleet.Tenant) error { return fn(tn.System) }); err != nil {
+	if err := f.Do("home", func(tn *fleet.Tenant) error { return fn(&tn.System) }); err != nil {
 		t.Fatal(err)
 	}
 }

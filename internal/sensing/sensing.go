@@ -10,7 +10,7 @@
 //     the 30 s in Figure 1 "should be determined from the statistical
 //     data" — we learn arrival gaps per tool and fall back to a
 //     configurable floor until enough data accumulates);
-//   - keep the usage history and per-tool usage-duration statistics.
+//   - keep the step history of the current session.
 package sensing
 
 import (
@@ -83,7 +83,7 @@ type Stats struct {
 	IdleEvents   int // idle pseudo-steps delivered
 	Merged       int // repeated usages merged into the previous step
 	UnknownTools int // usage events for tools outside the activity
-	UsageEnds    int // end events folded into duration statistics
+	UsageEnds    int // usage-end events seen
 }
 
 // Subsystem converts usage events to step events. It is single-threaded:
@@ -94,16 +94,17 @@ type Subsystem struct {
 	sched   *sim.Scheduler
 	handler func(StepEvent)
 
-	durations *stats.Durations // usage length per tool
-	gaps      *stats.Durations // arrival gap per tool
+	// gaps holds the arrival gap per tool: the statistic the idle
+	// watchdog's timeout is derived from.
+	gaps stats.Durations
 
 	history     []StepEvent
-	last        adl.StepID
 	lastAt      time.Duration
 	lastUsageAt time.Duration // last real tool usage; idle events excluded
-	expected    adl.ToolID
 	idleTimer   sim.Timer
-	idleFire    func() // shared idle-timeout callback, built once in New
+	idleFire    func() // shared idle-timeout callback, built once in Init
+	last        adl.StepID
+	expected    adl.ToolID
 	running     bool
 
 	// Stats accumulates counters.
@@ -112,16 +113,22 @@ type Subsystem struct {
 
 // New creates the subsystem. handler receives every extracted step event.
 func New(cfg Config, sched *sim.Scheduler, handler func(StepEvent)) (*Subsystem, error) {
-	if err := cfg.fill(); err != nil {
+	s := new(Subsystem)
+	if err := s.Init(cfg, sched, handler); err != nil {
 		return nil, err
 	}
-	s := &Subsystem{
-		cfg:       cfg,
-		sched:     sched,
-		handler:   handler,
-		durations: stats.NewDurations(),
-		gaps:      stats.NewDurations(),
+	return s, nil
+}
+
+// Init builds the subsystem New returns in place, on a zero Subsystem,
+// so an owner can hold it by value.
+func (s *Subsystem) Init(cfg Config, sched *sim.Scheduler, handler func(StepEvent)) error {
+	if err := cfg.fill(); err != nil {
+		return err
 	}
+	s.cfg = cfg
+	s.sched = sched
+	s.handler = handler
 	s.idleFire = func() {
 		if !s.running {
 			return
@@ -130,7 +137,7 @@ func New(cfg Config, sched *sim.Scheduler, handler func(StepEvent)) (*Subsystem,
 		// long time."
 		s.emit(StepEvent{Step: adl.StepIdle, At: s.sched.Now(), Idle: true})
 	}
-	return s, nil
+	return nil
 }
 
 // Start begins a monitoring session: history is cleared and the idle
@@ -180,7 +187,6 @@ func (s *Subsystem) HandleUsage(e sensornet.UsageEvent) {
 		s.onStart(e)
 	case sensornet.UsageEnded:
 		s.Stats.UsageEnds++
-		s.durations.Observe(uint32(e.Tool), e.Duration)
 	}
 }
 

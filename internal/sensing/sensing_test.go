@@ -166,15 +166,26 @@ func TestStopDisarmsWatchdog(t *testing.T) {
 }
 
 func TestDurationStatsAccumulate(t *testing.T) {
-	s, _, _ := newSub(t, Config{})
+	s, sched, _ := newSub(t, Config{})
 	s.Start()
-	s.HandleUsage(end(adl.ToolPot, 5*time.Second, 1200*time.Millisecond))
-	s.HandleUsage(end(adl.ToolPot, 9*time.Second, 1000*time.Millisecond))
+	// The pot is reached 1.2 s and then 1.0 s after the tool used before
+	// it: two samples of the arrival gap the idle watchdog reads.
+	for _, u := range []sensornet.UsageEvent{
+		start(adl.ToolTeaBox, time.Second),
+		start(adl.ToolPot, 2200*time.Millisecond),
+		start(adl.ToolTeaBox, 5*time.Second),
+		start(adl.ToolPot, 6*time.Second),
+	} {
+		sched.RunUntil(u.At)
+		s.HandleUsage(u)
+	}
 	// Two samples reach minSamples 2, so with k = 0 the timeout is their
 	// mean.
-	if got := s.durations.Timeout(uint32(adl.ToolPot), 0, 2, 0, 0); got < 1099*time.Millisecond || got > 1101*time.Millisecond {
-		t.Errorf("timeout over the two samples = %v, want their 1.1s mean", got)
+	if got := s.gaps.Timeout(uint32(adl.ToolPot), 0, 2, 0, 0); got < 1099*time.Millisecond || got > 1101*time.Millisecond {
+		t.Errorf("pot timeout over its two gaps = %v, want their 1.1s mean", got)
 	}
+	s.HandleUsage(end(adl.ToolPot, 7*time.Second, 1200*time.Millisecond))
+	s.HandleUsage(end(adl.ToolPot, 9*time.Second, 1000*time.Millisecond))
 	if s.Stats.UsageEnds != 2 {
 		t.Errorf("UsageEnds = %d", s.Stats.UsageEnds)
 	}

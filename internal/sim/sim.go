@@ -406,10 +406,27 @@ func (s *Scheduler) swap(i, j int) {
 // The draws are exactly those of rand.New(rand.NewSource(s)) for the
 // stream's derived seed s, but the stream holds no generator state
 // until its 274th draw: the first alfgTap draws are computed straight
-// from the seed (see lazySource). Building a stream costs two small
-// objects; only a stream drawn past alfgTap builds the 4.9 kB state.
+// from the seed (see lazySource). Building a stream costs one small
+// object; only a stream drawn past alfgTap builds the 4.9 kB state.
 func RNG(seed int64, stream string) *rand.Rand {
-	return rand.New(&lazySource{x0: lehmerSeed(streamSeed(seed, stream))})
+	return new(Stream).Init(seed, stream)
+}
+
+// Stream is the storage of one random stream: the *rand.Rand RNG returns
+// and the lazy source under it. An owner that holds a Stream by value
+// carries its random stream without an object of its own.
+type Stream struct {
+	r   rand.Rand
+	src lazySource
+}
+
+// Init seeds the stream as RNG(seed, stream) would and returns it. The
+// returned *rand.Rand points into st, so it stays valid as long as st
+// does.
+func (st *Stream) Init(seed int64, stream string) *rand.Rand {
+	st.src = lazySource{x0: lehmerSeed(streamSeed(seed, stream))}
+	st.r = *rand.New(&st.src)
+	return &st.r
 }
 
 // streamSeed is the FNV-1a hash of "<seed>/<stream>", the stream's seed

@@ -5,10 +5,11 @@ import (
 	"time"
 )
 
-// Durations tracks per-key usage-duration statistics. The reminding
-// subsystem uses it to derive the idle timeout the paper's footnote calls
-// for: "this time should be determined from the statistical data of how
-// long a user will use this tool".
+// Durations tracks per-key duration statistics. The sensing subsystem
+// keeps one over each tool's arrival gap (the time from the previous
+// tool use to this tool's use) and derives from it the idle timeout the
+// paper's footnote calls for: "this time should be determined from the
+// statistical data". The zero Durations is empty and ready to use.
 //
 // Durations is safe for concurrent use.
 type Durations struct {
@@ -20,12 +21,6 @@ type Durations struct {
 type durationEntry struct {
 	key uint32
 	r   Running
-}
-
-// NewDurations returns an empty tracker. An empty tracker holds no
-// entries, so the idle households of a fleet pay nothing for one.
-func NewDurations() *Durations {
-	return &Durations{}
 }
 
 // find returns key's statistics, or nil before its first Observe. A
@@ -40,7 +35,7 @@ func (d *Durations) find(key uint32) *Running {
 	return nil
 }
 
-// Observe records one usage duration for a key.
+// Observe records one duration for a key.
 func (d *Durations) Observe(key uint32, dur time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -234,7 +234,7 @@ func TestCurveASCIIPlot(t *testing.T) {
 }
 
 func TestDurations(t *testing.T) {
-	d := NewDurations()
+	d := new(Durations)
 	if d.N(1) != 0 || d.Mean(1) != 0 {
 		t.Error("empty tracker should report zeros")
 	}
@@ -253,7 +253,7 @@ func TestDurations(t *testing.T) {
 }
 
 func TestDurationsTimeout(t *testing.T) {
-	d := NewDurations()
+	d := new(Durations)
 	floor, ceil := 5*time.Second, time.Minute
 
 	// Below minSamples: floor.
@@ -288,7 +288,7 @@ func TestDurationsTimeout(t *testing.T) {
 }
 
 func TestDurationsConcurrent(t *testing.T) {
-	d := NewDurations()
+	d := new(Durations)
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func() {

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Single CI entrypoint: formatting gate, stock vet, CoReDA's own static
-# analyzers, then the full test suite under the race detector. Mirrors
-# `make check` (plus the gofmt gate, which make leaves to editors).
+# Single CI entrypoint and the one definition of the full gate (`make
+# check` runs this script): formatting gate, stock vet, CoReDA's own
+# static analyzers, the build, the perfbench module, the full test suite
+# under the race detector with its coverage gate, the no-race alloc
+# budgets, the parity gates and the soak goldens.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

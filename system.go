@@ -127,24 +127,31 @@ type SystemStats struct {
 //
 // It is single-threaded: drive it from a sim.Scheduler (simulation) or a
 // single gateway goroutine (deployment).
+//
+// The subsystems are held by value, so a System and its sensing,
+// planning and reminding state are one allocation, plus the Q-table's
+// slices and two small callback closures (see Hub.AddInto for holding
+// the System itself by value).
 type System struct {
 	cfg     systemSettings
 	sched   *sim.Scheduler
-	sensing *sensing.Subsystem
-	planner *core.Planner
+	sensing sensing.Subsystem
+	planner core.Planner
 	session *core.OnlineSession
-	remind  *reminding.Subsystem
+	remind  reminding.Subsystem
+	// rng is the storage of the planner's exploration stream.
+	rng sim.Stream
 
 	mode          Mode
-	active        bool
 	stepsAccepted int
 	expected      Prompt
+	lastPrompt    Prompt
+	active        bool
 	hasExpected   bool
 	// outstanding marks that a reminder was issued and not yet answered;
 	// answering it earns praise (Figure 1), and re-triggering before it
 	// is answered marks it failed (negative evidence for the learner).
 	outstanding bool
-	lastPrompt  Prompt
 
 	// offline marks tools whose sensor node the gateway supervision has
 	// declared dead; reminders about them escalate and, optionally, blind
@@ -152,7 +159,19 @@ type System struct {
 	// first offline report: a healthy household holds no map.
 	offline map[ToolID]bool
 
-	stats SystemStats
+	// n holds the System's own counters; Stats adds the subsystems'.
+	n systemCounters
+}
+
+// systemCounters are the SystemStats counters a System keeps itself.
+type systemCounters struct {
+	Sessions        int
+	WrongToolEvents int
+	AcceptedSteps   int
+	InferredSteps   int
+	DegradedEvents  int
+	Recoveries      int
+	PresumedSteps   int
 }
 
 // systemSettings is the part of a SystemConfig a running System reads:
@@ -203,65 +222,74 @@ func (a alertSink) ShowAlert(al reminding.Alert) {
 
 // NewSystem builds the stack on the given scheduler.
 func NewSystem(cfg SystemConfig, sched *sim.Scheduler) (*System, error) {
+	s := new(System)
+	if err := s.init(cfg, sched); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// init builds the stack in place, on a zero System: the one construction
+// path behind NewSystem and Hub.AddInto.
+func (s *System) init(cfg SystemConfig, sched *sim.Scheduler) error {
 	if cfg.Activity == nil {
-		return nil, fmt.Errorf("coreda: SystemConfig.Activity is required")
+		return fmt.Errorf("coreda: SystemConfig.Activity is required")
 	}
-	s := &System{
-		cfg: systemSettings{
-			Activity:         cfg.Activity,
-			UserName:         cfg.UserName,
-			DefaultMode:      cfg.DefaultMode,
-			KeepLearning:     cfg.KeepLearning,
-			AssumeBlindSteps: cfg.AssumeBlindSteps,
-			InferSkips:       cfg.InferSkips,
-			OnSessionStart:   cfg.OnSessionStart,
-			OnStep:           cfg.OnStep,
-			OnReminder:       cfg.OnReminder,
-			OnPraise:         cfg.OnPraise,
-			OnAlert:          cfg.OnAlert,
-			OnComplete:       cfg.OnComplete,
-		},
-		sched: sched,
+	s.cfg = systemSettings{
+		Activity:         cfg.Activity,
+		UserName:         cfg.UserName,
+		DefaultMode:      cfg.DefaultMode,
+		KeepLearning:     cfg.KeepLearning,
+		AssumeBlindSteps: cfg.AssumeBlindSteps,
+		InferSkips:       cfg.InferSkips,
+		OnSessionStart:   cfg.OnSessionStart,
+		OnStep:           cfg.OnStep,
+		OnReminder:       cfg.OnReminder,
+		OnPraise:         cfg.OnPraise,
+		OnAlert:          cfg.OnAlert,
+		OnComplete:       cfg.OnComplete,
 	}
+	s.sched = sched
 
 	// The planner validates the activity (its state codec needs a
 	// well-formed one), so it is built first and the check runs once.
-	planner, err := core.NewPlanner(cfg.Activity, cfg.Planner, sim.RNG(cfg.Seed, "planner"))
-	if err != nil {
-		return nil, err
+	if err := s.planner.Init(cfg.Activity, cfg.Planner, s.rng.Init(cfg.Seed, "planner")); err != nil {
+		return err
 	}
-	s.planner = planner
 
 	cfg.Sensing.Activity = cfg.Activity
-	sensor, err := sensing.New(cfg.Sensing, sched, s.onStep)
-	if err != nil {
-		return nil, err
+	if err := s.sensing.Init(cfg.Sensing, sched, s.onStep); err != nil {
+		return err
 	}
-	s.sensing = sensor
 
 	cfg.Reminding.Activity = cfg.Activity
 	if cfg.Reminding.UserName == "" {
 		cfg.Reminding.UserName = cfg.UserName
 	}
-	rem, err := reminding.New(cfg.Reminding, display{s}, cfg.LEDs)
-	if err != nil {
-		return nil, err
+	if err := s.remind.Init(cfg.Reminding, display{s}, cfg.LEDs); err != nil {
+		return err
 	}
-	s.remind = rem
-	rem.SetAlertSink(alertSink{s})
-	return s, nil
+	s.remind.SetAlertSink(alertSink{s})
+	return nil
 }
 
 // Planner exposes the planning subsystem (training, persistence,
 // inspection).
-func (s *System) Planner() *core.Planner { return s.planner }
+func (s *System) Planner() *core.Planner { return &s.planner }
 
 // Stats returns a snapshot of the aggregated counters.
 func (s *System) Stats() SystemStats {
-	st := s.stats
-	st.Sensing = s.sensing.Stats
-	st.Reminding = s.remind.Stats
-	return st
+	return SystemStats{
+		Sensing:         s.sensing.Stats,
+		Reminding:       s.remind.Stats,
+		Sessions:        s.n.Sessions,
+		WrongToolEvents: s.n.WrongToolEvents,
+		AcceptedSteps:   s.n.AcceptedSteps,
+		InferredSteps:   s.n.InferredSteps,
+		DegradedEvents:  s.n.DegradedEvents,
+		Recoveries:      s.n.Recoveries,
+		PresumedSteps:   s.n.PresumedSteps,
+	}
 }
 
 // Mode returns the current session mode (zero if no session is active).
@@ -296,7 +324,7 @@ func (s *System) SetToolOnline(tool ToolID, online bool) {
 	}
 	if online {
 		delete(s.offline, tool)
-		s.stats.Recoveries++
+		s.n.Recoveries++
 		s.remind.Alert(reminding.Alert{
 			At:        s.sched.Now(),
 			Tool:      tool,
@@ -309,7 +337,7 @@ func (s *System) SetToolOnline(tool ToolID, online bool) {
 		s.offline = make(map[ToolID]bool)
 	}
 	s.offline[tool] = true
-	s.stats.DegradedEvents++
+	s.n.DegradedEvents++
 	s.remind.Alert(reminding.Alert{
 		At:   s.sched.Now(),
 		Tool: tool,
@@ -340,7 +368,7 @@ func (s *System) StartSession(mode Mode) {
 	s.hasExpected = false
 	s.outstanding = false
 	learn := mode == ModeLearn || s.cfg.KeepLearning
-	s.session = core.NewOnlineSession(s.planner, learn)
+	s.session = core.NewOnlineSession(&s.planner, learn)
 	s.sensing.Start()
 	if s.cfg.OnSessionStart != nil {
 		s.cfg.OnSessionStart(mode)
@@ -362,7 +390,7 @@ func (s *System) EndSession() {
 	s.session.Complete()
 	s.sensing.Stop()
 	s.active = false
-	s.stats.Sessions++
+	s.n.Sessions++
 }
 
 // Predict returns the system's current expectation of the next tool.
@@ -435,7 +463,7 @@ func (s *System) onStep(e sensing.StepEvent) {
 
 // acceptStep advances the learned chain and updates expectations.
 func (s *System) acceptStep(e sensing.StepEvent, praise bool) {
-	s.stats.AcceptedSteps++
+	s.n.AcceptedSteps++
 	s.stepsAccepted++
 	s.outstanding = false
 	s.remind.NoteProgress(e.At, praise)
@@ -464,7 +492,7 @@ func (s *System) onIdle(e sensing.StepEvent) {
 		// The expected tool's sensor is blind, so no detection can ever
 		// answer the reminder already issued. Presume the step done and
 		// move on rather than freezing the whole routine.
-		s.stats.PresumedSteps++
+		s.n.PresumedSteps++
 		s.acceptStep(sensing.StepEvent{Step: adl.StepOf(s.expected.Tool), At: e.At}, false)
 		return
 	}
@@ -481,7 +509,7 @@ func (s *System) onWrongTool(e sensing.StepEvent) {
 	if s.cfg.InferSkips && s.inferSkip(e) {
 		return
 	}
-	s.stats.WrongToolEvents++
+	s.n.WrongToolEvents++
 	s.issueReminder(e.At, reminding.TriggerWrongTool, adl.ToolOf(e.Step))
 }
 
@@ -498,7 +526,7 @@ func (s *System) inferSkip(e sensing.StepEvent) bool {
 	if !ok || adl.StepOf(after.Tool) != e.Step {
 		return false
 	}
-	s.stats.InferredSteps++
+	s.n.InferredSteps++
 	s.acceptStep(sensing.StepEvent{Step: expectedStep, At: e.At}, false)
 	if s.active { // accepting the inferred step may have completed the session
 		s.acceptStep(e, s.outstanding)
