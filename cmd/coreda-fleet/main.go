@@ -246,7 +246,6 @@ func run(o options) error {
 		return err
 	}
 	if node != nil {
-		node.AttachFleet(f)
 		if err := node.Start(); err != nil {
 			l.Close()
 			return err

@@ -18,21 +18,21 @@ type peerConn struct {
 }
 
 type node struct {
-	mu    sync.Mutex
-	conns chan *peerConn
-	epoch uint32
+	mu       sync.Mutex
+	conns    chan *peerConn
+	nodeAddr string
 }
 
 // helloLocked snapshots handshake state under the lock: pure memory,
 // fine.
-func (n *node) helloLocked() uint32 {
+func (n *node) helloLocked() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.epoch
+	return n.nodeAddr
 }
 
 // checkoutLocked receives the conn token while holding the node mutex:
-// every epoch bump now waits on whoever holds the connection.
+// every route lookup now waits on whoever holds the connection.
 func (n *node) checkoutLocked() *peerConn {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -13,9 +13,9 @@ import (
 )
 
 type shard struct {
-	mu    sync.Mutex
-	known map[string]bool
-	ids   []string
+	mu      sync.Mutex
+	written map[string]bool
+	ids     []string
 }
 
 func (s *shard) write(i int) error { return nil }
@@ -30,7 +30,7 @@ func (s *shard) writeWaveLocked() {
 	})
 	for i, err := range errs {
 		if err == nil {
-			s.known[s.ids[i]] = true
+			s.written[s.ids[i]] = true
 		}
 	}
 }
@@ -48,7 +48,7 @@ func (s *shard) writeWave() {
 	defer s.mu.Unlock()
 	for i, err := range errs {
 		if err == nil {
-			s.known[ids[i]] = true
+			s.written[ids[i]] = true
 		}
 	}
 }

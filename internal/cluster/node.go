@@ -46,26 +46,23 @@ type NodeConfig struct {
 	Bus *notify.Bus
 }
 
-// Node is one cluster member: it owns the slot ranges the ring assigns
-// to its PeerAddr, serves peer traffic (replicas and range claims),
-// replicates its own tenants' checkpoints outward, and adopts a departed
-// peer's tenants when membership shrinks.
+// Node is one cluster member: it owns the slots the ring assigns to its
+// PeerAddr, serves peer traffic (replicas), replicates its own tenants'
+// checkpoints outward, and adopts a departed peer's tenants when
+// membership shrinks.
 //
-// Locking: mu guards only routing state (ring, epoch, link map, learned
+// Locking: mu guards only routing state (ring, link map, learned
 // addresses) and is never held across socket I/O — peer connections are
 // owned via the checkout token in peer, and every network call happens
 // after mu is released.
 type Node struct {
 	cfg NodeConfig
 	rb  *ReplicatingBackend
-	f   *fleet.Fleet
 
 	mu        sync.Mutex
 	ring      *Ring
-	epoch     uint32
 	links     map[string]*peer  // outbound, by peer addr
 	nodeAddrs map[string]string // peer addr -> its advertised NodeAddr
-	slotAddr  []string          // slot -> owner NodeAddr per accepted RangeClaims
 
 	ln     net.Listener
 	conns  map[net.Conn]bool // inbound peer conns, for Close
@@ -74,8 +71,7 @@ type Node struct {
 }
 
 // NewNode builds a member and its replicating backend. Pass
-// Backend() as the fleet's Config.Backend, then AttachFleet, then
-// Start.
+// Backend() as the fleet's Config.Backend, then Start.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.PeerAddr == "" {
 		return nil, errors.New("cluster: NodeConfig.PeerAddr is required")
@@ -92,10 +88,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n := &Node{
 		cfg:       cfg,
 		ring:      NewRing(cfg.Peers),
-		epoch:     1,
 		links:     make(map[string]*peer),
 		nodeAddrs: make(map[string]string),
-		slotAddr:  make([]string, fleet.Slots),
 		conns:     make(map[net.Conn]bool),
 	}
 	n.rb = NewReplicatingBackend(cfg.Local, n.replicasFor, n.sendReplica)
@@ -108,10 +102,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 // Backend returns the replicating backend the fleet must checkpoint
 // through.
 func (n *Node) Backend() *ReplicatingBackend { return n.rb }
-
-// AttachFleet wires the started fleet the node admits adopted tenants
-// into.
-func (n *Node) AttachFleet(f *fleet.Fleet) { n.f = f }
 
 // Start begins serving peer traffic.
 func (n *Node) Start() error {
@@ -166,19 +156,16 @@ func (n *Node) Sync() error { return n.rb.Sync() }
 
 // Route decides, for one household hello, whether to serve locally or
 // redirect to the owner's node-facing address — the hook for
-// fleet.ServeConfig.Route.
+// fleet.ServeConfig.Route. The ring names the owner; its node-facing
+// address comes from a peer hello it sent us, else from our own
+// handshake with it.
 func (n *Node) Route(household string) (addr string, local bool) {
-	slot := fleet.SlotOf(household)
 	n.mu.Lock()
-	owner := n.ring.Owner(slot)
-	claimed := n.slotAddr[slot]
+	owner := n.ring.OwnerOf(household)
 	learned := n.nodeAddrs[owner]
 	n.mu.Unlock()
 	if owner == n.cfg.PeerAddr || owner == "" {
 		return "", true
-	}
-	if claimed != "" {
-		return claimed, false
 	}
 	if learned != "" {
 		return learned, false
@@ -239,13 +226,10 @@ func (n *Node) link(addr string) *peer {
 	return fresh
 }
 
-// hello builds our handshake frame under the current epoch.
+// hello builds our handshake frame. Its Epoch stays 0: nothing reads it.
 func (n *Node) hello() *wire.PeerHello {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return &wire.PeerHello{
 		PeerVersion: wire.PeerHelloVersion,
-		Epoch:       n.epoch,
 		PeerAddr:    n.cfg.PeerAddr,
 		NodeAddr:    n.cfg.NodeAddr,
 	}
@@ -255,6 +239,8 @@ func (n *Node) hello() *wire.PeerHello {
 // household the new ring assigns to this node — a local scan of the
 // replica blobs already in the store (the rendezvous promotion
 // property; no network fetch). Returns the adopted household names.
+// Adoption needs no call into the fleet: the next event for an adopted
+// household admits it, and admission restores the replica blob.
 func (n *Node) RemovePeer(dead string) ([]string, error) {
 	n.mu.Lock()
 	old := n.ring
@@ -266,15 +252,8 @@ func (n *Node) RemovePeer(dead string) ([]string, error) {
 	}
 	next := NewRing(peers)
 	n.ring = next
-	n.epoch++
-	epoch := n.epoch
 	link := n.links[dead]
 	delete(n.links, dead)
-	for s := 0; s < fleet.Slots; s++ {
-		if old.Owner(s) == dead {
-			n.slotAddr[s] = "" // stale claim: the owner is gone
-		}
-	}
 	n.mu.Unlock()
 
 	if link != nil {
@@ -301,39 +280,7 @@ func (n *Node) RemovePeer(dead string) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: adopt scan: %w", err)
 	}
-	for _, name := range adopted {
-		if n.f != nil {
-			if err := n.f.MarkKnown(name); err != nil {
-				return adopted, err
-			}
-		}
-	}
-	n.claimOwnedRanges(epoch)
 	return adopted, nil
-}
-
-// claimOwnedRanges announces our slot ranges under the new epoch to
-// every peer, best-effort (claims only prime redirect routing; the
-// rings already agree).
-func (n *Node) claimOwnedRanges(epoch uint32) {
-	n.mu.Lock()
-	ranges := Ranges(n.ring.SlotsOf(n.cfg.PeerAddr))
-	peers := make([]string, 0, len(n.ring.Peers()))
-	for _, p := range n.ring.Peers() {
-		if p != n.cfg.PeerAddr {
-			peers = append(peers, p)
-		}
-	}
-	n.mu.Unlock()
-	for _, addr := range peers {
-		p := n.link(addr)
-		for _, r := range ranges {
-			if err := p.Claim(r[0], r[1], epoch, n.cfg.NodeAddr); err != nil {
-				log.Printf("cluster: range claim [%d,%d] -> %s: %v", r[0], r[1], addr, err)
-				break
-			}
-		}
-	}
 }
 
 func (n *Node) acceptLoop() {
@@ -357,7 +304,7 @@ func (n *Node) acceptLoop() {
 }
 
 // serveConn handles one inbound peer connection: hello handshake, then
-// replicas and range claims until the peer hangs up.
+// replicas until the peer hangs up.
 func (n *Node) serveConn(c net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -380,8 +327,6 @@ func (n *Node) serveConn(c net.Conn) {
 			err = n.servePeerHello(w, &f.PeerHello)
 		case wire.TypeReplicate:
 			err = n.serveReplicate(c, w, &f.Replicate)
-		case wire.TypeRangeClaim:
-			err = n.serveRangeClaim(w, &f.RangeClaim)
 		default:
 			// Not peer traffic; drop the frame and keep the conn.
 		}
@@ -410,25 +355,11 @@ func (n *Node) serveReplicate(c net.Conn, w *wire.Writer, h *wire.Replicate) err
 		return fmt.Errorf("replica for invalid household %q", name)
 	}
 	// Replicas are written to the LOCAL backend, not the replicating
-	// one: a mirrored blob must not fan out again, and it must not mark
-	// the household known to our fleet — we hold it for recovery, we do
-	// not serve it.
+	// one: a mirrored blob must not fan out again. We hold it for
+	// recovery; the fleet restores it only once the ring makes us the
+	// household's owner.
 	if err := n.cfg.Local.Put(name, blob, h.Flags&wire.FlagFsync != 0); err != nil {
 		return fmt.Errorf("replica store %s: %w", name, err)
 	}
-	return w.WritePacket(&wire.Ack{UID: ackOK, Seq: h.Seq})
-}
-
-func (n *Node) serveRangeClaim(w *wire.Writer, rc *wire.RangeClaim) error {
-	n.mu.Lock()
-	verdict := uint16(ackOK)
-	if rc.Epoch < n.epoch {
-		verdict = ackStale
-	} else {
-		for s := int(rc.Start); s <= int(rc.End) && s < fleet.Slots; s++ {
-			n.slotAddr[s] = rc.Addr
-		}
-	}
-	n.mu.Unlock()
-	return w.WritePacket(&wire.Ack{UID: verdict, Seq: rc.Seq})
+	return w.WritePacket(&wire.Ack{Seq: h.Seq})
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -18,10 +17,6 @@ import (
 // the peer is gone, not slow. A variable so the slow-replica tests can
 // tighten it without waiting out real seconds.
 var rpcTimeout = time.Second
-
-// errStaleEpoch is returned when a peer rejects a range claim from an
-// older membership epoch; retrying cannot fix it.
-var errStaleEpoch = errors.New("cluster: claim rejected: stale epoch")
 
 // Dialer opens the transport to a peer address. The default is
 // net.Dial; the chaos soak swaps in a chaosnet-wrapped dialer so peer
@@ -201,20 +196,10 @@ func (pc *peerConn) awaitAck(seq uint16) error {
 			return err
 		}
 		if pc.f.Kind == wire.TypeAck && pc.f.Ack.Seq == seq {
-			if pc.f.Ack.UID != ackOK {
-				return retry.Stop(errStaleEpoch)
-			}
 			return nil
 		}
 	}
 }
-
-// Ack UID values on peer links: the UID field (unused between peers)
-// carries the verdict.
-const (
-	ackOK    = 0
-	ackStale = 1
-)
 
 // Replicate pushes one checkpoint blob to the peer, retrying per the
 // link policy. fsync asks the peer to persist durably before acking.
@@ -245,26 +230,6 @@ func (p *peer) Replicate(name string, blob []byte, fsync bool) error {
 		pc.buf = append(pc.buf[:0], name...)
 		pc.buf = append(pc.buf, blob...)
 		if _, err := pc.c.Write(pc.buf); err != nil {
-			return err
-		}
-		return pc.awaitAck(pc.seq)
-	})
-}
-
-// Claim announces a slot range this node owns as of epoch.
-func (p *peer) Claim(start, end int, epoch uint32, addr string) error {
-	return p.rpc(func(pc *peerConn) error {
-		pc.seq++
-		if err := pc.w.QueuePacket(&wire.RangeClaim{
-			Seq:   pc.seq,
-			Epoch: epoch,
-			Start: uint16(start),
-			End:   uint16(end),
-			Addr:  addr,
-		}); err != nil {
-			return err
-		}
-		if err := pc.w.Flush(); err != nil {
 			return err
 		}
 		return pc.awaitAck(pc.seq)

@@ -133,28 +133,3 @@ func (r *Ring) Replicas(slot, k int) []string {
 func (r *Ring) ReplicasOf(household string, k int) []string {
 	return r.Replicas(fleet.SlotOf(household), k)
 }
-
-// SlotsOf returns the slots a peer owns, ascending.
-func (r *Ring) SlotsOf(peer string) []int {
-	var out []int
-	for s := 0; s < fleet.Slots; s++ {
-		if r.Owner(s) == peer {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Ranges collapses an ascending slot list into inclusive [start, end]
-// runs — the shape a RangeClaim frame carries.
-func Ranges(slots []int) [][2]int {
-	var out [][2]int
-	for _, s := range slots {
-		if n := len(out); n > 0 && out[n-1][1] == s-1 {
-			out[n-1][1] = s
-			continue
-		}
-		out = append(out, [2]int{s, s})
-	}
-	return out
-}

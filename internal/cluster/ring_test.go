@@ -97,14 +97,3 @@ func TestReplicasExcludeOwnerAndFit(t *testing.T) {
 		t.Errorf("single-peer ring has replicas: %v", reps)
 	}
 }
-
-func TestRanges(t *testing.T) {
-	got := Ranges([]int{0, 1, 2, 5, 7, 8})
-	want := [][2]int{{0, 2}, {5, 5}, {7, 8}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Ranges = %v, want %v", got, want)
-	}
-	if Ranges(nil) != nil {
-		t.Error("Ranges(nil) != nil")
-	}
-}

@@ -225,7 +225,6 @@ func workerStart(peers []string, addr string, ln net.Listener, local store.Backe
 		return nil, nil, err
 	}
 	f.Start()
-	node.AttachFleet(f)
 	if err := node.Start(); err != nil {
 		f.Stop()
 		return nil, nil, err

@@ -215,11 +215,6 @@ type shard struct {
 	tenants map[string]*Tenant
 	stats   Stats
 
-	// lastID/lastT cache the most recently touched tenant, so a burst of
-	// events from one household costs one map lookup instead of one per
-	// event.
-	lastID string
-	lastT  *Tenant
 	// dirty is the set of tenants with events since their last
 	// checkpoint: batch checkpoints serialize only these households
 	// instead of sweeping every resident. Invariant: a tenant is in dirty
@@ -255,14 +250,6 @@ type shard struct {
 	// idle tenants pays one parallel write wave instead of one blocking
 	// file rotation per event.
 	evictq []*Tenant
-	// known is the set of households with a checkpoint file (or rotated
-	// backup) on disk: the directory listing taken once at New, plus
-	// every file this shard wrote since. Admission consults it instead
-	// of probing the filesystem, so a first-contact household costs zero
-	// failed opens. The fleet owns its checkpoint directory exclusively
-	// while running (the same single-writer assumption the crash-safe
-	// rotation already relies on), so the set cannot go stale.
-	known map[string]bool
 	// saver holds the reusable checkpoint encode state of the loop
 	// goroutine's own write (evictNow's fsynced checkpoint).
 	saver saver
@@ -323,7 +310,6 @@ func New(cfg Config) (*Fleet, error) {
 			done:    make(chan struct{}),
 			tenants: make(map[string]*Tenant),
 			dirty:   make(map[string]*Tenant),
-			known:   make(map[string]bool),
 			free:    make(chan *saver, flushWriters),
 		}
 		if cfg.JobInject != nil {
@@ -333,18 +319,6 @@ func New(cfg Config) (*Fleet, error) {
 			s.free <- new(saver)
 		}
 		f.shards = append(f.shards, s)
-	}
-	// One backend enumeration seeds every shard's known-checkpoint set,
-	// so admissions never probe the store for households that have never
-	// been persisted.
-	err := cfg.Backend.Enumerate(func(name string) {
-		if !ValidHousehold(name) {
-			return
-		}
-		f.shards[ShardOf(name, len(f.shards))].known[name] = true
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	return f, nil
 }
@@ -467,18 +441,6 @@ func (f *Fleet) Do(household string, fn func(*Tenant) error) error {
 	})
 }
 
-// MarkKnown records that a checkpoint blob for household now exists in
-// the backend, without admitting the tenant. The cluster layer calls it
-// when a replica or handoff blob arrives out-of-band (written to the
-// backend by the peer link, not by this fleet), so a later admission
-// restores from the blob instead of starting fresh.
-func (f *Fleet) MarkKnown(household string) error {
-	return f.call(household, func(s *shard) error {
-		s.known[household] = true
-		return nil
-	})
-}
-
 // EvictNow forces one resident tenant out immediately: it writes the
 // tenant's final checkpoint with an fsync, then releases the tenant, so
 // its next event re-admits it from that checkpoint. A household that is
@@ -500,16 +462,14 @@ func (s *shard) evictNow(household string) error {
 		return err
 	}
 	delete(s.dirty, household)
-	s.known[household] = true
 	s.stats.Checkpoints++
 	s.publishCheckpointDone(1)
 	delete(s.tenants, household)
 	s.dueRemove(t)
-	if s.lastT == t {
-		s.lastID, s.lastT = "", nil
-	}
 	s.stats.Evictions++
-	s.f.log("shard %d: evicted %s (forced, fsynced)", s.idx, household)
+	if s.f.cfg.OnLog != nil {
+		s.f.log("shard %d: evicted %s (forced, fsynced)", s.idx, household)
+	}
 	return nil
 }
 
@@ -631,7 +591,9 @@ func (f *Fleet) Stop() {
 
 // log formats a line for Config.OnLog on the calling goroutine. No
 // fleet-wide lock is held across the sink, so a stuck log line stalls
-// only the goroutine that logs it.
+// only the goroutine that logs it. Boxing the arguments allocates even
+// when OnLog is nil, so the lines every admission and eviction logs are
+// guarded by an OnLog check at the call.
 func (f *Fleet) log(format string, args ...any) {
 	if f.cfg.OnLog == nil {
 		return
@@ -689,16 +651,11 @@ func (s *shard) dispatch(m msg) {
 //
 //coreda:hotpath
 func (s *shard) handle(ev Event) {
-	t := s.lastT
-	if t == nil || s.lastID != ev.Household {
-		var err error
-		t, err = s.admit(ev.Household)
-		if err != nil {
-			s.stats.Dropped++
-			s.f.log("shard %d: admit %s: %v", s.idx, ev.Household, err)
-			return
-		}
-		s.lastID, s.lastT = ev.Household, t
+	t, err := s.admit(ev.Household)
+	if err != nil {
+		s.stats.Dropped++
+		s.f.log("shard %d: admit %s: %v", s.idx, ev.Household, err)
+		return
 	}
 	// The tenant clock never goes backwards: a late event is processed
 	// at the tenant's current time (same policy as a real gateway, which
@@ -766,12 +723,10 @@ func (s *shard) admit(household string) (*Tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Only a household in the known-checkpoint set has a blob to restore,
-	// so a first-contact admission costs zero storage probes.
-	recovered, loadErr := recoveredFresh, error(nil)
-	if s.known[household] {
-		recovered, loadErr = t.restore(s.f.cfg.Backend, &s.ckpt)
-	}
+	// The backend alone says whether the household has a checkpoint: a
+	// blob written by this fleet, a peer's replica or an operator's copy
+	// all restore alike, and a miss means a fresh start.
+	recovered, loadErr := t.restore(s.f.cfg.Backend, &s.ckpt)
 	s.tenants[household] = t
 	// Ticks before admission never applied to this tenant (a sweep only
 	// touches residents), so the floor in handle must ignore them.
@@ -781,9 +736,13 @@ func (s *shard) admit(household string) (*Tenant, error) {
 	switch recovered {
 	case recoveredCheckpoint:
 		s.stats.Recovered++
-		s.f.log("shard %d: admitted %s from checkpoint (%d episodes)", s.idx, household, t.System.Planner().Episodes)
+		if s.f.cfg.OnLog != nil {
+			s.f.log("shard %d: admitted %s from checkpoint (%d episodes)", s.idx, household, t.System.Planner().Episodes)
+		}
 	case recoveredFresh:
-		s.f.log("shard %d: admitted %s fresh", s.idx, household)
+		if s.f.cfg.OnLog != nil {
+			s.f.log("shard %d: admitted %s fresh", s.idx, household)
+		}
 	case recoveredError:
 		s.stats.RecoveryErrors++
 		s.f.log("shard %d: admitted %s fresh (checkpoint unusable: %v)", s.idx, household, loadErr)
@@ -813,9 +772,6 @@ func (s *shard) maybeEvict(t *Tenant) bool {
 	}
 	delete(s.tenants, t.ID)
 	s.dueRemove(t)
-	if s.lastT == t {
-		s.lastID, s.lastT = "", nil
-	}
 	s.stats.Evictions++
 	if _, dirty := s.dirty[t.ID]; dirty {
 		// The queued write carries the tenant's final state; dirty
@@ -824,7 +780,9 @@ func (s *shard) maybeEvict(t *Tenant) bool {
 		s.evictq = append(s.evictq, t)
 		return true
 	}
-	s.f.log("shard %d: evicted %s (idle %v)", s.idx, t.ID, t.Sched.Now()-t.lastEvent)
+	if s.f.cfg.OnLog != nil {
+		s.f.log("shard %d: evicted %s (idle %v)", s.idx, t.ID, t.Sched.Now()-t.lastEvent)
+	}
 	return true
 }
 
@@ -856,9 +814,10 @@ func (s *shard) finishEvict(t *Tenant, err error) {
 		}
 		return
 	}
-	s.known[t.ID] = true
 	s.stats.Checkpoints++
-	s.f.log("shard %d: evicted %s (idle %v)", s.idx, t.ID, t.Sched.Now()-t.lastEvent)
+	if s.f.cfg.OnLog != nil {
+		s.f.log("shard %d: evicted %s (idle %v)", s.idx, t.ID, t.Sched.Now()-t.lastEvent)
+	}
 }
 
 // advanceAll pumps due tenants' clocks to `to`, firing their timers and
@@ -1114,7 +1073,6 @@ func (s *shard) writeWave(fsync, dirty bool) {
 			s.f.log("shard %d: checkpoint %s: %v", s.idx, t.ID, err)
 		default:
 			delete(s.dirty, t.ID)
-			s.known[t.ID] = true
 			s.stats.Checkpoints++
 		}
 		w[i] = waveWrite{}

@@ -337,7 +337,11 @@ func TestEvictNowCheckpointsAndReleases(t *testing.T) {
 	}
 }
 
-func TestMarkKnownAdmitsFromForeignBlob(t *testing.T) {
+// TestAdmitRestoresBlobWrittenWhileRunning: admission asks the backend,
+// so a checkpoint that lands in the store after New — the way a cluster
+// replica write or an adoption does, behind the fleet's back — is
+// restored on the household's first event.
+func TestAdmitRestoresBlobWrittenWhileRunning(t *testing.T) {
 	dir := t.TempDir()
 
 	// First fleet learns one session and checkpoints it.
@@ -349,9 +353,8 @@ func TestMarkKnownAdmitsFromForeignBlob(t *testing.T) {
 	deliverSession(t, f1, "migrant", 0)
 	f1.Stop()
 
-	// Second fleet starts over an empty dir; the blob "arrives" later,
-	// out-of-band (as a cluster replica write would), so the fleet's
-	// known-checkpoint set does not include it.
+	// Second fleet starts over an empty dir; the blob arrives later,
+	// out-of-band, as a cluster replica write would.
 	dir2 := t.TempDir()
 	f2, err := New(testConfig(t, dir2))
 	if err != nil {
@@ -366,9 +369,6 @@ func TestMarkKnownAdmitsFromForeignBlob(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir2, "migrant.ckpt"), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := f2.MarkKnown("migrant"); err != nil {
-		t.Fatal(err)
-	}
 	var episodes int
 	if err := f2.Do("migrant", func(tn *Tenant) error {
 		episodes = tn.System.Planner().Episodes
@@ -377,7 +377,7 @@ func TestMarkKnownAdmitsFromForeignBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	if episodes != 1 {
-		t.Errorf("episodes after MarkKnown admission = %d, want 1 (blob not restored)", episodes)
+		t.Errorf("episodes after admission = %d, want 1 (blob not restored)", episodes)
 	}
 	st := f2.Stats()
 	if st.Recovered != 1 {

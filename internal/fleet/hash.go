@@ -20,8 +20,8 @@ func ShardOf(household string, n int) int {
 // Slots is the size of the household ring a cluster divides between its
 // peer processes: every household hashes onto one of Slots ring slots
 // (SlotOf), and internal/cluster assigns each slot an owner and replica
-// set by rendezvous hashing. 64 slots keeps ownership tables and
-// RangeClaim traffic tiny while still splitting evenly across the
+// set by rendezvous hashing. 64 slots keeps the ring's per-slot
+// ranking tables tiny while still splitting evenly across the
 // single-digit peer counts a cluster runs.
 const Slots = 64
 

@@ -73,12 +73,11 @@ func TestCallsRacingStopReturn(t *testing.T) {
 		"Deliver": func(f *Fleet, hh string, i int) error {
 			return f.Deliver(Event{Household: hh, At: time.Duration(i) * time.Millisecond, Kind: EventAdvance})
 		},
-		"Do":        func(f *Fleet, hh string, _ int) error { return f.Do(hh, noop) },
-		"EvictNow":  func(f *Fleet, hh string, _ int) error { return f.EvictNow(hh) },
-		"MarkKnown": func(f *Fleet, hh string, _ int) error { return f.MarkKnown(hh) },
-		"Advance":   func(f *Fleet, _ string, i int) error { return f.Advance(time.Duration(i) * time.Millisecond) },
-		"Flush":     func(f *Fleet, _ string, _ int) error { f.Flush(); return nil },
-		"Stats":     func(f *Fleet, _ string, _ int) error { f.Stats(); return nil },
+		"Do":       func(f *Fleet, hh string, _ int) error { return f.Do(hh, noop) },
+		"EvictNow": func(f *Fleet, hh string, _ int) error { return f.EvictNow(hh) },
+		"Advance":  func(f *Fleet, _ string, i int) error { return f.Advance(time.Duration(i) * time.Millisecond) },
+		"Flush":    func(f *Fleet, _ string, _ int) error { f.Flush(); return nil },
+		"Stats":    func(f *Fleet, _ string, _ int) error { f.Stats(); return nil },
 	}
 	const (
 		rounds  = 10

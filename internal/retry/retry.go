@@ -1,7 +1,6 @@
-// Package retry is the cluster's one retry/timeout/backoff policy:
-// capped exponential backoff with deterministic jitter. Peer replication
-// and tenant handoff (internal/cluster) both go through it, so every
-// peer RPC in the system retries the same way.
+// Package retry is a retry/backoff policy: capped exponential backoff
+// with deterministic jitter. Peer replication (internal/cluster) and the
+// fleet's checkpoint writes both go through it.
 //
 // Determinism: the jitter is drawn from a *rand.Rand the caller provides
 // — conventionally a named stream like sim.RNG(seed, "cluster/retry/p1")
@@ -12,7 +11,6 @@
 package retry
 
 import (
-	"errors"
 	"math/rand"
 	"time"
 )
@@ -38,26 +36,10 @@ type Policy struct {
 	Sleep func(time.Duration)
 }
 
-// Default is the peer-RPC schedule used by cluster replication and
-// handoff: 4 attempts, 25 ms doubling to a 200 ms cap, half-jittered.
+// Default is the peer-RPC schedule of cluster replication: 4 attempts,
+// 25 ms doubling to a 200 ms cap, half-jittered.
 func Default() Policy {
 	return Policy{Attempts: 4, Base: 25 * time.Millisecond, Cap: 200 * time.Millisecond, Jitter: 0.5}
-}
-
-// stopErr marks an error as non-retryable.
-type stopErr struct{ err error }
-
-func (s stopErr) Error() string { return s.err.Error() }
-func (s stopErr) Unwrap() error { return s.err }
-
-// Stop wraps err so Do returns it immediately instead of retrying — for
-// failures more attempts cannot fix (a rejected handshake, a frame the
-// peer called malformed). Stop(nil) returns nil.
-func Stop(err error) error {
-	if err == nil {
-		return nil
-	}
-	return stopErr{err}
 }
 
 // Backoff returns the pause before attempt n+1 (n counts completed
@@ -83,10 +65,9 @@ func (p Policy) Backoff(rng *rand.Rand, n int) time.Duration {
 	return b
 }
 
-// Do runs op until it succeeds, returns a Stop-wrapped error, or the
-// attempt budget is exhausted; the last error is returned. op receives
-// the 1-based attempt number. rng supplies the jitter (may be nil with
-// Jitter 0).
+// Do runs op until it succeeds or the attempt budget is exhausted; the
+// last error is returned. op receives the 1-based attempt number. rng
+// supplies the jitter (may be nil with Jitter 0).
 func (p Policy) Do(rng *rand.Rand, op func(attempt int) error) error {
 	attempts := p.Attempts
 	if attempts < 1 {
@@ -101,10 +82,6 @@ func (p Policy) Do(rng *rand.Rand, op func(attempt int) error) error {
 		err = op(n)
 		if err == nil {
 			return nil
-		}
-		var s stopErr
-		if errors.As(err, &s) {
-			return s.err
 		}
 		if n < attempts {
 			if d := p.Backoff(rng, n); d > 0 {

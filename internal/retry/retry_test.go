@@ -77,23 +77,6 @@ func TestDoZeroValueMakesOneAttempt(t *testing.T) {
 	}
 }
 
-func TestStopShortCircuits(t *testing.T) {
-	fatal := errors.New("handshake rejected")
-	p := Policy{Attempts: 5, Base: time.Millisecond, Sleep: func(time.Duration) { t.Fatal("slept after Stop") }}
-	calls := 0
-	err := p.Do(nil, func(int) error { calls++; return Stop(fatal) })
-	if calls != 1 {
-		t.Errorf("calls = %d, want 1", calls)
-	}
-	// The Stop wrapper must be unwrapped before the error is returned.
-	if !errors.Is(err, fatal) || err != fatal {
-		t.Errorf("err = %v, want the unwrapped original", err)
-	}
-	if Stop(nil) != nil {
-		t.Error("Stop(nil) != nil")
-	}
-}
-
 func TestBackoffDoublesToCap(t *testing.T) {
 	p := Policy{Attempts: 10, Base: 10 * time.Millisecond, Cap: 45 * time.Millisecond}
 	want := []time.Duration{

@@ -9,8 +9,7 @@
 //     time", using a per-tool statistical timeout (the paper's footnote:
 //     the 30 s in Figure 1 "should be determined from the statistical
 //     data" — we learn arrival gaps per tool and fall back to a
-//     configurable floor until enough data accumulates);
-//   - keep the step history of the current session.
+//     configurable floor until enough data accumulates).
 package sensing
 
 import (
@@ -98,7 +97,6 @@ type Subsystem struct {
 	// watchdog's timeout is derived from.
 	gaps stats.Durations
 
-	history     []StepEvent
 	lastAt      time.Duration
 	lastUsageAt time.Duration // last real tool usage; idle events excluded
 	idleTimer   sim.Timer
@@ -140,11 +138,10 @@ func (s *Subsystem) Init(cfg Config, sched *sim.Scheduler, handler func(StepEven
 	return nil
 }
 
-// Start begins a monitoring session: history is cleared and the idle
-// watchdog armed.
+// Start begins a monitoring session: the last step is forgotten and the
+// idle watchdog armed.
 func (s *Subsystem) Start() {
 	s.running = true
-	s.history = s.history[:0]
 	s.last = adl.StepIdle
 	s.lastAt = s.sched.Now()
 	s.lastUsageAt = s.sched.Now()
@@ -209,7 +206,6 @@ func (s *Subsystem) onStart(e sensornet.UsageEvent) {
 }
 
 func (s *Subsystem) emit(ev StepEvent) {
-	s.history = append(s.history, ev)
 	s.last = ev.Step
 	s.lastAt = ev.At
 	s.Stats.Extracted++

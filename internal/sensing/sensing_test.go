@@ -45,18 +45,14 @@ func TestExtractsStepSequence(t *testing.T) {
 		sched.RunUntil(at)
 		s.HandleUsage(start(tool, at))
 	}
-	seq := s.Sequence()
 	want := adl.TeaMaking().StepIDs()
-	if len(seq) != 4 {
-		t.Fatalf("sequence = %v", seq)
+	if len(*events) != len(want) {
+		t.Fatalf("handler events = %+v", *events)
 	}
-	for i := range want {
-		if seq[i] != want[i] {
-			t.Errorf("seq[%d] = %d, want %d", i, seq[i], want[i])
+	for i, e := range *events {
+		if e.Step != want[i] {
+			t.Errorf("step %d = %d, want %d", i, e.Step, want[i])
 		}
-	}
-	if len(*events) != 4 {
-		t.Errorf("handler events = %d", len(*events))
 	}
 	if s.Stats.Extracted != 4 {
 		t.Errorf("Extracted = %d", s.Stats.Extracted)
@@ -217,42 +213,37 @@ func TestStatisticalIdleTimeout(t *testing.T) {
 	}
 }
 
+// TestHistoryAndSequenceCopy: the session's step history is what the
+// handler records, each event a copy the subsystem keeps no hold on, so
+// editing a recorded event changes nothing the subsystem does next.
 func TestHistoryAndSequenceCopy(t *testing.T) {
-	s, _, _ := newSub(t, Config{})
+	s, _, events := newSub(t, Config{})
 	s.Start()
 	s.HandleUsage(start(adl.ToolTeaBox, 0))
-	h := s.History()
-	if len(h) != 1 {
-		t.Fatalf("history = %+v", h)
+	if want := (StepEvent{Step: adl.StepOf(adl.ToolTeaBox)}); len(*events) != 1 || (*events)[0] != want {
+		t.Fatalf("history = %+v, want [%+v]", *events, want)
 	}
-	h[0].Step = 99
-	if s.History()[0].Step == 99 {
-		t.Error("History returned internal slice")
+	(*events)[0].Step = 99
+	// The same tool again inside MergeGap still merges into the step the
+	// subsystem itself recorded.
+	s.HandleUsage(start(adl.ToolTeaBox, time.Second))
+	if len(*events) != 1 || s.Stats.Merged != 1 {
+		t.Errorf("after a repeat: history = %+v, Merged = %d, want one step and one merge", *events, s.Stats.Merged)
 	}
 }
 
+// TestStartResetsSession: a new session forgets the previous one's last
+// step, so the same tool again inside MergeGap is a new step, not a
+// merge.
 func TestStartResetsSession(t *testing.T) {
-	s, sched, _ := newSub(t, Config{})
+	s, sched, events := newSub(t, Config{})
 	s.Start()
 	s.HandleUsage(start(adl.ToolTeaBox, 0))
 	sched.RunUntil(time.Second)
 	s.Stop()
 	s.Start()
-	if len(s.Sequence()) != 0 {
-		t.Error("history survived session restart")
+	s.HandleUsage(start(adl.ToolTeaBox, time.Second))
+	if len(*events) != 2 || s.Stats.Merged != 0 {
+		t.Errorf("history = %+v, Merged = %d: the restarted session merged into the previous one", *events, s.Stats.Merged)
 	}
-}
-
-// History returns the step events of the current session.
-func (s *Subsystem) History() []StepEvent {
-	return append([]StepEvent(nil), s.history...)
-}
-
-// Sequence returns the StepIDs of the current session.
-func (s *Subsystem) Sequence() []adl.StepID {
-	out := make([]adl.StepID, len(s.history))
-	for i, e := range s.history {
-		out[i] = e.Step
-	}
-	return out
 }

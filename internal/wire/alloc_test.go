@@ -27,10 +27,10 @@ func (lr *loopReader) Read(p []byte) (int, error) {
 // type t is sanctioned to make: one per string field copied off the
 // frame buffer. Only handshake/control packets carry strings (Hello's
 // household, the peer-protocol addresses), and all of them are
-// per-connection or per-rebalance traffic, never per-event.
+// per-connection traffic, never per-event.
 func decodeStringAllocs(t Type) float64 {
 	switch t {
-	case TypeHello, TypeRedirect, TypeRangeClaim:
+	case TypeHello, TypeRedirect:
 		return 1
 	case TypePeerHello:
 		return 2 // peer address + node address

@@ -34,7 +34,6 @@ func corpusPackets() []Packet {
 		&PeerHello{PeerVersion: PeerHelloVersion, Epoch: 4294967295, PeerAddr: strings.Repeat("p", MaxAddr), NodeAddr: strings.Repeat("n", MaxAddr)},
 		&Redirect{Seq: 65535, Addr: strings.Repeat("r", MaxAddr)},
 		&Replicate{Seq: 65535, Flags: FlagFsync, NameLen: MaxHousehold, Size: MaxBlob, CRC: 4294967295},
-		&RangeClaim{Seq: 65535, Epoch: 4294967295, Start: 0, End: 65535, Addr: strings.Repeat("c", MaxAddr)},
 	)
 	return pkts
 }
@@ -49,9 +48,9 @@ func rawFrame(typ byte, payload []byte) []byte {
 }
 
 // retiredSeedSlots are seed numbers whose frames left the protocol (the
-// former 0x0A Handoff). They stay unused so every remaining seed file
-// keeps its name when the corpus is regenerated.
-var retiredSeedSlots = map[int]bool{9: true, 23: true}
+// former 0x0A Handoff and 0x0B RangeClaim). They stay unused so every
+// remaining seed file keeps its name when the corpus is regenerated.
+var retiredSeedSlots = map[int]bool{9: true, 10: true, 23: true, 24: true}
 
 // hostileSeeds are corpus entries Decode must reject (without panicking):
 // hand-built frames exercising every rejection path, so fuzzing starts
@@ -91,7 +90,7 @@ func hostileSeeds() []struct {
 		{"replicate-bad-flags", rawFrame(byte(TypeReplicate), []byte{0, 1, 0x82, 3, 0, 0, 0, 1, 0, 0, 0, 0})},
 		{"replicate-blob-overflow", rawFrame(byte(TypeReplicate), []byte{0, 1, 0, 3, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})},
 		{"reserved-type-0x0a", rawFrame(0x0A, []byte{0, 1, 0, 0, 0, 2, 0, 3, 0, 0, 0, 1, 0, 0, 0, 0})},
-		{"rangeclaim-inverted", rawFrame(byte(TypeRangeClaim), []byte{0, 1, 0, 0, 0, 2, 0, 9, 0, 3, 3, 'a', ':', '1'})},
+		{"reserved-type-0x0b", rawFrame(0x0B, []byte{0, 1, 0, 0, 0, 2, 0, 9, 0, 3, 3, 'a', ':', '1'})},
 	}
 }
 

@@ -52,7 +52,7 @@ const (
 	// household, which keeps pre-hello nodes working unchanged.
 	TypeHello Type = 0x06
 
-	// Peer-protocol types (0x07..0x0B) travel only on the TCP links
+	// Peer-protocol types (0x07..0x09) travel only on the TCP links
 	// between fleet processes of a cluster (internal/cluster), never on
 	// the radio; they reuse the node framing so peer links get the same
 	// CRC protection and resynchronizing reader for free.
@@ -69,13 +69,10 @@ const (
 	// name and blob bytes follow it raw on the stream (see Replicate),
 	// since checkpoint blobs dwarf MaxPayload.
 	TypeReplicate Type = 0x09
-	// 0x0A is reserved: it carried the retired tenant-handoff transfer
-	// and must not be reused, so a frame from an old peer is refused as
-	// an unknown type instead of being misread.
-
-	// TypeRangeClaim announces that a peer owns a ring-slot range as of
-	// a membership epoch; receivers redirect accordingly.
-	TypeRangeClaim Type = 0x0B
+	// 0x0A and 0x0B are reserved: they carried the retired tenant-handoff
+	// transfer and ring-slot range claim and must not be reused, so a
+	// frame from an old peer is refused as an unknown type instead of
+	// being misread.
 )
 
 // String returns the packet type name.
@@ -99,8 +96,6 @@ func (t Type) String() string {
 		return "redirect"
 	case TypeReplicate:
 		return "replicate"
-	case TypeRangeClaim:
-		return "range-claim"
 	default:
 		return fmt.Sprintf("Type(0x%02x)", byte(t))
 	}
@@ -380,10 +375,13 @@ const MaxAddr = 28
 // peers dial), NodeAddr is its node-facing listener (what Redirect sends
 // misdirected households to).
 type PeerHello struct {
-	PeerVersion uint8  // schema version of this peer hello (>= 1)
-	Epoch       uint32 // sender's membership epoch
-	PeerAddr    string // sender's peer-ring address, at most MaxAddr bytes
-	NodeAddr    string // sender's node-facing address, at most MaxAddr bytes
+	PeerVersion uint8 // schema version of this peer hello (>= 1)
+	// Epoch keeps the v1 layout's membership-epoch field so peers of
+	// earlier releases still parse the frame. Nothing reads it; current
+	// peers send 0.
+	Epoch    uint32
+	PeerAddr string // sender's peer-ring address, at most MaxAddr bytes
+	NodeAddr string // sender's node-facing address, at most MaxAddr bytes
 }
 
 // Type implements Packet.
@@ -520,55 +518,6 @@ func (p *Replicate) parse(b []byte) error {
 	return nil
 }
 
-// RangeClaim announces that the peer at Addr owns the inclusive ring-
-// slot range [Start, End] as of membership epoch Epoch. A peer's
-// ownership is rarely one contiguous run, so a rebalance emits one claim
-// per run. Receivers route and redirect accordingly and hand off any
-// resident tenants that fall inside the range.
-type RangeClaim struct {
-	Seq   uint16
-	Epoch uint32 // membership epoch the claim belongs to
-	Start uint16 // first owned slot
-	End   uint16 // last owned slot (inclusive; >= Start)
-	Addr  string // claimant's peer-ring address, at most MaxAddr bytes
-}
-
-// Type implements Packet.
-func (*RangeClaim) Type() Type { return TypeRangeClaim }
-
-func (p *RangeClaim) appendPayload(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, p.Seq)
-	dst = binary.BigEndian.AppendUint32(dst, p.Epoch)
-	dst = binary.BigEndian.AppendUint16(dst, p.Start)
-	dst = binary.BigEndian.AppendUint16(dst, p.End)
-	dst = append(dst, byte(len(p.Addr)))
-	return append(dst, p.Addr...)
-}
-
-func (p *RangeClaim) parse(b []byte) error {
-	if len(b) < 11 {
-		return ErrBadPayload
-	}
-	start := binary.BigEndian.Uint16(b[6:])
-	end := binary.BigEndian.Uint16(b[8:])
-	if end < start {
-		return fmt.Errorf("%w: slot range [%d, %d]", ErrBadField, start, end)
-	}
-	n := int(b[10])
-	if n > MaxAddr {
-		return fmt.Errorf("%w: claim address length %d", ErrBadField, n)
-	}
-	if len(b) != 11+n {
-		return ErrBadPayload
-	}
-	p.Seq = binary.BigEndian.Uint16(b[0:])
-	p.Epoch = binary.BigEndian.Uint32(b[2:])
-	p.Start = start
-	p.End = end
-	p.Addr = string(b[11 : 11+n])
-	return nil
-}
-
 // MaxFrame is the size of the largest possible frame: header (4 bytes),
 // a full payload and the CRC trailer.
 const MaxFrame = 6 + MaxPayload
@@ -624,7 +573,6 @@ type Frame struct {
 	PeerHello  PeerHello
 	Redirect   Redirect
 	Replicate  Replicate
-	RangeClaim RangeClaim
 }
 
 // detach returns a heap copy of the active member, independent of the
@@ -657,9 +605,6 @@ func (f *Frame) detach() Packet {
 		return &p
 	case TypeReplicate:
 		p := f.Replicate
-		return &p
-	case TypeRangeClaim:
-		p := f.RangeClaim
 		return &p
 	default:
 		return nil
@@ -720,9 +665,6 @@ func DecodeInto(f *Frame, frame []byte) error {
 	case TypeReplicate:
 		f.Kind = t
 		return f.Replicate.parse(body)
-	case TypeRangeClaim:
-		f.Kind = t
-		return f.RangeClaim.parse(body)
 	default:
 		return fmt.Errorf("%w: 0x%02x", ErrUnknownType, byte(t))
 	}

@@ -21,7 +21,6 @@ func samplePackets() []Packet {
 		&PeerHello{PeerVersion: PeerHelloVersion, Epoch: 3, PeerAddr: "127.0.0.1:9001", NodeAddr: "127.0.0.1:9101"},
 		&Redirect{Seq: 4, Addr: "127.0.0.1:9102"},
 		&Replicate{Seq: 17, Flags: FlagFsync, NameLen: 6, Size: 4096, CRC: 0xDEADBEEF},
-		&RangeClaim{Seq: 19, Epoch: 4, Start: 12, End: 31, Addr: "127.0.0.1:9002"},
 	}
 }
 
@@ -244,11 +243,11 @@ func TestPeerPacketFieldValidation(t *testing.T) {
 		{"replicate name too long", buildRaw(byte(TypeReplicate), []byte{0, 1, 0, 59, 0, 0, 0, 1, 0, 0, 0, 0}), ErrBadField},
 		{"replicate blob too big", buildRaw(byte(TypeReplicate), []byte{0, 1, 0, 3, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}), ErrBadField},
 		{"replicate short", buildRaw(byte(TypeReplicate), []byte{0, 1, 0, 3}), ErrBadPayload},
-		// 0x0A is reserved (the retired handoff transfer): a well-formed
-		// frame of that type is refused, never misread as another type.
+		// 0x0A and 0x0B are reserved (the retired handoff transfer and
+		// range claim): a well-formed frame of either type is refused,
+		// never misread as another type.
 		{"reserved 0x0a type", buildRaw(0x0A, []byte{0, 1, 0, 0, 0, 2, 0, 3, 0, 0, 0, 1, 0, 0, 0, 0}), ErrUnknownType},
-		{"rangeclaim inverted range", buildRaw(byte(TypeRangeClaim), []byte{0, 1, 0, 0, 0, 2, 0, 9, 0, 3, 3, 'a', ':', '1'}), ErrBadField},
-		{"rangeclaim truncated addr", buildRaw(byte(TypeRangeClaim), []byte{0, 1, 0, 0, 0, 2, 0, 1, 0, 9, 5, 'a'}), ErrBadPayload},
+		{"reserved 0x0b type", buildRaw(0x0B, []byte{0, 1, 0, 0, 0, 2, 0, 9, 0, 3, 3, 'a', ':', '1'}), ErrUnknownType},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

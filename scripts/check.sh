@@ -152,8 +152,11 @@ diff "$golden/fleetidle.txt" "$tmp/fleetidle.txt"
 # the driver replays the killed round. The bench "cluster" mode then
 # re-checks fault-free digest parity at 1, 2 and 3 processes, exits
 # non-zero on any divergence, and its stdout must match the golden.
+# TestClusterReplicateAndAdopt pins adoption itself: survivors restore
+# an adopted household's learning from its replica blob on its next
+# event, with no call into the fleet.
 echo "== cluster soak (3 procs, SIGKILL one peer, digest parity vs golden, race-enabled)"
-run_named ./internal/cluster/ TestClusterSoakMatchesSingleProcess TestClusterSoakSurvivesSigkill
+run_named ./internal/cluster/ TestClusterSoakMatchesSingleProcess TestClusterSoakSurvivesSigkill TestClusterReplicateAndAdopt
 "$bench" -cluster-households 24 -cluster-sessions 4 cluster > "$tmp/cluster.txt"
 diff "$golden/cluster.txt" "$tmp/cluster.txt"
 
